@@ -30,7 +30,7 @@ def main():
     base = dict(patch_shape=(16, 16), stride=(4, 4), K=10)
     for label, cfg in (
         ("exact", TaskConfig(**base, selector="exact")),
-        ("stmp ", TaskConfig(**base, selector="stmp", alpha=0.1, branching=(100, 10))),
+        ("stmp ", TaskConfig(**base, selector="stmp", alpha=0.1)),
     ):
         out, report = denoise(noisy, d, tree if label.strip() == "stmp" else None,
                               cfg, reference=clean, threads=4)

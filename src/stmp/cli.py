@@ -44,7 +44,7 @@ from .pipelines import (
     masked_recover,
     super_resolve,
 )
-from .pursuit import exact_select, stmp_select
+from .pursuit import check_alpha, exact_select, stmp_select
 from .tensor import extract_patches, load_pgm, load_tensor, save_pgm, save_tensor
 
 BENCH_HEADER = "m, alpha, exact_ip, stmp_ip, stmp_centroid_ip, agreement"
@@ -75,16 +75,9 @@ def _branching_list(value) -> tuple[tuple[int, ...], ...]:
     return (_branching(value),)
 
 
-def _alpha(value) -> float:
-    alpha = float(value)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {value!r}")
-    return alpha
-
-
 def _alpha_list(value) -> tuple[float, ...]:
     parts = value.split(",") if isinstance(value, str) else value
-    alphas = tuple(_alpha(p) for p in parts)
+    alphas = tuple(check_alpha(p) for p in parts)
     if not alphas:
         raise ValueError("need at least one alpha")
     return alphas
@@ -121,7 +114,7 @@ _CONVERTERS = {
     "stride": _dims,
     "branching": _branching,
     "branchings": _branching_list,
-    "alpha": _alpha,
+    "alpha": check_alpha,
     "alphas": _alpha_list,
     "views": _views,
     "atoms": _positive,
@@ -287,8 +280,6 @@ def _cmd_run(ns, sub) -> int:
         stride=stride,
         K=values["k"],
         alpha=values["alpha"],
-        branching=values["branching"] or (),
-        seed=values["seed"],
         residual_tolerance=values["tolerance"],
         selector=values["selector"],
     )
@@ -427,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dict", help="dictionary file")
     p.add_argument("--tree", help="tree file (else built in place from --branching)")
     p.add_argument("--selector", choices=("exact", "stmp"))
-    p.add_argument("--alpha", type=_alpha, help="retention fraction in (0, 1]")
+    p.add_argument("--alpha", type=check_alpha, help="retention fraction in (0, 1]")
     p.add_argument("--k", type=_positive, help="atoms per patch")
     p.add_argument("--patch", type=_dims, help="dictionary patch extents")
     p.add_argument("--stride", type=_dims, help="patch grid stride")

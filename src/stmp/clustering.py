@@ -11,17 +11,26 @@ On unit-norm vectors squared Euclidean distance and inner product induce the
 same ordering (|u - v|^2 = 2 - 2 u.v), which is what lets a distance-based
 clustering serve an inner-product-based search.
 
-Tree file layout (little-endian):
+In memory (``ClusterTree``) nodes are numbered per depth, root first, and
+each node's children form one contiguous range of the depth below.
+``centroids[d]`` holds the centroids of the internal nodes at depth
+d = 0..L as float64 rows with float32 values.  Node j at depth d owns rows
+``offsets[d][j]:offsets[d][j+1]`` (plain ints) of depth d+1, or of ``atoms``,
+the leaves' atom indices in preorder, when d = L.
+
+Tree file layout, v1 (little-endian):
 
     magic "STMPTREE" | u32 version=1 | u64 dictionary fingerprint | u64 n |
     u32 L | L x u32 branching | preorder node records
 
 Node records: u8 is_leaf; leaves carry u64 atom_index, internal nodes carry
 n x float32 centroid and u32 child_count.  Leaf centroids are not stored;
-they are the dictionary atoms themselves.
+they are the dictionary atoms themselves.  The child_count leaf records
+(9 bytes each) after a node at depth L are written and read as one block.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+import itertools
 import math
 
 import numpy as np
@@ -35,6 +44,9 @@ _TREE_VERSION = 1
 _DEGENERATE_NORM = 1e-12
 
 CENTROID_NORM_TOL = 1e-5
+
+# one leaf record of the v1 file: u8 tag (always 1) then u64 atom index
+_LEAF_RECORD = np.dtype([("tag", "u1"), ("index", "<u8")])
 
 
 def _seed_sequence(seed, *key) -> np.random.SeedSequence:
@@ -215,53 +227,19 @@ def balanced_cluster(atoms, k: int, seed) -> BalancedPartition:
 
 
 @dataclass(eq=False)
-class TreeNode:
-    """One node of the shallow hierarchy.
-
-    Internal nodes carry the renormalized mean of their member atoms; leaves
-    carry the atom itself (``centroid`` is None for leaves of a freshly
-    loaded tree until validated against a dictionary).  ``child_matrix`` and
-    ``child_atom_indices`` are derived scoring caches.
-    """
-
-    centroid: np.ndarray | None
-    children: list = field(default_factory=list)
-    atom_index: int | None = None
-    member_atoms: np.ndarray | None = field(default=None, repr=False)
-    child_matrix: np.ndarray | None = field(default=None, repr=False)
-    child_atom_indices: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.atom_index is not None
-
-    def build_caches(self) -> None:
-        if not self.children:
-            return
-        if self.children[0].is_leaf:
-            self.child_atom_indices = np.array(
-                [child.atom_index for child in self.children], dtype=np.int64
-            )
-        else:
-            self.child_matrix = np.stack(
-                [child.centroid for child in self.children]
-            ).astype(np.float64)
-
-
-@dataclass(eq=False)
 class ClusterTree:
-    root: TreeNode
+    """A shallow cluster tree held as per-depth arrays (layout in the module docstring)."""
+
     branching: tuple[int, ...]
     dictionary_fingerprint: int
     n: int
+    centroids: list[np.ndarray]
+    offsets: list[list[int]]
+    atoms: np.ndarray
 
     @property
     def levels(self) -> int:
         return len(self.branching)
-
-    @property
-    def atom_count(self) -> int:
-        return int(self.root.member_atoms.size)
 
 
 @dataclass
@@ -270,6 +248,15 @@ class TreeReport:
 
     ok: bool
     violation: str = ""
+
+
+def check_fingerprint(t: ClusterTree, d: Dictionary) -> None:
+    """Raise StaleTreeError unless the tree was built over this dictionary."""
+    if t.dictionary_fingerprint != d.fingerprint():
+        raise StaleTreeError(
+            f"tree fingerprint {t.dictionary_fingerprint:#018x} does not match "
+            f"dictionary fingerprint {d.fingerprint():#018x}"
+        )
 
 
 def _check_branching(branching) -> tuple[int, ...]:
@@ -282,37 +269,43 @@ def _check_branching(branching) -> tuple[int, ...]:
     return branching
 
 
+def _csr(counts) -> list[int]:
+    """Child counts per node -> offsets, as plain ints for cheap slicing."""
+    return list(itertools.accumulate(counts, initial=0))
+
+
 def build_tree(d: Dictionary, branching, seed) -> ClusterTree:
-    """Recursively balanced-cluster the dictionary into a shallow tree."""
+    """Balanced-cluster the dictionary level by level into a shallow tree.
+
+    Each node is split with a seed derived from its path of cluster ids, so
+    no split depends on the order in which nodes are visited.
+    """
     branching = _check_branching(branching)
-    levels = len(branching)
     atoms = d.atoms
-
-    def make(members: np.ndarray, depth: int, path: tuple[int, ...]) -> TreeNode:
-        node = TreeNode(centroid=_unit_mean(atoms[members]), member_atoms=members)
-        if depth == levels:
-            node.children = [
-                TreeNode(
-                    centroid=atoms[i],
-                    atom_index=int(i),
-                    member_atoms=np.array([i], dtype=np.int64),
-                )
-                for i in members
-            ]
-        else:
-            part = balanced_cluster(atoms[members], branching[depth], _derived_seed(seed, *path))
+    members = [np.arange(d.m, dtype=np.int64)]
+    paths = [()]
+    centroids = [_unit_mean(atoms[members[0]])[None, :]]
+    offsets = []
+    for depth, k in enumerate(branching):
+        below, below_paths, rows, counts = [], [], [], []
+        for node, path in zip(members, paths):
+            part = balanced_cluster(atoms[node], k, _derived_seed(seed, *path))
+            rows.append(part.centroids)
+            counts.append(part.sizes.size)
             for cid in range(part.sizes.size):
-                child_members = members[part.assignments == cid]
-                node.children.append(make(child_members, depth + 1, path + (cid,)))
-        node.build_caches()
-        return node
-
-    root = make(np.arange(d.m, dtype=np.int64), 0, ())
+                below.append(node[part.assignments == cid])
+                below_paths.append(path + (cid,))
+        centroids.append(np.concatenate(rows))
+        offsets.append(_csr(counts))
+        members, paths = below, below_paths
+    offsets.append(_csr(node.size for node in members))
     return ClusterTree(
-        root=root,
         branching=branching,
         dictionary_fingerprint=d.fingerprint(),
         n=d.n,
+        centroids=[rows.astype(np.float64) for rows in centroids],
+        offsets=offsets,
+        atoms=np.concatenate(members),
     )
 
 
@@ -320,73 +313,55 @@ def validate_tree(t: ClusterTree, d: Dictionary) -> TreeReport:
     """Structural audit of a tree against its dictionary.
 
     Trees are bound to a dictionary by fingerprint; a mismatch raises
-    StaleTreeError.  Everything else (partitioning, coverage, balance,
-    leaf/atom equality, centroid norms, uniform leaf depth) is reported as
-    the first violation found.  Leaves of a loaded tree have their centroids
-    bound to the dictionary atoms here.
+    StaleTreeError.  Everything else (array shapes, child ranges, centroid
+    norms, balance, and coverage of every atom by exactly one leaf) is
+    reported as the first violation found, checked depth by depth.
     """
-    if t.dictionary_fingerprint != d.fingerprint():
-        raise StaleTreeError(
-            f"tree fingerprint {t.dictionary_fingerprint:#018x} does not match "
-            f"dictionary fingerprint {d.fingerprint():#018x}"
-        )
+    check_fingerprint(t, d)
+    violation = _first_violation(t, d)
+    return TreeReport(not violation, violation)
+
+
+def _first_violation(t: ClusterTree, d: Dictionary) -> str:
     if t.n != d.n:
-        return TreeReport(False, f"tree atom dimension {t.n} != dictionary dimension {d.n}")
+        return f"tree atom dimension {t.n} != dictionary dimension {d.n}"
     levels = t.levels
-    leaf_indices: list[np.ndarray] = []
-
-    def walk(node: TreeNode, depth: int) -> str:
-        if node.is_leaf:
-            if depth != levels + 1:
-                return f"leaf for atom {node.atom_index} at depth {depth}, expected {levels + 1}"
-            if node.children:
-                return f"leaf for atom {node.atom_index} has children"
-            if not 0 <= node.atom_index < d.m:
-                return f"leaf atom index {node.atom_index} outside [0, {d.m})"
-            if node.centroid is None:
-                node.centroid = d.atoms[node.atom_index]
-            elif not np.array_equal(
-                np.asarray(node.centroid, dtype=np.float32), d.atoms[node.atom_index]
-            ):
-                return f"leaf centroid differs from atom {node.atom_index}"
-            leaf_indices.append(node.member_atoms)
-            return ""
-        if depth > levels:
-            return f"internal node at depth {depth}, expected leaves below depth {levels}"
-        if not node.children:
-            return f"internal node at depth {depth} has no children"
-        norm = float(np.linalg.norm(np.asarray(node.centroid, dtype=np.float64)))
-        if abs(norm - 1.0) > CENTROID_NORM_TOL:
-            return f"internal centroid at depth {depth} has norm {norm:.8f}"
-        child_members = np.sort(np.concatenate([c.member_atoms for c in node.children]))
-        if not np.array_equal(child_members, node.member_atoms):
-            return f"children do not partition the node's {node.member_atoms.size} atoms at depth {depth}"
-        if depth < levels:
-            k = t.branching[depth]
-            if len(node.children) > k:
-                return f"node at depth {depth} has {len(node.children)} children, branching allows {k}"
-            cap = math.ceil(node.member_atoms.size / k)
-            counts = [c.member_atoms.size for c in node.children]
-            off = [c for c in counts if c != cap]
-            if len(off) > 1 or any(not 1 <= c <= cap for c in off):
-                return (
-                    f"unbalanced split at depth {depth}: sizes {counts} "
-                    f"with capacity {cap}"
-                )
-        for child in node.children:
-            msg = walk(child, depth + 1)
-            if msg:
-                return msg
-        return ""
-
-    msg = walk(t.root, 0)
-    if msg:
-        return TreeReport(False, msg)
-    covered = np.concatenate(leaf_indices) if leaf_indices else np.empty(0, dtype=np.int64)
-    covered = np.sort(covered)
-    if covered.size != d.m or not np.array_equal(covered, np.arange(d.m, dtype=np.int64)):
-        return TreeReport(False, f"leaves cover {covered.size} atoms, expected all {d.m} exactly once")
-    return TreeReport(True)
+    if len(t.centroids) != levels + 1 or len(t.offsets) != levels + 1:
+        return f"tree stores {len(t.centroids)} centroid depths, expected {levels + 1}"
+    counts = [1] + [rows.shape[0] for rows in t.centroids[1:]] + [t.atoms.size]
+    bounds = [np.asarray(b, dtype=np.int64) for b in t.offsets]
+    for depth, (rows, b) in enumerate(zip(t.centroids, bounds)):
+        if rows.shape != (counts[depth], t.n):
+            return f"centroids at depth {depth} have shape {rows.shape}, expected ({counts[depth]}, {t.n})"
+        if b.shape != (counts[depth] + 1,) or b[0] != 0 or b[-1] != counts[depth + 1]:
+            return f"child offsets at depth {depth} do not span the {counts[depth + 1]} nodes below"
+        empty = np.flatnonzero(np.diff(b) < 1)
+        if empty.size:
+            return f"internal node {empty[0]} at depth {depth} has no children"
+        norms = np.linalg.norm(rows, axis=1)
+        bad = np.flatnonzero(np.abs(norms - 1.0) > CENTROID_NORM_TOL)
+        if bad.size:
+            return f"internal centroid {bad[0]} at depth {depth} has norm {norms[bad[0]]:.8f}"
+    if not np.array_equal(np.sort(t.atoms), np.arange(d.m)):
+        return f"leaves cover {t.atoms.size} atoms, expected all {d.m} exactly once"
+    # Every child holds C = ceil(size/k) atoms except at most one, which holds
+    # fewer; a node with more than k children always breaks this.  Every node
+    # has a child by now, so each range start below is a valid reduceat index.
+    sizes = np.diff(bounds[levels])
+    for depth in reversed(range(levels)):
+        b = bounds[depth]
+        parents = np.add.reduceat(sizes, b[:-1])
+        cap = np.repeat(-(-parents // t.branching[depth]), np.diff(b))
+        off = np.add.reduceat((sizes != cap).astype(np.int64), b[:-1])
+        bad = np.flatnonzero((off > 1) | np.logical_or.reduceat(sizes > cap, b[:-1]))
+        if bad.size:
+            lo, hi = b[bad[0]], b[bad[0] + 1]
+            return (
+                f"unbalanced split at depth {depth}: sizes {sizes[lo:hi].tolist()} "
+                f"with capacity {cap[lo]}"
+            )
+        sizes = parents
+    return ""
 
 
 def save_tree(t: ClusterTree, path) -> None:
@@ -398,24 +373,47 @@ def save_tree(t: ClusterTree, path) -> None:
         _binio.u32(t.levels),
     ]
     parts.extend(_binio.u32(k) for k in t.branching)
-
-    def emit(node: TreeNode) -> None:
-        if node.is_leaf:
-            parts.append(_binio.u8(1))
-            parts.append(_binio.u64(node.atom_index))
-            return
-        parts.append(_binio.u8(0))
-        centroid = np.asarray(node.centroid, dtype=np.float32)
-        if centroid.shape != (t.n,):
-            raise ValueError(f"internal centroid has shape {centroid.shape}, expected ({t.n},)")
-        parts.append(_binio.f32_bytes(centroid))
-        parts.append(_binio.u32(len(node.children)))
-        for child in node.children:
-            emit(child)
-
-    emit(t.root)
+    rows = [np.ascontiguousarray(c, dtype="<f4") for c in t.centroids]
+    if any(level.shape[1:] != (t.n,) for level in rows):
+        raise ValueError(f"centroid rows must have {t.n} entries")
+    records = np.empty(t.atoms.size, dtype=_LEAF_RECORD)
+    records["tag"] = 1
+    records["index"] = t.atoms
+    leaves = records.tobytes()
+    size = _LEAF_RECORD.itemsize
+    stack = [(0, 0)]
+    while stack:
+        depth, j = stack.pop()
+        lo, hi = t.offsets[depth][j], t.offsets[depth][j + 1]
+        parts += [_binio.u8(0), rows[depth][j].tobytes(), _binio.u32(hi - lo)]
+        if depth == t.levels:
+            parts.append(leaves[size * lo : size * hi])
+        else:
+            stack.extend((depth + 1, child) for child in reversed(range(lo, hi)))
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
+
+
+def _read_leaf_run(reader: _binio.Reader, count: int, levels: int, path) -> np.ndarray:
+    """Atom indices of one bottom node's `count` leaf records, read as one block."""
+    start = reader.offset
+    size = _LEAF_RECORD.itemsize
+    whole = min(count, (len(reader.data) - start) // size)
+    records = np.frombuffer(reader.data, dtype=_LEAF_RECORD, count=whole, offset=start)
+    bad = np.flatnonzero((records["tag"] != 1) | (records["index"] >= 1 << 63))
+    if bad.size:
+        tag = int(records["tag"][bad[0]])
+        what = {0: f"internal node below level {levels}", 1: "leaf atom index out of range"}
+        raise FormatError(
+            f"{path}: {what.get(tag, f'bad node tag {tag}')} at offset {start + size * int(bad[0])}"
+        )
+    if whole < count:
+        raise FormatError(
+            f"{path}: leaf run of {count} atoms cut short after {whole} "
+            f"at offset {start + size * whole}"
+        )
+    reader.take(size * count, "leaf run")
+    return records["index"]
 
 
 def load_tree(path) -> ClusterTree:
@@ -438,35 +436,42 @@ def load_tree(path) -> ClusterTree:
     if any(k < 2 for k in branching):
         raise FormatError(f"{path}: branching {branching} has an entry below 2")
 
-    def read_node(depth: int) -> TreeNode:
+    rows = [[] for _ in range(levels + 1)]
+    counts = [[] for _ in range(levels + 1)]
+    runs = []
+    pending = [1]  # nodes still to read at depth len(pending) - 1, in preorder
+    while pending:
+        if not pending[-1]:
+            pending.pop()
+            continue
+        pending[-1] -= 1
+        depth = len(pending) - 1
         at = reader.offset
-        is_leaf = reader.u8("node tag")
-        if is_leaf == 1:
-            idx = reader.u64("leaf atom index")
-            return TreeNode(
-                centroid=None,
-                atom_index=idx,
-                member_atoms=np.array([idx], dtype=np.int64),
+        tag = reader.u8("node tag")
+        if tag == 1:
+            raise FormatError(
+                f"{path}: leaf at depth {depth} at offset {at}, expected leaves at depth {levels + 1}"
             )
-        if is_leaf != 0:
-            raise FormatError(f"{path}: bad node tag {is_leaf} at offset {at}")
-        if depth > levels:
-            raise FormatError(f"{path}: internal node below level {levels} at offset {at}")
-        centroid = reader.f32_array(n, "centroid")
-        child_count = reader.u32("child count")
-        if child_count == 0:
+        if tag != 0:
+            raise FormatError(f"{path}: bad node tag {tag} at offset {at}")
+        rows[depth].append(reader.take(4 * n, "centroid"))
+        count = reader.u32("child count")
+        if count == 0:
             raise FormatError(f"{path}: internal node with no children at offset {at}")
-        node = TreeNode(centroid=centroid)
-        node.children = [read_node(depth + 1) for _ in range(child_count)]
-        kinds = {c.is_leaf for c in node.children}
-        if len(kinds) != 1:
-            raise FormatError(f"{path}: node at offset {at} mixes leaf and internal children")
-        node.member_atoms = np.sort(
-            np.concatenate([c.member_atoms for c in node.children])
-        )
-        node.build_caches()
-        return node
-
-    root = read_node(0)
+        counts[depth].append(count)
+        if depth < levels:
+            pending.append(count)
+        else:
+            runs.append(_read_leaf_run(reader, count, levels, path))
     reader.expect_end()
-    return ClusterTree(root=root, branching=branching, dictionary_fingerprint=fingerprint, n=n)
+    return ClusterTree(
+        branching=branching,
+        dictionary_fingerprint=fingerprint,
+        n=n,
+        centroids=[
+            np.frombuffer(b"".join(level), dtype="<f4").reshape(-1, n).astype(np.float64)
+            for level in rows
+        ],
+        offsets=[_csr(level) for level in counts],
+        atoms=np.concatenate(runs).astype(np.int64),
+    )

@@ -54,8 +54,6 @@ class TaskConfig:
     stride: tuple[int, ...]
     K: int
     alpha: float = 0.1
-    branching: tuple[int, ...] = ()
-    seed: int = 0
     residual_tolerance: float | None = None
     selector: str = STMP
 
@@ -66,19 +64,14 @@ class TaskConfig:
             raise ValueError(
                 f"patch shape {self.patch_shape} and stride {self.stride} have different ranks"
             )
-        if self.K < 1:
-            raise ValueError(f"sparsity K must be at least 1, got {self.K}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        self.search_params()  # checks K, alpha and the tolerance
         if self.selector not in (EXACT, STMP):
             raise ValueError(f"selector must be '{EXACT}' or '{STMP}', got {self.selector!r}")
-        self.branching = tuple(int(k) for k in self.branching)
 
     def search_params(self) -> SearchParams:
         return SearchParams(
             K=self.K,
             alpha=self.alpha,
-            branching=self.branching,
             residual_tolerance=self.residual_tolerance,
         )
 

@@ -9,7 +9,9 @@ exactly the brute-force answer.  Matching pursuit then peels one atom per
 iteration off the residual regardless of which selector is used.
 
 All scoring runs on one shared float64 copy of the atoms so both selectors
-see bit-identical inner products.
+see bit-identical inner products.  A selection is a handful of small numpy
+calls, so the selectors use ndarray methods (``a.argmax()``), which dispatch
+faster than the ``np.argmax`` module functions.
 """
 
 from dataclasses import dataclass, field
@@ -17,20 +19,25 @@ import math
 
 import numpy as np
 
-from .clustering import ClusterTree
+from .clustering import ClusterTree, check_fingerprint
 from .dictionary import Dictionary, ScoreCounter
-from .errors import StaleTreeError
 
 # Nudge before the ceiling so products like 0.1 * 100, which land just above
 # an integer in binary, do not inflate the retained-branch count.
 _CEIL_NUDGE = 1e-9
 
 
-def retained_count(alpha: float, k: int) -> int:
-    """How many of k children survive a level: ceil(alpha * k), at least 1."""
+def check_alpha(alpha) -> float:
+    """The retention fraction as a float; ValueError unless it lies in (0, 1]."""
+    alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    return max(1, math.ceil(alpha * k - _CEIL_NUDGE))
+    return alpha
+
+
+def retained_count(alpha: float, k: int) -> int:
+    """How many of k children survive a level: ceil(alpha * k), at least 1."""
+    return max(1, math.ceil(check_alpha(alpha) * k - _CEIL_NUDGE))
 
 
 def predicted_ip_count(branching, alpha: float) -> int:
@@ -56,15 +63,12 @@ class SearchParams:
 
     K: int
     alpha: float = 1.0
-    branching: tuple[int, ...] = ()
     residual_tolerance: float | None = None
 
     def __post_init__(self):
         if self.K < 1:
             raise ValueError(f"sparsity K must be at least 1, got {self.K}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        self.branching = tuple(int(k) for k in self.branching)
+        check_alpha(self.alpha)
         if self.residual_tolerance is not None and self.residual_tolerance < 0:
             raise ValueError(f"residual tolerance must be non-negative, got {self.residual_tolerance}")
 
@@ -96,7 +100,23 @@ def _as_query(v, n: int) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64).ravel()
     if v.shape != (n,):
         raise ValueError(f"query has dimension {v.size}, expected {n}")
+    # v.v is finite exactly when every entry is, unless it overflows
+    if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
+        raise ValueError("query contains NaN or infinity")
     return v
+
+
+def _rows(array: np.ndarray, bounds: list[int], nodes: list[int]) -> np.ndarray:
+    """Rows bounds[j]:bounds[j+1] of array for each node j, stacked in node order.
+
+    Node ids come ascending and without repeats, so as many ids as there are
+    nodes means every node, whose rows are the whole array.
+    """
+    if len(nodes) == len(bounds) - 1:
+        return array
+    if len(nodes) == 1:
+        return array[bounds[nodes[0]] : bounds[nodes[0] + 1]]
+    return np.concatenate([array[bounds[j] : bounds[j + 1]] for j in nodes])
 
 
 def exact_select(d: Dictionary, r, counter: ScoreCounter | None = None) -> tuple[int, float]:
@@ -105,7 +125,7 @@ def exact_select(d: Dictionary, r, counter: ScoreCounter | None = None) -> tuple
     scores = d.scoring_atoms @ r
     if counter is not None:
         counter.count_atoms(d.m)
-    best = int(np.argmax(np.abs(scores)))
+    best = int(np.abs(scores).argmax())
     return best, float(scores[best])
 
 
@@ -123,42 +143,35 @@ def stmp_select(
     lower child index).  Atoms inside the surviving bottom-level nodes are
     then scored in full, and the best one wins, ties to the lower atom index.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if t.dictionary_fingerprint != d.fingerprint():
-        raise StaleTreeError(
-            f"tree fingerprint {t.dictionary_fingerprint:#018x} does not match "
-            f"dictionary fingerprint {d.fingerprint():#018x}"
-        )
+    keeps = [retained_count(alpha, k) for k in t.branching]
+    check_fingerprint(t, d)
     r = _as_query(r, d.n)
-    frontier = [t.root]
-    for depth in range(t.levels):
-        matrices = [node.child_matrix for node in frontier]
-        stacked = matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
-        scores = stacked @ r
+    frontier = [0]
+    for depth, keep in enumerate(keeps):
+        bounds = t.offsets[depth]
+        block = _rows(t.centroids[depth + 1], bounds, frontier)
+        scores = block @ r
         if counter is not None:
-            counter.count_centroids(stacked.shape[0])
-        keep = retained_count(alpha, t.branching[depth])
-        survivors: list = []
+            counter.count_centroids(block.shape[0])
+        survivors: list[int] = []
         offset = 0
-        for node in frontier:
-            count = len(node.children)
-            here = scores[offset : offset + count]
-            offset += count
-            if keep >= count:
-                survivors.extend(node.children)
+        for j in frontier:
+            lo, hi = bounds[j], bounds[j + 1]
+            if keep >= hi - lo:
+                survivors.extend(range(lo, hi))
             else:
-                order = np.argsort(-np.abs(here), kind="stable")[:keep]
-                order.sort()
-                survivors.extend(node.children[i] for i in order)
+                here = scores[offset : offset + hi - lo]
+                order = (-np.abs(here)).argsort(kind="stable")[:keep]
+                survivors.extend(lo + i for i in sorted(order.tolist()))
+            offset += hi - lo
         frontier = survivors
-    indices = np.concatenate([node.child_atom_indices for node in frontier])
+    indices = _rows(t.atoms, t.offsets[t.levels], frontier)
     scores = d.scoring_atoms[indices] @ r
     if counter is not None:
         counter.count_atoms(indices.size)
     magnitudes = np.abs(scores)
-    candidates = np.flatnonzero(magnitudes == magnitudes.max())
-    position = candidates[np.argmin(indices[candidates])]
+    candidates = (magnitudes == magnitudes.max()).nonzero()[0]
+    position = candidates[indices[candidates].argmin()]
     return int(indices[position]), float(scores[position])
 
 
@@ -176,13 +189,8 @@ class TreeSelector:
     """Tree-accelerated selection at a fixed retention fraction alpha."""
 
     def __init__(self, tree: ClusterTree, dictionary: Dictionary, alpha: float):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-        if tree.dictionary_fingerprint != dictionary.fingerprint():
-            raise StaleTreeError(
-                f"tree fingerprint {tree.dictionary_fingerprint:#018x} does not match "
-                f"dictionary fingerprint {dictionary.fingerprint():#018x}"
-            )
+        check_alpha(alpha)
+        check_fingerprint(tree, dictionary)
         self.tree = tree
         self.dictionary = dictionary
         self.alpha = alpha

@@ -141,3 +141,37 @@ def predicted_centroid_count_reference(branching, alpha):
         kept = math.ceil(alpha * k - 1e-9)
         branches *= max(1, kept)
     return total
+
+
+def tree_select_reference(tree, scoring_atoms, query, alpha):
+    """Depth-first descent one node at a time over the tree's per-depth arrays.
+
+    Each node scores its own children block; the ceil(alpha*k) strongest
+    children survive (ties to the lower child), and the best atom over every
+    surviving bottom node wins (ties to the lower atom index).  Returns
+    (index, score, centroid inner products, atom inner products).
+    """
+    r = np.asarray(query, dtype=np.float64).ravel()
+    candidates = []
+    centroid_ips = 0
+
+    def visit(depth, node):
+        nonlocal centroid_ips
+        lo, hi = tree.offsets[depth][node], tree.offsets[depth][node + 1]
+        if depth == len(tree.branching):
+            scores = scoring_atoms[tree.atoms[lo:hi]] @ r
+            candidates.extend(zip(tree.atoms[lo:hi].tolist(), scores.tolist()))
+            return
+        scores = (tree.centroids[depth + 1][lo:hi] @ r).tolist()
+        centroid_ips += hi - lo
+        keep = max(1, math.ceil(alpha * tree.branching[depth] - 1e-9))
+        ranked = sorted(range(hi - lo), key=lambda i: (-abs(scores[i]), i))
+        for child in sorted(ranked[:keep]):
+            visit(depth + 1, lo + child)
+
+    visit(0, 0)
+    best_index, best_score = candidates[0]
+    for index, score in candidates[1:]:
+        if abs(score) > abs(best_score) or (abs(score) == abs(best_score) and index < best_index):
+            best_index, best_score = index, score
+    return best_index, best_score, centroid_ips, len(candidates)

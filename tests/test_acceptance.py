@@ -210,8 +210,7 @@ def test_criterion_6_denoising_within_1db():
     tree = build_tree(d, (100, 10), seed=7)
     cfg_exact = TaskConfig(patch_shape=(16, 16), stride=(4, 4), K=10, selector="exact")
     cfg_tree = TaskConfig(
-        patch_shape=(16, 16), stride=(4, 4), K=10, alpha=0.1,
-        branching=(100, 10), selector="stmp",
+        patch_shape=(16, 16), stride=(4, 4), K=10, alpha=0.1, selector="stmp",
     )
     _, exact_report = denoise(noisy, d, None, cfg_exact, reference=clean, threads=4)
     _, tree_report = denoise(noisy, d, tree, cfg_tree, reference=clean, threads=4)

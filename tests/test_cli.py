@@ -181,6 +181,36 @@ def test_run_stmp_needs_tree_or_branching(tmp_path):
     assert err.value.code == 2
 
 
+def test_run_rejects_malformed_tree(tmp_path, capsys):
+    img_path = tmp_path / "in.pgm"
+    _write_image(img_path, 8, shape=(16, 16))
+    dict_path = tmp_path / "d.dict"
+    tree_path = tmp_path / "d.tree"
+    assert main(
+        ["build-dict", "--images", str(img_path), "--patch", "4,4", "--stride", "2,2",
+         "--atoms", "30", "--out", str(dict_path)]
+    ) == 0
+    assert main(
+        ["build-tree", "--dict", str(dict_path), "--branching", "4,2", "--out", str(tree_path)]
+    ) == 0
+    raw = bytearray(tree_path.read_bytes())
+    first_child = 40 + 1 + 4 * 16 + 4  # 40-byte header for L = 2, then the root's record
+    assert raw[first_child] == 0
+    raw[first_child] = 1  # a leaf directly under the root
+    bad_path = tmp_path / "bad.tree"
+    bad_path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    rc = main(
+        ["run", "--task", "denoise", "--in", str(img_path), "--dict", str(dict_path),
+         "--tree", str(bad_path), "--patch", "4,4", "--stride", "2,2", "--k", "2",
+         "--out", str(tmp_path / "o.pgm")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"leaf at depth 1 at offset {first_child}" in err
+
+
 def test_run_superres_shape(tmp_path):
     img_path = tmp_path / "hi.pgm"
     _write_image(img_path, 9, shape=(64, 64))

@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from stmp import (
+    ClusterTree,
     FormatError,
     StaleTreeError,
     balanced_cluster,
@@ -115,17 +118,21 @@ def test_tree_structure_and_validation():
     report = validate_tree(tree, d)
     assert report.ok, report.violation
 
-    depths = []
+    assert [rows.shape for rows in tree.centroids] == [(1, 8), (6, 8), (30, 8)]
+    reached = []
 
-    def walk(node, depth):
-        if node.is_leaf:
-            depths.append(depth)
-        for child in node.children:
-            walk(child, depth + 1)
+    def walk(depth, node):
+        lo, hi = tree.offsets[depth][node], tree.offsets[depth][node + 1]
+        if depth == tree.levels:
+            reached.extend((depth + 1, atom) for atom in tree.atoms[lo:hi].tolist())
+            return
+        for child in range(lo, hi):
+            walk(depth + 1, child)
 
-    walk(tree.root, 0)
-    assert set(depths) == {3}  # leaves exactly at L+1
-    assert sorted(tree.root.member_atoms.tolist()) == list(range(120))
+    walk(0, 0)
+    assert {depth for depth, _ in reached} == {3}  # leaves exactly at L+1
+    assert sorted(atom for _, atom in reached) == list(range(120))
+    assert tree.atoms.dtype == np.int64
 
 
 def test_validate_rejects_foreign_dictionary():
@@ -138,28 +145,42 @@ def test_validate_rejects_foreign_dictionary():
 
 def test_validate_detects_tampering():
     d = _random_dictionary(60, 5, seed=13)
-    tree = build_tree(d, (5, 4), seed=0)
-    node = tree.root.children[0]
-    node.centroid = (node.centroid * 2.0).astype(np.float32)
-    report = validate_tree(tree, d)
-    assert not report.ok
-    assert report.violation
+
+    def tampered(change):
+        tree = build_tree(d, (5, 4), seed=0)
+        change(tree)
+        report = validate_tree(tree, d)
+        assert not report.ok
+        return report.violation
+
+    def scale_centroid(tree):
+        tree.centroids[1][0] *= 2.0
+
+    def shift_boundary(tree):
+        tree.offsets[2][1] += 1
+
+    def repeat_atom(tree):
+        tree.atoms[1] = tree.atoms[0]
+
+    def drop_children(tree):
+        tree.offsets[1][2] = tree.offsets[1][1]
+
+    assert "norm" in tampered(scale_centroid)
+    assert "unbalanced" in tampered(shift_boundary)
+    assert "exactly once" in tampered(repeat_atom)
+    assert "no children" in tampered(drop_children)
 
 
 def test_build_tree_deterministic():
     d = _random_dictionary(90, 7, seed=14)
     t1 = build_tree(d, (5, 3), seed=6)
     t2 = build_tree(d, (5, 3), seed=6)
-
-    def flatten(node, out):
-        if node.centroid is not None:
-            out.append(node.centroid.tobytes())
-        out.append(bytes(node.member_atoms.tobytes()))
-        for child in node.children:
-            flatten(child, out)
-        return out
-
-    assert flatten(t1.root, []) == flatten(t2.root, [])
+    assert [c.tobytes() for c in t1.centroids] == [c.tobytes() for c in t2.centroids]
+    assert t1.offsets == t2.offsets
+    assert t1.atoms.tobytes() == t2.atoms.tobytes()
+    assert [c.dtype for c in t1.centroids] == [np.dtype(np.float64)] * 3
+    for rows in t1.centroids:  # float64 rows that hold float32 values
+        np.testing.assert_array_equal(rows, rows.astype(np.float32))
 
 
 def test_tree_round_trip(tmp_path):
@@ -193,3 +214,75 @@ def test_tree_file_corruption(tmp_path):
     bad.write_bytes(raw + b"\0")
     with pytest.raises(FormatError):
         load_tree(bad)
+
+
+# A hand-checked 3-atom tree, n = 2, branching (2,): the root splits into
+# node A (atoms 0 and 2) and node B (atom 1).
+_FINGERPRINT = 0x0123456789ABCDEF
+_V1_BYTES = (
+    b"STMPTREE" + struct.pack("<IQQII", 1, _FINGERPRINT, 2, 1, 2)  # header, 36 bytes
+    + b"\x00" + struct.pack("<2fI", 1.0, 0.0, 2)  # root at 36
+    + b"\x00" + struct.pack("<2fI", 0.6, 0.8, 2)  # A at 49
+    + b"\x01" + struct.pack("<Q", 0) + b"\x01" + struct.pack("<Q", 2)  # A's leaf run at 62
+    + b"\x00" + struct.pack("<2fI", 0.0, 1.0, 1)  # B at 80
+    + b"\x01" + struct.pack("<Q", 1)  # B's leaf run at 93
+)
+
+
+def _hand_tree():
+    return ClusterTree(
+        branching=(2,),
+        dictionary_fingerprint=_FINGERPRINT,
+        n=2,
+        centroids=[
+            np.array([[1.0, 0.0]]),
+            np.array([[0.6, 0.8], [0.0, 1.0]], dtype=np.float32).astype(np.float64),
+        ],
+        offsets=[[0, 2], [0, 2, 3]],
+        atoms=np.array([0, 2, 1], dtype=np.int64),
+    )
+
+
+def test_tree_v1_bytes_pinned(tmp_path):
+    assert len(_V1_BYTES) == 102
+    path = tmp_path / "hand.tree"
+    save_tree(_hand_tree(), path)
+    assert path.read_bytes() == _V1_BYTES
+    back = load_tree(path)
+    want = _hand_tree()
+    assert (back.branching, back.dictionary_fingerprint, back.n) == ((2,), _FINGERPRINT, 2)
+    assert [c.tobytes() for c in back.centroids] == [c.tobytes() for c in want.centroids]
+    assert back.offsets == want.offsets
+    assert back.atoms.tolist() == [0, 2, 1] and back.atoms.dtype == np.int64
+
+
+def _patched(at, new):
+    raw = bytearray(_V1_BYTES)
+    raw[at : at + len(new)] = new
+    return bytes(raw)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_patched(49, b"\x07"), "bad node tag 7 at offset 49"),
+        (_patched(49, b"\x01"), "leaf at depth 1 at offset 49"),
+        (_patched(36, b"\x01"), "leaf at depth 0 at offset 36"),
+        (_patched(71, b"\x00"), "internal node below level 1 at offset 71"),
+        (_patched(93, b"\x05"), "bad node tag 5 at offset 93"),
+        (_patched(58, struct.pack("<I", 0)), "internal node with no children at offset 49"),
+        (_V1_BYTES[:75], "leaf run of 2 atoms cut short after 1 at offset 71"),
+        (_V1_BYTES[:62], "leaf run of 2 atoms cut short after 0 at offset 62"),
+        (_patched(63, struct.pack("<Q", 1 << 63)), "out of range at offset 62"),
+        (_V1_BYTES[:60], "truncated while reading child count at offset 58"),
+    ],
+    ids=[
+        "bad-tag", "shallow-leaf", "root-leaf", "internal-below-L", "bad-leaf-tag",
+        "zero-children", "run-cut-short", "run-missing", "index-overflow", "truncated-node",
+    ],
+)
+def test_tree_load_errors_name_offset(tmp_path, data, message):
+    path = tmp_path / "bad.tree"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=message):
+        load_tree(path)

@@ -156,6 +156,17 @@ def test_denoise_stmp_needs_tree():
         denoise(img, d, None, cfg)
 
 
+@pytest.mark.parametrize("selector", ["exact", "stmp"])
+def test_denoise_rejects_non_finite_pixel(selector):
+    img = np.random.default_rng(11).random((12, 12)).astype(np.float32)
+    img[5, 6] = np.nan
+    d = _flat_field_dictionary(16, 20, seed=12)
+    tree = build_tree(d, (4, 2), seed=13)
+    cfg = TaskConfig(patch_shape=(4, 4), stride=(4, 4), K=1, selector=selector)
+    with pytest.raises(ValueError, match="query contains NaN or infinity"):
+        denoise(img, d, tree, cfg)
+
+
 def test_denoise_thread_count_invisible():
     rng = np.random.default_rng(13)
     img = rng.random((20, 20)).astype(np.float32)

@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -24,6 +25,7 @@ from oracles import (
     nearest_atom_reference,
     predicted_centroid_count_reference,
     refit_reference,
+    tree_select_reference,
 )
 
 
@@ -148,6 +150,54 @@ def test_stmp_alpha_validation():
             stmp_select(tree, d, np.ones(4), alpha, ScoreCounter())
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 70),
+    n=st.integers(2, 6),
+    branching=st.lists(st.integers(2, 7), min_size=1, max_size=3),
+    distinct=st.integers(1, 70),
+    alpha=st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.35, 0.5, 0.75, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_stmp_select_matches_per_node_reference(m, n, branching, distinct, alpha, seed):
+    # m rarely divides the branching, so last clusters come out short; drawing
+    # atoms from fewer distinct rows than m duplicates some of them (exact ties)
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((min(distinct, m), n))
+    d = normalize_columns(base[rng.integers(0, base.shape[0], size=m)])
+    tree = build_tree(d, branching, seed=seed)
+    queries = np.vstack([rng.standard_normal((4, n)), d.atoms[rng.integers(0, m)]])
+    for q in queries:
+        counter = ScoreCounter()
+        index, _ = stmp_select(tree, d, q, alpha, counter)
+        ref_index, _, ref_centroids, ref_atoms = tree_select_reference(
+            tree, d.scoring_atoms, q, alpha
+        )
+        assert index == ref_index
+        assert counter.centroid_inner_products == ref_centroids
+        assert counter.inner_products - counter.centroid_inner_products == ref_atoms
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_rejected_by_every_selector(bad):
+    d = _random_dictionary(40, 5, seed=30)
+    tree = build_tree(d, (4, 3), seed=31)
+    q = np.ones(5)
+    q[2] = bad
+    calls = [
+        lambda: exact_select(d, q),
+        lambda: stmp_select(tree, d, q, 0.5),
+        lambda: matching_pursuit(ExactSelector(d), q, SearchParams(K=2)),
+        lambda: matching_pursuit(TreeSelector(tree, d, 0.5), q, SearchParams(K=2)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="query contains NaN or infinity"):
+            call()
+    q[2] = 1e200  # finite, though q.q overflows
+    with np.errstate(over="ignore"):
+        assert exact_select(d, q) == stmp_select(tree, d, q, 1.0)
+
+
 def test_search_params_validation():
     with pytest.raises(ValueError):
         SearchParams(K=0)
@@ -212,7 +262,7 @@ def test_mp_energy_ledger():
 def test_mp_tree_selector_cost_accounting():
     d = _random_dictionary(1000, 16, seed=21)
     tree = build_tree(d, (100, 10), seed=22)
-    params = SearchParams(K=3, alpha=0.1, branching=(100, 10), residual_tolerance=0.0)
+    params = SearchParams(K=3, alpha=0.1, residual_tolerance=0.0)
     counter = ScoreCounter()
     code = matching_pursuit(TreeSelector(tree, d, 0.1), np.ones(16), params, counter)
     assert code.ip_count == counter.inner_products
