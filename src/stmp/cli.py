@@ -286,17 +286,16 @@ def _cmd_run(ns, sub) -> int:
     observed = _load_input(values["input"])
     d = load_dictionary(values["dict"])
     reference = None if values["reference"] is None else _load_input(values["reference"])
-    threads = values["threads"]
 
     if task == "denoise":
         tree = _tree_for(values, d, sub)
-        restored, report = denoise(observed, d, tree, cfg, reference=reference, threads=threads)
+        restored, report = denoise(observed, d, tree, cfg, reference=reference)
     elif task == "superres":
         op = block_average_operator(patch, (values["factor"],) * len(patch))
         pd = project_dictionary(d, op)
         tree = _tree_for(values, pd.dictionary, sub)
         restored, report = super_resolve(
-            observed, d, tree, cfg, factor=values["factor"], reference=reference, threads=threads
+            observed, d, tree, cfg, factor=values["factor"], reference=reference
         )
     elif task == "csrecover":
         if values["mask"] is not None:
@@ -307,7 +306,7 @@ def _cmd_run(ns, sub) -> int:
         pd = project_dictionary(d, op)
         tree = _tree_for(values, pd.dictionary, sub)
         restored, report = compressive_recover(
-            observed, op, d, tree, cfg, reference=reference, threads=threads
+            observed, op, d, tree, cfg, reference=reference
         )
     elif task == "maskrecover":
         if values["rows"] is not None:
@@ -318,7 +317,7 @@ def _cmd_run(ns, sub) -> int:
         pd = project_dictionary(d, op)
         tree = _tree_for(values, pd.dictionary, sub)
         restored, report = masked_recover(
-            observed, op, d, tree, cfg, reference=reference, threads=threads
+            observed, op, d, tree, cfg, reference=reference
         )
     else:
         sub.error(f"unknown task {task!r}")
@@ -424,7 +423,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=_dims, help="patch grid stride")
     p.add_argument("--branching", type=_branching)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=_positive, help="worker threads (results do not depend on this)")
+    p.add_argument("--threads", type=_positive,
+                   help="accepted and ignored: coding runs batched in one thread")
     p.add_argument("--tolerance", type=_tolerance, help="absolute residual stopping tolerance")
     p.add_argument("--factor", type=_positive, help="superres upscale factor per axis")
     p.add_argument("--mask", help="csrecover: exposure mask tensor file (else generated from --seed)")

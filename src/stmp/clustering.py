@@ -15,8 +15,9 @@ In memory (``ClusterTree``) nodes are numbered per depth, root first, and
 each node's children form one contiguous range of the depth below.
 ``centroids[d]`` holds the centroids of the internal nodes at depth
 d = 0..L as float64 rows with float32 values.  Node j at depth d owns rows
-``offsets[d][j]:offsets[d][j+1]`` (plain ints) of depth d+1, or of ``atoms``,
-the leaves' atom indices in preorder, when d = L.
+``offsets[d][j]:offsets[d][j+1]`` (int64 arrays, so a whole frontier's
+child ranges are one fancy index) of depth d+1, or of ``atoms``, the
+leaves' atom indices in preorder, when d = L.
 
 Tree file layout, v1 (little-endian):
 
@@ -234,8 +235,11 @@ class ClusterTree:
     dictionary_fingerprint: int
     n: int
     centroids: list[np.ndarray]
-    offsets: list[list[int]]
+    offsets: list[np.ndarray]
     atoms: np.ndarray
+
+    def __post_init__(self):
+        self.offsets = [np.asarray(b, dtype=np.int64) for b in self.offsets]
 
     @property
     def levels(self) -> int:
@@ -270,7 +274,7 @@ def _check_branching(branching) -> tuple[int, ...]:
 
 
 def _csr(counts) -> list[int]:
-    """Child counts per node -> offsets, as plain ints for cheap slicing."""
+    """Child counts per node -> offsets."""
     return list(itertools.accumulate(counts, initial=0))
 
 
@@ -381,10 +385,11 @@ def save_tree(t: ClusterTree, path) -> None:
     records["index"] = t.atoms
     leaves = records.tobytes()
     size = _LEAF_RECORD.itemsize
+    offsets = [b.tolist() for b in t.offsets]
     stack = [(0, 0)]
     while stack:
         depth, j = stack.pop()
-        lo, hi = t.offsets[depth][j], t.offsets[depth][j + 1]
+        lo, hi = offsets[depth][j], offsets[depth][j + 1]
         parts += [_binio.u8(0), rows[depth][j].tobytes(), _binio.u32(hi - lo)]
         if depth == t.levels:
             parts.append(leaves[size * lo : size * hi])

@@ -18,7 +18,7 @@ import numpy as np
 from . import _binio
 from .dictionary import Dictionary
 from .errors import DegenerateOperatorError, FormatError
-from .pursuit import SparseCode
+from .pursuit import CodeBatch, SparseCode
 
 _ROWS_MAGIC = b"STMPRSEL"
 
@@ -170,11 +170,12 @@ def project_dictionary(d: Dictionary, op: ObservationOperator) -> ProjectedDicti
     if op.n_in != d.n:
         raise ValueError(f"operator expects dimension {op.n_in}, dictionary atoms have {d.n}")
     if op.kind == IDENTITY or (op.kind == ROW_SELECT and op.n_out == op.n_in):
-        # the measurement is a copy; keep the atoms bit-identical
+        # the measurement is the patch itself: score the base dictionary, so
+        # its fingerprint and float64 scoring copy are computed once per run
         return ProjectedDictionary(
             base=d,
             operator=op,
-            dictionary=Dictionary(d.atoms.copy()),
+            dictionary=d,
             scale=np.ones(d.m, dtype=np.float64),
             usable=np.ones(d.m, dtype=bool),
         )
@@ -196,23 +197,28 @@ def project_dictionary(d: Dictionary, op: ObservationOperator) -> ProjectedDicti
     )
 
 
-def lift_code(pd: ProjectedDictionary, code: SparseCode) -> SparseCode:
+def lift_codes(pd: ProjectedDictionary, codes: CodeBatch) -> CodeBatch:
     """Map measurement-space coefficients onto the full-space atoms.
 
     Dividing by the recorded scale makes applying the operator to the lifted
     reconstruction reproduce the measurement-space reconstruction.
     """
-    entries: list[tuple[int, float]] = []
-    for index, coefficient in code.entries:
-        if not 0 <= index < pd.base.m:
-            raise ValueError(f"code index {index} outside [0, {pd.base.m})")
-        if not pd.usable[index]:
-            raise RuntimeError(
-                f"atom {index} is unusable under the {pd.operator.kind} operator; "
-                "the selector should never have produced it"
-            )
-        entries.append((index, coefficient / float(pd.scale[index])))
-    return SparseCode(m=pd.base.m, entries=entries, ip_count=code.ip_count)
+    used = codes.check_range(pd.base.m)
+    picks = np.where(used, codes.indices, 0)
+    unusable = used & ~pd.usable[picks]
+    if unusable.any():
+        raise RuntimeError(
+            f"atom {codes.indices[unusable][0]} is unusable under the {pd.operator.kind} "
+            "operator; the selector should never have produced it"
+        )
+    coefficients = np.where(used, codes.coefficients / pd.scale[picks], 0.0)
+    return CodeBatch(pd.base.m, codes.indices, coefficients, codes.lengths, codes.ip_count)
+
+
+def lift_code(pd: ProjectedDictionary, code: SparseCode) -> SparseCode:
+    """``lift_codes`` for one code."""
+    lifted = lift_codes(pd, CodeBatch.of(code))
+    return SparseCode(m=pd.base.m, entries=lifted.entries(0), ip_count=code.ip_count)
 
 
 def random_exposure_mask(spatial_shape, frames: int, open_length: int, seed) -> np.ndarray:

@@ -9,19 +9,19 @@ patches into the output.  The flat component is handled through the
 operator: with c = op(all-ones patch), the measurement's DC coefficient is
 <y, c> / |c|^2, which reduces to the patch mean when nothing is projected.
 
-Patch coding is independent patch to patch, so it may fan out over worker
-threads; chunk boundaries and merge order are fixed, making outputs and
-counter totals identical for any thread count.
+Patches are coded batched, in one thread: matching pursuit runs on a chunk
+of patches at a time, and every patch is coded exactly as it would be
+alone, so outputs and counter totals do not depend on the chunk size.  The
+``threads`` argument is accepted and ignored.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import math
 import time
 
 import numpy as np
 
-from .clustering import ClusterTree
+from .clustering import ClusterTree, validate_tree
 from .dictionary import Dictionary, ScoreCounter
 from .operators import (
     CODED_EXPOSURE,
@@ -32,15 +32,24 @@ from .operators import (
     apply_batch,
     block_average_operator,
     identity_operator,
-    lift_code,
+    lift_codes,
     project_dictionary,
 )
-from .pursuit import ExactSelector, SearchParams, TreeSelector, matching_pursuit, reconstruct
+from .pursuit import (
+    ExactSelector,
+    SearchParams,
+    TreeSelector,
+    matching_pursuit_batch,
+    reconstruct_batch,
+    row_dots,
+)
 from .tensor import PatchLayout, extract_patches, aggregate_patches
 
 EXACT = "exact"
 STMP = "stmp"
 
+# Patches coded per batch.  It bounds the memory of a tree level's gathered
+# blocks (chunk x retained children x n float64) and keeps them in cache.
 _CHUNK = 64
 
 CSV_HEADER = "task, m, n, K, alpha, selector, psnr_db, snr_db, inner_products, patches, seconds"
@@ -167,6 +176,9 @@ def _selector_for(dictionary: Dictionary, tree: ClusterTree | None, cfg: TaskCon
         return ExactSelector(dictionary)
     if tree is None:
         raise ValueError("the stmp selector needs a cluster tree")
+    report = validate_tree(tree, dictionary)
+    if not report.ok:
+        raise ValueError(f"cluster tree does not fit the dictionary: {report.violation}")
     return TreeSelector(tree, dictionary, cfg.alpha)
 
 
@@ -176,38 +188,24 @@ def _code_patches(
     selector,
     pd,
     params: SearchParams,
-    threads: int,
 ) -> tuple[np.ndarray, ScoreCounter]:
     """Code measurement patches and synthesize full-space patches.
 
-    Returns the (N, n_full) synthesis matrix and the merged counter.  Chunk
-    size is fixed, so the arithmetic (and hence the output) is independent
-    of the thread count.
+    Returns the (N, n_full) synthesis matrix and the counter.  Chunks of
+    ``_CHUNK`` rows go through batched matching pursuit, lift and
+    reconstruction; each row's arithmetic is the same in any chunk.
     """
-    base = pd.base
-    count = measured.shape[0]
+    measured = np.ascontiguousarray(measured, dtype=np.float64)
     denom = float(dc_meas @ dc_meas)
-    out = np.empty((count, base.n), dtype=np.float64)
-
-    def work(start: int, stop: int) -> ScoreCounter:
-        counter = ScoreCounter()
-        for row in range(start, stop):
-            y = measured[row]
-            dc = float(y @ dc_meas) / denom
-            code = matching_pursuit(selector, y - dc * dc_meas, params, counter)
-            out[row] = reconstruct(base, lift_code(pd, code)) + dc
-        return counter
-
-    bounds = [(s, min(s + _CHUNK, count)) for s in range(0, count, _CHUNK)]
-    total = ScoreCounter()
-    if threads <= 1:
-        for start, stop in bounds:
-            total.merge(work(start, stop))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for counter in pool.map(lambda b: work(*b), bounds):
-                total.merge(counter)
-    return out, total
+    out = np.empty((measured.shape[0], pd.base.n), dtype=np.float64)
+    counter = ScoreCounter()
+    for start in range(0, measured.shape[0], _CHUNK):
+        y = measured[start : start + _CHUNK]
+        dc = row_dots(y, dc_meas) / denom
+        codes = matching_pursuit_batch(selector, y - dc[:, None] * dc_meas, params, counter)
+        full = reconstruct_batch(pd.base, lift_codes(pd, codes))
+        out[start : start + _CHUNK] = full + dc[:, None]
+    return out, counter
 
 
 def _report(task, d, cfg, counter, patches, seconds, restored, reference) -> TaskReport:
@@ -226,7 +224,7 @@ def _report(task, d, cfg, counter, patches, seconds, restored, reference) -> Tas
     )
 
 
-def _rowspace_recover(task, observed, op, d, tree, cfg, reference, threads):
+def _rowspace_recover(task, observed, op, d, tree, cfg, reference):
     start = time.perf_counter()
     layout, patches = extract_patches(observed, cfg.patch_shape, cfg.stride)
     if layout.patch_dim != d.n:
@@ -237,7 +235,7 @@ def _rowspace_recover(task, observed, op, d, tree, cfg, reference, threads):
     selector = _selector_for(pd.dictionary, tree, cfg)
     measured = apply_batch(op, patches)
     dc_meas = apply(op, np.ones(d.n))
-    full, counter = _code_patches(measured, dc_meas, selector, pd, cfg.search_params(), threads)
+    full, counter = _code_patches(measured, dc_meas, selector, pd, cfg.search_params())
     restored = aggregate_patches(layout, full.astype(np.float32))
     seconds = time.perf_counter() - start
     report = _report(task, d, cfg, counter, layout.num_patches, seconds, restored, reference)
@@ -252,7 +250,7 @@ def denoise(noisy, d: Dictionary, tree: ClusterTree | None, cfg: TaskConfig,
     the K chosen atoms cannot express is treated as noise and dropped.
     """
     op = identity_operator(d.n)
-    return _rowspace_recover("denoise", noisy, op, d, tree, cfg, reference, threads)
+    return _rowspace_recover("denoise", noisy, op, d, tree, cfg, reference)
 
 
 def masked_recover(observed, op: ObservationOperator, d: Dictionary,
@@ -266,7 +264,7 @@ def masked_recover(observed, op: ObservationOperator, d: Dictionary,
     """
     if op.kind not in (ROW_SELECT, IDENTITY):
         raise ValueError(f"masked recovery expects a row-selection operator, got {op.kind}")
-    return _rowspace_recover("maskrecover", observed, op, d, tree, cfg, reference, threads)
+    return _rowspace_recover("maskrecover", observed, op, d, tree, cfg, reference)
 
 
 def super_resolve(lowres, d: Dictionary, tree: ClusterTree | None, cfg: TaskConfig,
@@ -296,7 +294,7 @@ def super_resolve(lowres, d: Dictionary, tree: ClusterTree | None, cfg: TaskConf
     lr_layout, lr_patches = extract_patches(lowres, lr_patch, cfg.stride)
     dc_meas = apply(op, np.ones(d.n))
     full, counter = _code_patches(
-        lr_patches.astype(np.float64), dc_meas, selector, pd, cfg.search_params(), threads
+        lr_patches.astype(np.float64), dc_meas, selector, pd, cfg.search_params()
     )
     hr_shape = tuple(e * f for e, f in zip(lowres.shape, factors))
     hr_stride = tuple(s * f for s, f in zip(cfg.stride, factors))
@@ -341,7 +339,7 @@ def compressive_recover(measurements, op: ObservationOperator, d: Dictionary,
     m_layout, m_patches = extract_patches(measurements, meas_patch, meas_patch)
     dc_meas = apply(op, np.ones(d.n))
     full, counter = _code_patches(
-        m_patches.astype(np.float64), dc_meas, selector, pd, cfg.search_params(), threads
+        m_patches.astype(np.float64), dc_meas, selector, pd, cfg.search_params()
     )
     video_shape = measurements.shape[:-1] + (measurements.shape[-1] * frames,)
     v_layout = PatchLayout(video_shape, op.in_shape, op.in_shape)

@@ -4,14 +4,31 @@ Two selectors answer "which atom best matches this residual": a brute-force
 scan of the whole dictionary, and a descent through a shallow cluster tree
 that scores child centroids level by level, keeps the ceil(alpha*k) most
 promising children, and finally scores the atoms inside the surviving
-bottom-level nodes.  With alpha = 1 the descent visits everything and is
-exactly the brute-force answer.  Matching pursuit then peels one atom per
-iteration off the residual regardless of which selector is used.
+bottom-level nodes.  With alpha = 1 the descent visits every atom.  Matching
+pursuit then peels one atom per iteration off the residual regardless of
+which selector is used.
 
-All scoring runs on one shared float64 copy of the atoms so both selectors
-see bit-identical inner products.  A selection is a handful of small numpy
-calls, so the selectors use ndarray methods (``a.argmax()``), which dispatch
-faster than the ``np.argmax`` module functions.
+Everything runs on a batch of residuals, one per row: matching pursuit
+codes a (P, n) matrix at once, each row stopping on its own, and both
+selectors score all rows through one kernel, ``_score``, which runs one gemv
+per row (``np.matmul(blocks, R[:, :, None])``).  The blocks are the whole
+atom matrix for the scan, and each row's gathered child centroids or leaf
+atoms for the descent.  The single-query functions are batches of one.
+
+All scoring runs on one shared float64 copy of the atoms, but equal inputs
+alone do not make equal bits: a gemv row's rounding depends on the shape of
+the block it sits in.  On OpenBLAS ``C[:L] @ r`` differs from ``(C @ r)[:L]``
+for many L (2, 3, 6, 7, ... at n = 64), and numpy computes a one-row block as
+a ddot.  So each row's block holds exactly the rows a lone query would score,
+in the same order, and rows whose blocks differ in length are scored in
+separate calls; a row's scores then do not depend on the batch it is in.
+The per-row dot products of pursuit (norms) and of the pipelines (flat
+components) go through ``row_dots``, one ddot per row like ``x.dot(y)``.
+
+A selection is a few dozen numpy calls on tiny arrays, each costing about a
+microsecond, so the per-query path avoids reductions (``a.max()``,
+``a.all()``), whose Python-level wrappers cost more than ``argmax``,
+``take`` or ``count_nonzero``.
 """
 
 from dataclasses import dataclass, field
@@ -25,6 +42,17 @@ from .dictionary import Dictionary, ScoreCounter
 # Nudge before the ceiling so products like 0.1 * 100, which land just above
 # an integer in binary, do not inflate the retained-branch count.
 _CEIL_NUDGE = 1e-9
+
+# larger than any atom index; loses every lowest-index tie-break
+_NO_ATOM = np.iinfo(np.int64).max
+# 0, 1, 2, ...: sliced instead of calling np.arange on the per-query path;
+# read-only, since the slices are views
+_STEPS = np.arange(1 << 12)
+_STEPS.flags.writeable = False
+
+
+def _steps(count: int) -> np.ndarray:
+    return _STEPS[:count] if count <= _STEPS.size else np.arange(count)
 
 
 def check_alpha(alpha) -> float:
@@ -96,37 +124,171 @@ class SparseCode:
         return "".join(f"{index} {coefficient!r}\n" for index, coefficient in self.entries)
 
 
+def _as_queries(X, n: int) -> np.ndarray:
+    """Queries as a C-contiguous float64 (P, n) matrix, checked finite once."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n:
+        raise ValueError(f"queries have shape {X.shape}, expected (P, {n})")
+    _check_finite(X.ravel())
+    return X
+
+
 def _as_query(v, n: int) -> np.ndarray:
+    """One query vector as a batch of one."""
     v = np.asarray(v, dtype=np.float64).ravel()
     if v.shape != (n,):
         raise ValueError(f"query has dimension {v.size}, expected {n}")
-    # v.v is finite exactly when every entry is, unless it overflows
-    if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
+    _check_finite(v)
+    return v[None]
+
+
+def _check_finite(flat: np.ndarray) -> None:
+    # x.x is finite exactly when every entry is, unless it overflows
+    if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
         raise ValueError("query contains NaN or infinity")
-    return v
 
 
-def _rows(array: np.ndarray, bounds: list[int], nodes: list[int]) -> np.ndarray:
-    """Rows bounds[j]:bounds[j+1] of array for each node j, stacked in node order.
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A[p] . B[p] for every row p (B may be one shared vector).
 
-    Node ids come ascending and without repeats, so as many ids as there are
-    nodes means every node, whose rows are the whole array.
+    numpy runs this as one ddot per row, the bits of ``A[p].dot(B[p])``; a
+    gemv such as ``A @ b`` would round differently.
     """
-    if len(nodes) == len(bounds) - 1:
-        return array
-    if len(nodes) == 1:
-        return array[bounds[nodes[0]] : bounds[nodes[0] + 1]]
-    return np.concatenate([array[bounds[j] : bounds[j + 1]] for j in nodes])
+    return np.matmul(A[:, None, :], B[..., None])[:, 0, 0]
+
+
+def _score(blocks: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The shared scoring kernel: scores[p] = blocks[p] @ R[p], one gemv per row.
+
+    ``blocks`` is (P, L, n), or an (L, n) table that scores every row.  A
+    single row goes through ``ndarray.dot``, the same gemv with half the call
+    overhead of ``np.matmul``.
+    """
+    if R.shape[0] == 1:
+        return blocks.reshape(-1, R.shape[1]).dot(R[0])[None]
+    return np.matmul(blocks, R[:, :, None])[:, :, 0]
+
+
+def _score_rows(table, ids, valid, R, ordered: bool) -> np.ndarray:
+    """scores[p, j] = table[ids[p, j]] . R[p], zero where valid[p, j] is False.
+
+    Row p is scored as one block of its valid ids in order, the block a lone
+    query would score, so its bits do not depend on the batch; rows whose
+    blocks differ in length go in separate calls.  ``valid`` None means every
+    id is valid.  When ``ordered`` (ids ascending and distinct), a block of
+    every table row is the table itself and is not copied.
+    """
+    if valid is None:
+        if ordered and ids.shape[1] == table.shape[0]:
+            return _score(table, R)
+        return _score(table[ids], R)
+    scores = np.zeros(ids.shape)
+    lengths = valid.sum(axis=1)
+    for length in np.unique(lengths).tolist():
+        rows = (lengths == length).nonzero()[0]
+        mask = valid[rows]
+        block_ids = ids[rows][mask].reshape(rows.size, length)
+        part = scores[rows]
+        part[mask] = _score_rows(table, block_ids, None, R[rows], ordered).ravel()
+        scores[rows] = part
+    return scores
+
+
+def _children(bounds: np.ndarray, nodes: np.ndarray, live):
+    """The child slots of every frontier node, as (P, F*width) ids and a mask.
+
+    Node j owns slots bounds[j]:bounds[j+1] of the depth below.  ``live``
+    marks the frontier entries that hold a node (None: all of them).  Each
+    node's slots are padded to the widest node's ``width``; the mask of the
+    real ones is None when every node has exactly ``width`` children.
+    Returns (first slot per node, child count per node, width, ids, mask).
+    """
+    first = bounds.take(nodes)
+    count = bounds[1:].take(nodes)
+    count -= first
+    if live is not None:
+        count *= live
+    counts = count.ravel().tolist()
+    width = max(counts)
+    ids = (first[..., None] + _steps(width)).reshape(nodes.shape[0], -1)
+    if live is None and counts.count(width) == len(counts):
+        return first, count, width, ids, None
+    valid = (_steps(width) < count[..., None]).reshape(nodes.shape[0], -1)
+    return first, count, width, np.where(valid, ids, 0), valid
+
+
+def _best(scores, ids, valid):
+    """Per row, the entry with maximal |score| (ties to the lowest atom id).
+
+    ``ids`` None means entry j is atom j.  Returns (atom ids, scores).
+    """
+    magnitudes = np.abs(scores)
+    if valid is not None:
+        magnitudes[~valid] = -1.0
+    position = magnitudes.argmax(axis=1)  # the first maximum
+    at = position  # flat positions
+    if scores.shape[0] > 1:
+        at = position + _steps(scores.shape[0]) * scores.shape[1]
+    if ids is None:
+        return position, scores.take(at)
+    top = magnitudes.take(at)[:, None]
+    if np.count_nonzero(magnitudes == top) > top.size:  # a tie somewhere
+        at = at - position + np.where(magnitudes == top, ids, _NO_ATOM).argmin(axis=1)
+    return ids.take(at), scores.take(at)
+
+
+def _scan(d: Dictionary, R: np.ndarray, counter: ScoreCounter | None):
+    """Exhaustive picks for every row of R: the whole atom matrix is each row's block."""
+    scores = _score(d.scoring_atoms, R)
+    if counter is not None:
+        counter.count_atoms(scores.size)
+    return _best(scores, None, None)
+
+
+def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: ScoreCounter | None):
+    """Tree picks for every row of R, all rows descending together.
+
+    Each row keeps its own frontier: the nodes of the current depth it has
+    not pruned, ascending.  A level scores the children of every row's
+    frontier, then keeps each parent's ``keep`` strongest children (a stable
+    sort on -|s|, so ties go to the lower child).  A parent with fewer
+    children than the widest leaves empty slots, which ``live`` masks.
+    """
+    P = R.shape[0]
+    # the root's children are the whole of depth 1, scored against every row
+    first = np.zeros((P, 1), dtype=np.int64)
+    count, width, valid, live = None, t.centroids[1].shape[0], None, None
+    scores = _score(t.centroids[1], R)
+    for depth, keep in enumerate(keeps):
+        if depth:
+            first, count, width, ids, valid = _children(t.offsets[depth], nodes, live)
+            scores = _score_rows(t.centroids[depth + 1], ids, valid, R, True)
+        if counter is not None:
+            counter.count_centroids(scores.size if valid is None else np.count_nonzero(valid))
+        magnitudes = np.abs(scores).reshape(first.shape + (width,))
+        if valid is not None:
+            magnitudes[~valid.reshape(magnitudes.shape)] = -1.0
+        if keep == 1:  # the first maximum, as the stable sort below would pick
+            nodes = first + magnitudes.argmax(axis=2)  # a dead entry stays dead
+            continue
+        order = (-magnitudes).argsort(axis=2, kind="stable")[:, :, :keep]
+        order.sort(axis=2)
+        nodes = (first[..., None] + order).reshape(P, -1)
+        if valid is not None:
+            live = (order < count[..., None]).reshape(P, -1)
+            nodes *= live
+    first, count, width, slots, valid = _children(t.offsets[t.levels], nodes, live)
+    ids = t.atoms.take(slots)
+    scores = _score_rows(d.scoring_atoms, ids, valid, R, False)
+    if counter is not None:
+        counter.count_atoms(ids.size if valid is None else np.count_nonzero(valid))
+    return _best(scores, ids, valid)
 
 
 def exact_select(d: Dictionary, r, counter: ScoreCounter | None = None) -> tuple[int, float]:
     """Atom with maximal |d_i . r| over the whole dictionary; lowest index on ties."""
-    r = _as_query(r, d.n)
-    scores = d.scoring_atoms @ r
-    if counter is not None:
-        counter.count_atoms(d.m)
-    best = int(np.abs(scores).argmax())
-    return best, float(scores[best])
+    best, scores = _scan(d, _as_query(r, d.n), counter)
+    return int(best[0]), float(scores[0])
 
 
 def stmp_select(
@@ -145,34 +307,8 @@ def stmp_select(
     """
     keeps = [retained_count(alpha, k) for k in t.branching]
     check_fingerprint(t, d)
-    r = _as_query(r, d.n)
-    frontier = [0]
-    for depth, keep in enumerate(keeps):
-        bounds = t.offsets[depth]
-        block = _rows(t.centroids[depth + 1], bounds, frontier)
-        scores = block @ r
-        if counter is not None:
-            counter.count_centroids(block.shape[0])
-        survivors: list[int] = []
-        offset = 0
-        for j in frontier:
-            lo, hi = bounds[j], bounds[j + 1]
-            if keep >= hi - lo:
-                survivors.extend(range(lo, hi))
-            else:
-                here = scores[offset : offset + hi - lo]
-                order = (-np.abs(here)).argsort(kind="stable")[:keep]
-                survivors.extend(lo + i for i in sorted(order.tolist()))
-            offset += hi - lo
-        frontier = survivors
-    indices = _rows(t.atoms, t.offsets[t.levels], frontier)
-    scores = d.scoring_atoms[indices] @ r
-    if counter is not None:
-        counter.count_atoms(indices.size)
-    magnitudes = np.abs(scores)
-    candidates = (magnitudes == magnitudes.max()).nonzero()[0]
-    position = candidates[indices[candidates].argmin()]
-    return int(indices[position]), float(scores[position])
+    best, scores = _descend(t, d, _as_query(r, d.n), keeps, counter)
+    return int(best[0]), float(scores[0])
 
 
 class ExactSelector:
@@ -184,6 +320,9 @@ class ExactSelector:
     def select(self, r, counter: ScoreCounter | None = None) -> tuple[int, float]:
         return exact_select(self.dictionary, r, counter)
 
+    def _pick(self, R: np.ndarray, counter: ScoreCounter | None):
+        return _scan(self.dictionary, R, counter)
+
 
 class TreeSelector:
     """Tree-accelerated selection at a fixed retention fraction alpha."""
@@ -194,9 +333,99 @@ class TreeSelector:
         self.tree = tree
         self.dictionary = dictionary
         self.alpha = alpha
+        self._keeps = [retained_count(alpha, k) for k in tree.branching]
 
     def select(self, r, counter: ScoreCounter | None = None) -> tuple[int, float]:
         return stmp_select(self.tree, self.dictionary, r, self.alpha, counter)
+
+    def _pick(self, R: np.ndarray, counter: ScoreCounter | None):
+        return _descend(self.tree, self.dictionary, R, self._keeps, counter)
+
+
+@dataclass(eq=False)
+class CodeBatch:
+    """Sparse codes of P signals as (P, K) arrays, in selection order.
+
+    Row p selected atoms ``indices[p, :lengths[p]]`` with coefficients
+    ``coefficients[p, :lengths[p]]``; slots past a row's length hold zeros.
+    ``ip_count`` is the number of inner products spent on the whole batch.
+    """
+
+    m: int
+    indices: np.ndarray
+    coefficients: np.ndarray
+    lengths: np.ndarray
+    ip_count: int = 0
+
+    @classmethod
+    def of(cls, code: SparseCode) -> "CodeBatch":
+        """One code as a batch of one."""
+        indices = np.array([[index for index, _ in code.entries]], dtype=np.int64)
+        coefficients = np.array([[c for _, c in code.entries]], dtype=np.float64)
+        lengths = np.array([len(code.entries)], dtype=np.int64)
+        return cls(code.m, indices, coefficients, lengths, code.ip_count)
+
+    def entries(self, p: int) -> list[tuple[int, float]]:
+        """Row p as (index, coefficient) pairs."""
+        count = int(self.lengths[p])
+        return list(zip(self.indices[p, :count].tolist(), self.coefficients[p, :count].tolist()))
+
+    def check_range(self, m: int) -> np.ndarray:
+        """The (P, K) mask of the slots that hold a selection; ValueError if
+        one of them holds an index outside [0, m)."""
+        used = np.arange(self.indices.shape[1]) < self.lengths[:, None]
+        outside = used & ((self.indices < 0) | (self.indices >= m))
+        if outside.any():
+            raise ValueError(f"code index {self.indices[outside][0]} outside [0, {m})")
+        return used
+
+
+def _pursue(selector, X: np.ndarray, params: SearchParams,
+            counter: ScoreCounter | None) -> CodeBatch:
+    """Matching pursuit on every row of a checked (P, n) matrix at once.
+
+    Each row stops on its own, on the tolerance or on a zero best score, and
+    stopped rows are neither scored nor counted again.
+    """
+    d = selector.dictionary
+    own = counter if counter is not None else ScoreCounter()
+    start = own.inner_products
+    P = X.shape[0]
+    if params.residual_tolerance is None:
+        tolerance = 1e-6 * np.sqrt(row_dots(X, X))
+    else:
+        tolerance = np.full(P, float(params.residual_tolerance))
+    residuals = X.copy()
+    atoms = d.scoring_atoms
+    indices = np.zeros((P, params.K), dtype=np.int64)
+    coefficients = np.zeros((P, params.K))
+    lengths = np.zeros(P, dtype=np.int64)
+    rows = np.arange(P)
+    for step in range(params.K):
+        r = residuals[rows]
+        going = ~(np.sqrt(row_dots(r, r)) <= tolerance[rows])
+        rows, r = rows[going], r[going]
+        if not rows.size:
+            break
+        picks, scores = selector._pick(r, own)
+        going = scores != 0.0
+        rows, r, picks, scores = rows[going], r[going], picks[going], scores[going]
+        indices[rows, step] = picks
+        coefficients[rows, step] = scores
+        lengths[rows] = step + 1
+        residuals[rows] = r - scores[:, None] * atoms[picks]
+    return CodeBatch(d.m, indices, coefficients, lengths, own.inner_products - start)
+
+
+def matching_pursuit_batch(selector, X, params: SearchParams,
+                           counter: ScoreCounter | None = None) -> CodeBatch:
+    """Matching pursuit on every row of a (P, n) matrix at once.
+
+    Row p gets the code ``matching_pursuit(selector, X[p], params)`` gives
+    it, bit for bit; ``ip_count`` and the counter hold the batch's total.
+    The input is checked for NaN and infinity once, here.
+    """
+    return _pursue(selector, _as_queries(X, selector.dictionary.n), params, counter)
 
 
 def matching_pursuit(selector, x, params: SearchParams, counter: ScoreCounter | None = None) -> SparseCode:
@@ -208,36 +437,31 @@ def matching_pursuit(selector, x, params: SearchParams, counter: ScoreCounter | 
     tolerance (default 1e-6 times the input norm) or the best available
     score is exactly zero.
     """
-    d = selector.dictionary
-    x = _as_query(x, d.n)
-    own = counter if counter is not None else ScoreCounter()
-    start = own.inner_products
-    tolerance = params.residual_tolerance
-    if tolerance is None:
-        tolerance = 1e-6 * float(np.linalg.norm(x))
-    residual = x.copy()
+    codes = _pursue(selector, _as_query(x, selector.dictionary.n), params, counter)
+    return SparseCode(m=codes.m, entries=codes.entries(0), ip_count=codes.ip_count)
+
+
+def reconstruct_batch(d: Dictionary, codes: CodeBatch) -> np.ndarray:
+    """Weighted sum of each row's coded atoms, as a float64 (P, n) matrix.
+
+    Atoms are added one selection step at a time, in selection order, so
+    every row gets the bits ``reconstruct`` gives its own code.
+    """
+    codes.check_range(d.m)
+    out = np.zeros((codes.indices.shape[0], d.n))
     atoms = d.scoring_atoms
-    entries: list[tuple[int, float]] = []
-    for _ in range(params.K):
-        if float(np.linalg.norm(residual)) <= tolerance:
+    for step in range(codes.indices.shape[1]):
+        rows = (codes.lengths > step).nonzero()[0]
+        if not rows.size:
             break
-        index, score = selector.select(residual, own)
-        if score == 0.0:
-            break
-        entries.append((index, score))
-        residual -= score * atoms[index]
-    return SparseCode(m=d.m, entries=entries, ip_count=own.inner_products - start)
+        picks = codes.indices[rows, step]
+        out[rows] += codes.coefficients[rows, step][:, None] * atoms[picks]
+    return out
 
 
 def reconstruct(d: Dictionary, code: SparseCode) -> np.ndarray:
     """Weighted sum of the coded atoms, as a float64 n-vector."""
-    out = np.zeros(d.n, dtype=np.float64)
-    atoms = d.scoring_atoms
-    for index, coefficient in code.entries:
-        if not 0 <= index < d.m:
-            raise ValueError(f"code index {index} outside [0, {d.m})")
-        out += coefficient * atoms[index]
-    return out
+    return reconstruct_batch(d, CodeBatch.of(code))[0]
 
 
 def omp_refit(d: Dictionary, support, x) -> np.ndarray:
@@ -247,7 +471,7 @@ def omp_refit(d: Dictionary, support, x) -> np.ndarray:
     for i in support:
         if not 0 <= i < d.m:
             raise ValueError(f"support index {i} outside [0, {d.m})")
-    x = _as_query(x, d.n)
+    x = _as_query(x, d.n)[0]
     if not support:
         return np.zeros(0, dtype=np.float64)
     if len(support) > d.n:

@@ -143,15 +143,22 @@ def predicted_centroid_count_reference(branching, alpha):
     return total
 
 
-def tree_select_reference(tree, scoring_atoms, query, alpha):
+def _tree_walk(tree, scoring_atoms, query, alpha):
     """Depth-first descent one node at a time over the tree's per-depth arrays.
 
-    Each node scores its own children block; the ceil(alpha*k) strongest
-    children survive (ties to the lower child), and the best atom over every
-    surviving bottom node wins (ties to the lower atom index).  Returns
-    (index, score, centroid inner products, atom inner products).
+    Each node ranks its own children and the ceil(alpha*k) strongest survive
+    (ties to the lower child).  Returns the (atom, score) pairs of every
+    surviving bottom node in visiting order, and the centroid inner products.
+
+    Scores are read from one product of the query with each whole depth and
+    with the whole atom table, so equal rows get equal scores and duplicated
+    atoms tie exactly.  Scoring each node's block separately would not: numpy
+    computes a one-row block as a ddot, whose last bit can differ from the
+    same row's gemv score in a longer block.
     """
     r = np.asarray(query, dtype=np.float64).ravel()
+    level_scores = [None] + [(rows @ r).tolist() for rows in tree.centroids[1:]]
+    atom_scores = (scoring_atoms @ r).tolist()
     candidates = []
     centroid_ips = 0
 
@@ -159,10 +166,10 @@ def tree_select_reference(tree, scoring_atoms, query, alpha):
         nonlocal centroid_ips
         lo, hi = tree.offsets[depth][node], tree.offsets[depth][node + 1]
         if depth == len(tree.branching):
-            scores = scoring_atoms[tree.atoms[lo:hi]] @ r
-            candidates.extend(zip(tree.atoms[lo:hi].tolist(), scores.tolist()))
+            atoms = tree.atoms[lo:hi].tolist()
+            candidates.extend((atom, atom_scores[atom]) for atom in atoms)
             return
-        scores = (tree.centroids[depth + 1][lo:hi] @ r).tolist()
+        scores = level_scores[depth + 1][lo:hi]
         centroid_ips += hi - lo
         keep = max(1, math.ceil(alpha * tree.branching[depth] - 1e-9))
         ranked = sorted(range(hi - lo), key=lambda i: (-abs(scores[i]), i))
@@ -170,8 +177,22 @@ def tree_select_reference(tree, scoring_atoms, query, alpha):
             visit(depth + 1, lo + child)
 
     visit(0, 0)
+    return candidates, centroid_ips
+
+
+def tree_select_reference(tree, scoring_atoms, query, alpha):
+    """The tree's pick: the best atom over every surviving bottom node (ties
+    to the lower atom index).  Returns (index, score, centroid inner
+    products, atom inner products)."""
+    candidates, centroid_ips = _tree_walk(tree, scoring_atoms, query, alpha)
     best_index, best_score = candidates[0]
     for index, score in candidates[1:]:
         if abs(score) > abs(best_score) or (abs(score) == abs(best_score) and index < best_index):
             best_index, best_score = index, score
     return best_index, best_score, centroid_ips, len(candidates)
+
+
+def tree_leaf_atoms_reference(tree, scoring_atoms, query, alpha):
+    """The atoms of every surviving bottom node, in frontier order: the leaf
+    block a single query's descent scores in one product."""
+    return [atom for atom, _ in _tree_walk(tree, scoring_atoms, query, alpha)[0]]

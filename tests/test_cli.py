@@ -9,6 +9,7 @@ import pytest
 import stmp
 from stmp import (
     build_from_patches,
+    build_tree,
     coded_exposure_operator,
     load_dictionary,
     load_pgm,
@@ -18,6 +19,7 @@ from stmp import (
     save_dictionary,
     save_pgm,
     save_tensor,
+    save_tree,
     simulate_coded_exposure,
     validate_tree,
 )
@@ -209,6 +211,43 @@ def test_run_rejects_malformed_tree(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert f"leaf at depth 1 at offset {first_child}" in err
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda atoms: atoms.__setitem__(0, 10**6), "exactly once"),  # index out of range
+        (lambda atoms: atoms.__setitem__(1, atoms[0]), "exactly once"),  # an atom twice
+    ],
+    ids=["index-out-of-range", "duplicated-atom"],
+)
+def test_run_rejects_tree_that_does_not_fit(tmp_path, capsys, tamper, message):
+    # the file parses and its fingerprint matches, but its leaves do not cover
+    # the dictionary; the run must stop before coding with a one-line error
+    img_path = tmp_path / "in.pgm"
+    _write_image(img_path, 8, shape=(16, 16))
+    dict_path = tmp_path / "d.dict"
+    assert main(
+        ["build-dict", "--images", str(img_path), "--patch", "4,4", "--stride", "2,2",
+         "--atoms", "30", "--out", str(dict_path)]
+    ) == 0
+    tree = build_tree(load_dictionary(dict_path), (4, 2), seed=0)
+    tamper(tree.atoms)
+    tree_path = tmp_path / "bad.tree"
+    save_tree(tree, tree_path)
+    assert load_tree(tree_path).atoms.tolist() == tree.atoms.tolist()
+    capsys.readouterr()
+    rc = main(
+        ["run", "--task", "denoise", "--in", str(img_path), "--dict", str(dict_path),
+         "--tree", str(tree_path), "--patch", "4,4", "--stride", "2,2", "--k", "2",
+         "--out", str(tmp_path / "o.pgm")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cluster tree does not fit the dictionary: ")
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.pgm").exists()
 
 
 def test_run_superres_shape(tmp_path):

@@ -176,7 +176,7 @@ def test_build_tree_deterministic():
     t1 = build_tree(d, (5, 3), seed=6)
     t2 = build_tree(d, (5, 3), seed=6)
     assert [c.tobytes() for c in t1.centroids] == [c.tobytes() for c in t2.centroids]
-    assert t1.offsets == t2.offsets
+    assert [b.tolist() for b in t1.offsets] == [b.tolist() for b in t2.offsets]
     assert t1.atoms.tobytes() == t2.atoms.tobytes()
     assert [c.dtype for c in t1.centroids] == [np.dtype(np.float64)] * 3
     for rows in t1.centroids:  # float64 rows that hold float32 values
@@ -252,7 +252,8 @@ def test_tree_v1_bytes_pinned(tmp_path):
     want = _hand_tree()
     assert (back.branching, back.dictionary_fingerprint, back.n) == ((2,), _FINGERPRINT, 2)
     assert [c.tobytes() for c in back.centroids] == [c.tobytes() for c in want.centroids]
-    assert back.offsets == want.offsets
+    assert [b.tolist() for b in back.offsets] == [[0, 2], [0, 2, 3]]
+    assert all(b.dtype == np.int64 for b in back.offsets)
     assert back.atoms.tolist() == [0, 2, 1] and back.atoms.dtype == np.int64
 
 

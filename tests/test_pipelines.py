@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import stmp.dictionary
+import stmp.pipelines
 from stmp import (
     CSV_HEADER,
     Dictionary,
     ScoreCounter,
     TaskConfig,
     add_noise_to_snr,
+    block_average_operator,
     build_from_patches,
     build_tree,
     coded_exposure_operator,
@@ -17,6 +20,7 @@ from stmp import (
     extract_patches,
     masked_recover,
     normalize_columns,
+    project_dictionary,
     psnr,
     row_select_operator,
     simulate_coded_exposure,
@@ -178,6 +182,53 @@ def test_denoise_thread_count_invisible():
     assert out1.tobytes() == out4.tobytes()
     assert rep1.inner_products == rep4.inner_products
     assert rep1.psnr_db == rep4.psnr_db
+
+
+@pytest.mark.parametrize("side", [5, 13, 41], ids=["N=1", "N=25", "N=361"])
+@pytest.mark.parametrize("selector", ["exact", "stmp"])
+def test_chunking_invisible(monkeypatch, side, selector):
+    # 1 patch, fewer patches than a chunk, and a count no chunk size divides
+    # (superres codes side - 2 patches); (7, 3) trees over 60 atoms have short
+    # last clusters
+    rng = np.random.default_rng(side)
+    img = rng.random((side, side)).astype(np.float32)
+    lowres = rng.random((side, side)).astype(np.float32)
+    d = _flat_field_dictionary(25, 60, seed=14)
+    tree = build_tree(d, (7, 3), seed=15)
+    cfg = TaskConfig(patch_shape=(5, 5), stride=(2, 2), K=3, alpha=0.5, selector=selector)
+    sr_d = _flat_field_dictionary(36, 60, seed=16)
+    sr_pd = project_dictionary(sr_d, block_average_operator((6, 6), (2, 2)))
+    sr_tree = build_tree(sr_pd.dictionary, (7, 3), seed=17)
+    sr_cfg = TaskConfig(patch_shape=(6, 6), stride=(1, 1), K=2, alpha=0.5, selector=selector)
+    synthesized = []  # the float64 patches, before the float32 output rounds them
+    code_patches = stmp.pipelines._code_patches
+
+    def spy(*args):
+        full, counter = code_patches(*args)
+        synthesized.append(full.tobytes())
+        return full, counter
+
+    monkeypatch.setattr(stmp.pipelines, "_code_patches", spy)
+    runs = []
+    for chunk in (stmp.pipelines._CHUNK, 1, 7):
+        monkeypatch.setattr(stmp.pipelines, "_CHUNK", chunk)
+        out, rep = denoise(img, d, tree, cfg, reference=img)
+        up, sr_rep = super_resolve(lowres[:3], sr_d, sr_tree, sr_cfg, factor=2)
+        runs.append((out.tobytes(), rep.inner_products, rep.psnr_db, rep.patches,
+                     up.tobytes(), sr_rep.inner_products, *synthesized[-2:]))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_denoise_hashes_dictionary_once(monkeypatch):
+    img = np.random.default_rng(17).random((12, 12)).astype(np.float32)
+    atoms = _flat_field_dictionary(16, 20, seed=18).atoms
+    tree = build_tree(Dictionary(atoms.copy()), (4, 2), seed=19)
+    calls = []
+    real = stmp.dictionary.fnv1a64
+    monkeypatch.setattr(stmp.dictionary, "fnv1a64", lambda data: calls.append(1) or real(data))
+    cfg = TaskConfig(patch_shape=(4, 4), stride=(2, 2), K=2, selector="stmp")
+    denoise(img, Dictionary(atoms.copy()), tree, cfg)
+    assert len(calls) == 1
 
 
 def test_csv_row_shape():

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from stmp import (
+    CodeBatch,
     Dictionary,
     ExactSelector,
     ScoreCounter,
@@ -12,12 +13,18 @@ from stmp import (
     TreeSelector,
     build_tree,
     exact_select,
+    lift_code,
+    lift_codes,
     matching_pursuit,
+    matching_pursuit_batch,
     normalize_columns,
     omp_refit,
     predicted_ip_count,
+    project_dictionary,
     reconstruct,
+    reconstruct_batch,
     retained_count,
+    row_select_operator,
     stmp_select,
 )
 from oracles import (
@@ -25,6 +32,7 @@ from oracles import (
     nearest_atom_reference,
     predicted_centroid_count_reference,
     refit_reference,
+    tree_leaf_atoms_reference,
     tree_select_reference,
 )
 
@@ -176,6 +184,170 @@ def test_stmp_select_matches_per_node_reference(m, n, branching, distinct, alpha
         assert index == ref_index
         assert counter.centroid_inner_products == ref_centroids
         assert counter.inner_products - counter.centroid_inner_products == ref_atoms
+
+
+def _pursuit_reference(select, atoms, x, K, tol):
+    """Per-patch matching pursuit around a single-query selection function
+    returning (index, score, inner products); stops like the package does."""
+    r = np.asarray(x, dtype=np.float64).copy()
+    if tol is None:
+        tol = 1e-6 * float(np.sqrt(np.dot(r, r)))
+    entries, ips, stop = [], 0, "K"
+    for _ in range(K):
+        if float(np.sqrt(np.dot(r, r))) <= tol:
+            stop = "tolerance"
+            break
+        index, score, spent = select(r)
+        ips += spent
+        if score == 0.0:
+            stop = "zero score"
+            break
+        entries.append((index, score))
+        r = r - score * atoms[index]
+    return entries, ips, stop
+
+
+def _check_codes(codes, p, entries):
+    assert codes.lengths[p] == len(entries)
+    assert codes.indices[p, : len(entries)].tolist() == [i for i, _ in entries]
+    np.testing.assert_allclose(
+        codes.coefficients[p, : len(entries)], [c for _, c in entries], rtol=1e-12, atol=1e-12
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(2, 60),
+    n=st.integers(3, 6),
+    branching=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+    distinct=st.integers(2, 60),
+    unusable=st.integers(0, 3),
+    project=st.booleans(),
+    alpha=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+    K=st.integers(1, 5),
+    tolerance=st.sampled_from([None, 0.0, 0.5]),
+    seed=st.integers(0, 2**16),
+)
+def test_batched_pursuit_matches_per_patch_references(
+    m, n, branching, distinct, unusable, project, alpha, K, tolerance, seed
+):
+    # Usable atoms repeat ``distinct`` rows (exact ties) and leave the last
+    # coordinate empty, so a query along it scores exactly zero everywhere.
+    # With ``project`` the atoms live in n + 2 dimensions, the last two are
+    # dropped, and ``unusable`` atoms lie only there, so the projected
+    # dictionary holds zero rows.  Trees rarely divide m, so last clusters
+    # come out short.  Two or more distinct usable rows keep residuals off the
+    # rounding floor, where whether a score is exactly zero would depend on
+    # ddot versus gemv rounding.  At these small n, OpenBLAS's gemv rounds a
+    # row the same wherever it sits in a block, so duplicates tie exactly.
+    rng = np.random.default_rng(seed)
+    full = n + 2 if project else n
+    unusable = min(unusable, m - 2) if project else 0
+    rows = min(distinct, m - unusable)
+    base = rng.standard_normal((rows, full))
+    usable = base[np.r_[np.arange(rows), rng.integers(0, rows, size=m - unusable - rows)]]
+    hidden = np.zeros((unusable, full))
+    hidden[:, n:] = rng.standard_normal((unusable, full - n))
+    raw = np.vstack([usable, hidden])[rng.permutation(m)]
+    raw[:, n - 1] = 0.0
+    d = normalize_columns(raw)
+    if project:
+        d = project_dictionary(d, row_select_operator(full, range(n))).dictionary
+    tree = build_tree(d, branching, seed=seed)
+    X = np.vstack([
+        rng.standard_normal((5, n)),
+        np.eye(n)[n - 1],  # orthogonal to every atom: stops on a zero score
+        np.zeros(n),
+    ])
+    if tolerance != 0.0:  # one atom stops on the tolerance (with none, its residual hits the floor)
+        X = np.vstack([X, d.atoms[rng.integers(0, m)]])
+    params = SearchParams(K=K, residual_tolerance=tolerance)
+
+    def tree_ref(r):
+        index, score, centroid_ips, atom_ips = tree_select_reference(
+            tree, d.scoring_atoms, r, alpha
+        )
+        return index, score, centroid_ips + atom_ips
+
+    def exact_ref(r):
+        index, score = nearest_atom_reference(d.atoms, r)
+        return index, score, d.m
+
+    stops = set()
+    batches = {}
+    for name, selector, ref in [
+        ("tree", TreeSelector(tree, d, alpha), tree_ref),
+        ("exact", ExactSelector(d), exact_ref),
+    ]:
+        counter = ScoreCounter()
+        codes = matching_pursuit_batch(selector, X, params, counter)
+        assert codes.ip_count == counter.inner_products
+        batches[name] = codes
+        total = 0
+        for p, x in enumerate(X):
+            entries, ips, stop = _pursuit_reference(ref, d.scoring_atoms, x, K, tolerance)
+            _check_codes(codes, p, entries)
+            stops.add(stop)
+            total += ips
+            # a batch of one is the same code, bit for bit
+            alone = ScoreCounter()
+            code = matching_pursuit(selector, x, params, alone)
+            assert code.entries == codes.entries(p)
+            assert alone.inner_products == ips
+            one = reconstruct_batch(d, CodeBatch.of(code))[0]
+            assert one.tobytes() == reconstruct_batch(d, codes)[p].tobytes()
+        assert counter.inner_products == total
+    assert "zero score" in stops
+    if tolerance is None:
+        assert "tolerance" in stops
+    if alpha == 1.0:  # the tree visits every atom and must equal exhaustive search
+        for field in ("indices", "coefficients", "lengths"):
+            got, want = getattr(batches["tree"], field), getattr(batches["exact"], field)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_batch_helpers_match_single_code_forms():
+    d = _random_dictionary(30, 6, seed=40)
+    rng = np.random.default_rng(41)
+    pd = project_dictionary(d, row_select_operator(6, [0, 2, 3, 5]))
+    codes = matching_pursuit_batch(ExactSelector(pd.dictionary), rng.standard_normal((7, 4)),
+                                   SearchParams(K=3))
+    lifted = lift_codes(pd, codes)
+    full = reconstruct_batch(d, lifted)
+    for p in range(7):
+        code = SparseCode(m=30, entries=codes.entries(p), ip_count=0)
+        assert lift_code(pd, code).entries == lifted.entries(p)
+        assert reconstruct(d, lift_code(pd, code)).tobytes() == full[p].tobytes()
+    bad = CodeBatch(30, np.array([[3, 30]]), np.ones((1, 2)), np.array([2]))
+    with pytest.raises(ValueError, match="code index 30 outside"):
+        reconstruct_batch(d, bad)
+    with pytest.raises(ValueError, match="code index 30 outside"):
+        lift_codes(pd, bad)
+    short = CodeBatch(30, np.array([[3, 30]]), np.ones((1, 2)), np.array([1]))
+    assert reconstruct_batch(d, short)[0].tobytes() == reconstruct(
+        d, SparseCode(m=30, entries=[(3, 1.0)])).tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_tree_scores_have_the_bits_of_a_lone_querys_block(n):
+    # A row's leaf block is the surviving bottom nodes' atoms, concatenated.
+    # At these n a gemv row's bits depend on its block's length, so every row
+    # of a batch must be scored in a block of exactly its own length, as a
+    # lone query's descent scores it.  997 atoms make every level uneven.
+    # Each bottom node's last atom, as a query, tends to win from the tail of
+    # its block, the rows whose bits a wrong block length would move.
+    d = _random_dictionary(997, n, seed=42)
+    tree = build_tree(d, (7, 5), seed=43)
+    last = tree.atoms[tree.offsets[tree.levels][1:] - 1]
+    Q = np.vstack([np.random.default_rng(44).standard_normal((30, n)), d.atoms[last]])
+    for alpha in (0.1, 0.35, 1.0):
+        codes = matching_pursuit_batch(TreeSelector(tree, d, alpha), Q, SearchParams(K=1))
+        for q, pick, score in zip(Q, codes.indices[:, 0], codes.coefficients[:, 0]):
+            leaves = tree_leaf_atoms_reference(tree, d.scoring_atoms, q, alpha)
+            block = d.scoring_atoms[leaves] @ q
+            want = block[leaves.index(pick)]
+            assert score.tobytes() == want.tobytes()
+            assert stmp_select(tree, d, q, alpha) == (pick, want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
