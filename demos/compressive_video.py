@@ -49,8 +49,7 @@ def main():
           f"({video.size // measured.size}x compression)")
 
     cfg = TaskConfig(patch_shape=patch, stride=patch, K=8, selector="exact")
-    out, report = compressive_recover(measured, op, d, None, cfg,
-                                      reference=video, threads=4)
+    out, report = compressive_recover(measured, op, d, None, cfg, reference=video)
     baseline = np.repeat(measured / mask.sum(axis=-1, keepdims=True).mean(), 4, axis=-1)
     print(f"repeat-measurement baseline: {snr(video, baseline.astype(np.float32)):.2f} dB SNR")
     print(f"sparse recovery:             {report.snr_db:.2f} dB SNR "

@@ -33,7 +33,7 @@ def main():
         ("stmp ", TaskConfig(**base, selector="stmp", alpha=0.1)),
     ):
         out, report = denoise(noisy, d, tree if label.strip() == "stmp" else None,
-                              cfg, reference=clean, threads=4)
+                              cfg, reference=clean)
         print(f"{label}: {report.psnr_db:.2f} dB PSNR, "
               f"{report.inner_products:,} inner products, "
               f"{report.patches} patches in {report.seconds:.2f}s")

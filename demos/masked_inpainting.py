@@ -39,8 +39,7 @@ def main():
     print(f"damaged input: {psnr(clean, damaged):.2f} dB PSNR")
 
     cfg = TaskConfig(patch_shape=(8, 8), stride=(2, 2), K=6, selector="exact")
-    out, report = masked_recover(damaged, op, d, None, cfg,
-                                 reference=clean, threads=4)
+    out, report = masked_recover(damaged, op, d, None, cfg, reference=clean)
     print(f"recovered:     {report.psnr_db:.2f} dB PSNR "
           f"({report.patches} patches, {report.inner_products:,} inner products)")
 

@@ -37,8 +37,7 @@ def main():
     print(f"low-res input {low.shape}, target {test.shape}")
 
     cfg = TaskConfig(patch_shape=(16, 16), stride=(1, 1), K=6, selector="exact")
-    out, report = super_resolve(low, d, None, cfg, factor=factor,
-                                reference=test, threads=4)
+    out, report = super_resolve(low, d, None, cfg, factor=factor, reference=test)
     up = np.repeat(np.repeat(low, factor, axis=0), factor, axis=1)
     print(f"nearest-neighbor upscale: {psnr(test, up):.2f} dB PSNR")
     print(f"sparse-coded upscale:     {report.psnr_db:.2f} dB PSNR "

@@ -30,6 +30,7 @@ from .dictionary import (
 from .operators import (
     block_average_operator,
     coded_exposure_operator,
+    identity_operator,
     load_row_selection,
     project_dictionary,
     random_exposure_mask,
@@ -245,15 +246,16 @@ def _cmd_build_tree(ns, sub) -> int:
     return 0
 
 
-def _tree_for(values, dictionary, sub):
-    """Load the tree if a path was given, else build one in place."""
+def _tree_for(values, d, op, sub):
+    """Load the tree if a path was given, else build one in place over the
+    dictionary as ``op`` measures it."""
     if values["selector"] != "stmp":
         return None
     if values["tree"] is not None:
         return load_tree(values["tree"])
     if values["branching"] is None:
         sub.error("the stmp selector needs --tree or --branching")
-    return build_tree(dictionary, values["branching"], values["seed"])
+    return build_tree(project_dictionary(d, op).dictionary, values["branching"], values["seed"])
 
 
 def _cmd_run(ns, sub) -> int:
@@ -288,12 +290,11 @@ def _cmd_run(ns, sub) -> int:
     reference = None if values["reference"] is None else _load_input(values["reference"])
 
     if task == "denoise":
-        tree = _tree_for(values, d, sub)
+        tree = _tree_for(values, d, identity_operator(d.n), sub)
         restored, report = denoise(observed, d, tree, cfg, reference=reference)
     elif task == "superres":
         op = block_average_operator(patch, (values["factor"],) * len(patch))
-        pd = project_dictionary(d, op)
-        tree = _tree_for(values, pd.dictionary, sub)
+        tree = _tree_for(values, d, op, sub)
         restored, report = super_resolve(
             observed, d, tree, cfg, factor=values["factor"], reference=reference
         )
@@ -303,8 +304,7 @@ def _cmd_run(ns, sub) -> int:
         else:
             mask = random_exposure_mask(patch[:-1], patch[-1], values["mask_open"], values["seed"])
         op = coded_exposure_operator(mask)
-        pd = project_dictionary(d, op)
-        tree = _tree_for(values, pd.dictionary, sub)
+        tree = _tree_for(values, d, op, sub)
         restored, report = compressive_recover(
             observed, op, d, tree, cfg, reference=reference
         )
@@ -314,8 +314,7 @@ def _cmd_run(ns, sub) -> int:
         else:
             rows = view_selection_rows(patch, values["views"])
         op = row_select_operator(d.n, rows)
-        pd = project_dictionary(d, op)
-        tree = _tree_for(values, pd.dictionary, sub)
+        tree = _tree_for(values, d, op, sub)
         restored, report = masked_recover(
             observed, op, d, tree, cfg, reference=reference
         )

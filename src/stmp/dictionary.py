@@ -56,14 +56,6 @@ class ScoreCounter:
         self.inner_products += int(count)
         self.centroid_inner_products += int(count)
 
-    def reset(self) -> None:
-        self.inner_products = 0
-        self.centroid_inner_products = 0
-
-    def merge(self, other: "ScoreCounter") -> None:
-        self.inner_products += other.inner_products
-        self.centroid_inner_products += other.centroid_inner_products
-
 
 @dataclass(eq=False)
 class Dictionary:
@@ -155,16 +147,6 @@ def build_from_patches(patches, m: int, seed: int) -> Dictionary:
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     chosen = np.sort(rng.permutation(usable)[:m])
     return Dictionary((centered[chosen] / norms[chosen, None]).astype(np.float32))
-
-
-def score_all(d: Dictionary, v, counter: ScoreCounter | None = None) -> np.ndarray:
-    """Inner product of every atom with v; tallies m inner products."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if v.shape != (d.n,):
-        raise ValueError(f"query has dimension {v.size}, dictionary atoms have {d.n}")
-    if counter is not None:
-        counter.count_atoms(d.m)
-    return d.scoring_atoms @ v
 
 
 def save_dictionary(d: Dictionary, path) -> None:

@@ -11,8 +11,7 @@ operator: with c = op(all-ones patch), the measurement's DC coefficient is
 
 Patches are coded batched, in one thread: matching pursuit runs on a chunk
 of patches at a time, and every patch is coded exactly as it would be
-alone, so outputs and counter totals do not depend on the chunk size.  The
-``threads`` argument is accepted and ignored.
+alone, so outputs and counter totals do not depend on the chunk size.
 """
 
 from dataclasses import dataclass
@@ -39,6 +38,7 @@ from .pursuit import (
     ExactSelector,
     SearchParams,
     TreeSelector,
+    check_alpha,
     matching_pursuit_batch,
     reconstruct_batch,
     row_dots,
@@ -73,16 +73,13 @@ class TaskConfig:
             raise ValueError(
                 f"patch shape {self.patch_shape} and stride {self.stride} have different ranks"
             )
-        self.search_params()  # checks K, alpha and the tolerance
+        self.search_params()  # checks K and the tolerance
+        check_alpha(self.alpha)
         if self.selector not in (EXACT, STMP):
             raise ValueError(f"selector must be '{EXACT}' or '{STMP}', got {self.selector!r}")
 
     def search_params(self) -> SearchParams:
-        return SearchParams(
-            K=self.K,
-            alpha=self.alpha,
-            residual_tolerance=self.residual_tolerance,
-        )
+        return SearchParams(K=self.K, residual_tolerance=self.residual_tolerance)
 
 
 @dataclass
@@ -208,8 +205,18 @@ def _code_patches(
     return out, counter
 
 
-def _report(task, d, cfg, counter, patches, seconds, restored, reference) -> TaskReport:
-    return TaskReport(
+def _restore(task, start, d, op, tree, cfg, measured, out_layout, reference):
+    """The skeleton every task shares: code the measurement patches (one per
+    row of ``measured``) against ``d`` as ``op`` measures it, average the
+    restored full-space patches on ``out_layout``, and report.  ``start`` is
+    the task's start time, so the reported seconds cover its extraction."""
+    pd = project_dictionary(d, op)
+    selector = _selector_for(pd.dictionary, tree, cfg)
+    dc_meas = apply(op, np.ones(d.n))
+    full, counter = _code_patches(measured, dc_meas, selector, pd, cfg.search_params())
+    restored = aggregate_patches(out_layout, full.astype(np.float32))
+    seconds = time.perf_counter() - start
+    return restored, TaskReport(
         task=task,
         m=d.m,
         n=d.n,
@@ -219,56 +226,41 @@ def _report(task, d, cfg, counter, patches, seconds, restored, reference) -> Tas
         psnr_db=None if reference is None else psnr(reference, restored),
         snr_db=None if reference is None else snr(reference, restored),
         inner_products=counter.inner_products,
-        patches=patches,
+        patches=measured.shape[0],
         seconds=seconds,
     )
 
 
-def _rowspace_recover(task, observed, op, d, tree, cfg, reference):
-    start = time.perf_counter()
-    layout, patches = extract_patches(observed, cfg.patch_shape, cfg.stride)
-    if layout.patch_dim != d.n:
-        raise ValueError(
-            f"patch dimension {layout.patch_dim} does not match dictionary dimension {d.n}"
-        )
-    pd = project_dictionary(d, op)
-    selector = _selector_for(pd.dictionary, tree, cfg)
-    measured = apply_batch(op, patches)
-    dc_meas = apply(op, np.ones(d.n))
-    full, counter = _code_patches(measured, dc_meas, selector, pd, cfg.search_params())
-    restored = aggregate_patches(layout, full.astype(np.float32))
-    seconds = time.perf_counter() - start
-    report = _report(task, d, cfg, counter, layout.num_patches, seconds, restored, reference)
-    return restored, report
-
-
-def denoise(noisy, d: Dictionary, tree: ClusterTree | None, cfg: TaskConfig,
-            reference=None, threads: int = 1):
+def denoise(noisy, d: Dictionary, tree: ClusterTree | None, cfg: TaskConfig, reference=None):
     """Code every patch of a noisy tensor and average the reconstructions.
 
     Sparse approximation against the dictionary is the only prior: whatever
     the K chosen atoms cannot express is treated as noise and dropped.
     """
+    start = time.perf_counter()
+    layout, patches = extract_patches(noisy, cfg.patch_shape, cfg.stride)
     op = identity_operator(d.n)
-    return _rowspace_recover("denoise", noisy, op, d, tree, cfg, reference)
+    return _restore("denoise", start, d, op, tree, cfg, apply_batch(op, patches), layout, reference)
 
 
 def masked_recover(observed, op: ObservationOperator, d: Dictionary,
-                   tree: ClusterTree | None, cfg: TaskConfig,
-                   reference=None, threads: int = 1):
+                   tree: ClusterTree | None, cfg: TaskConfig, reference=None):
     """Complete unobserved patch coordinates from a row selection.
 
     The observed tensor keeps its full shape; only the coordinates the
     operator retains are trusted, and the synthesis fills in the rest.  The
     tree, when used, must be built on the projected dictionary.
     """
+    start = time.perf_counter()
     if op.kind not in (ROW_SELECT, IDENTITY):
         raise ValueError(f"masked recovery expects a row-selection operator, got {op.kind}")
-    return _rowspace_recover("maskrecover", observed, op, d, tree, cfg, reference)
+    layout, patches = extract_patches(observed, cfg.patch_shape, cfg.stride)
+    return _restore("maskrecover", start, d, op, tree, cfg, apply_batch(op, patches), layout,
+                    reference)
 
 
 def super_resolve(lowres, d: Dictionary, tree: ClusterTree | None, cfg: TaskConfig,
-                  factor: int = 4, reference=None, threads: int = 1):
+                  factor: int = 4, reference=None):
     """Upscale by coding low-resolution patches against block-averaged atoms.
 
     cfg.patch_shape is the high-resolution (dictionary) patch; cfg.stride
@@ -282,33 +274,17 @@ def super_resolve(lowres, d: Dictionary, tree: ClusterTree | None, cfg: TaskConf
     factors = (int(factor),) * lowres.ndim
     if len(hr_patch) != lowres.ndim:
         raise ValueError(f"patch shape {hr_patch} does not match input rank {lowres.ndim}")
-    if math.prod(hr_patch) != d.n:
-        raise ValueError(f"patch dimension {math.prod(hr_patch)} does not match dictionary {d.n}")
-    for extent, f in zip(hr_patch, factors):
-        if extent % f != 0:
-            raise ValueError(f"factor {f} must divide patch extent {extent}")
+    op = block_average_operator(hr_patch, factors)  # checks that the factor divides the patch
     lr_patch = tuple(e // f for e, f in zip(hr_patch, factors))
-    op = block_average_operator(hr_patch, factors)
-    pd = project_dictionary(d, op)
-    selector = _selector_for(pd.dictionary, tree, cfg)
-    lr_layout, lr_patches = extract_patches(lowres, lr_patch, cfg.stride)
-    dc_meas = apply(op, np.ones(d.n))
-    full, counter = _code_patches(
-        lr_patches.astype(np.float64), dc_meas, selector, pd, cfg.search_params()
-    )
+    _, lr_patches = extract_patches(lowres, lr_patch, cfg.stride)
     hr_shape = tuple(e * f for e, f in zip(lowres.shape, factors))
     hr_stride = tuple(s * f for s, f in zip(cfg.stride, factors))
     hr_layout = PatchLayout(hr_shape, hr_patch, hr_stride)
-    restored = aggregate_patches(hr_layout, full.astype(np.float32))
-    seconds = time.perf_counter() - start
-    report = _report("superres", d, cfg, counter, lr_layout.num_patches, seconds,
-                     restored, reference)
-    return restored, report
+    return _restore("superres", start, d, op, tree, cfg, lr_patches, hr_layout, reference)
 
 
 def compressive_recover(measurements, op: ObservationOperator, d: Dictionary,
-                        tree: ClusterTree | None, cfg: TaskConfig,
-                        reference=None, threads: int = 1):
+                        tree: ClusterTree | None, cfg: TaskConfig, reference=None):
     """Recover a video from coded-exposure measurement frames.
 
     Measurement patches tile the measurement volume exactly (stride equals
@@ -321,8 +297,6 @@ def compressive_recover(measurements, op: ObservationOperator, d: Dictionary,
     measurements = np.asarray(measurements, dtype=np.float32)
     if tuple(cfg.patch_shape) != op.in_shape:
         raise ValueError(f"patch shape {cfg.patch_shape} does not match operator input {op.in_shape}")
-    if math.prod(op.in_shape) != d.n:
-        raise ValueError(f"operator input dimension {op.n_in} does not match dictionary {d.n}")
     spatial = op.mask.shape[:-1]
     frames = op.mask.shape[-1]
     meas_patch = spatial + (op.windows,)
@@ -334,17 +308,7 @@ def compressive_recover(measurements, op: ObservationOperator, d: Dictionary,
                 f"measurement extent {extent} on axis {axis} is not a multiple of "
                 f"the patch extent {p}; patches must tile the mask period"
             )
-    pd = project_dictionary(d, op)
-    selector = _selector_for(pd.dictionary, tree, cfg)
-    m_layout, m_patches = extract_patches(measurements, meas_patch, meas_patch)
-    dc_meas = apply(op, np.ones(d.n))
-    full, counter = _code_patches(
-        m_patches.astype(np.float64), dc_meas, selector, pd, cfg.search_params()
-    )
+    _, m_patches = extract_patches(measurements, meas_patch, meas_patch)
     video_shape = measurements.shape[:-1] + (measurements.shape[-1] * frames,)
     v_layout = PatchLayout(video_shape, op.in_shape, op.in_shape)
-    restored = aggregate_patches(v_layout, full.astype(np.float32))
-    seconds = time.perf_counter() - start
-    report = _report("csrecover", d, cfg, counter, m_layout.num_patches, seconds,
-                     restored, reference)
-    return restored, report
+    return _restore("csrecover", start, d, op, tree, cfg, m_patches, v_layout, reference)

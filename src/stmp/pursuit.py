@@ -87,16 +87,15 @@ def predicted_ip_count(branching, alpha: float) -> int:
 
 @dataclass
 class SearchParams:
-    """Knobs shared by every coding run: sparsity, retention, stopping."""
+    """Knobs shared by every coding run: sparsity and stopping.  The tree's
+    retention fraction belongs to its selector (``TreeSelector``)."""
 
     K: int
-    alpha: float = 1.0
     residual_tolerance: float | None = None
 
     def __post_init__(self):
         if self.K < 1:
             raise ValueError(f"sparsity K must be at least 1, got {self.K}")
-        check_alpha(self.alpha)
         if self.residual_tolerance is not None and self.residual_tolerance < 0:
             raise ValueError(f"residual tolerance must be non-negative, got {self.residual_tolerance}")
 
@@ -462,21 +461,3 @@ def reconstruct_batch(d: Dictionary, codes: CodeBatch) -> np.ndarray:
 def reconstruct(d: Dictionary, code: SparseCode) -> np.ndarray:
     """Weighted sum of the coded atoms, as a float64 n-vector."""
     return reconstruct_batch(d, CodeBatch.of(code))[0]
-
-
-def omp_refit(d: Dictionary, support, x) -> np.ndarray:
-    """Least-squares coefficients over a fixed support, via ridge-stabilized
-    normal equations; the baseline comparator for plain matching pursuit."""
-    support = [int(i) for i in support]
-    for i in support:
-        if not 0 <= i < d.m:
-            raise ValueError(f"support index {i} outside [0, {d.m})")
-    x = _as_query(x, d.n)[0]
-    if not support:
-        return np.zeros(0, dtype=np.float64)
-    if len(support) > d.n:
-        raise ValueError(f"support size {len(support)} exceeds atom dimension {d.n}")
-    chosen = d.scoring_atoms[support]
-    gram = chosen @ chosen.T
-    gram[np.diag_indices_from(gram)] += 1e-8
-    return np.linalg.solve(gram, chosen @ x)

@@ -101,13 +101,6 @@ def matching_pursuit_reference(atoms, x, K, tol=None):
     return entries, r
 
 
-def refit_reference(atoms, support, x):
-    """Least-squares coefficients over a fixed support via lstsq."""
-    a = atoms[np.asarray(support, dtype=np.int64)].astype(np.float64).T
-    coeffs, *_ = np.linalg.lstsq(a, np.asarray(x, dtype=np.float64).ravel(), rcond=None)
-    return coeffs
-
-
 def psnr_reference(reference, test, peak=1.0):
     err = 0.0
     count = 0

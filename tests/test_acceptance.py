@@ -212,8 +212,8 @@ def test_criterion_6_denoising_within_1db():
     cfg_tree = TaskConfig(
         patch_shape=(16, 16), stride=(4, 4), K=10, alpha=0.1, selector="stmp",
     )
-    _, exact_report = denoise(noisy, d, None, cfg_exact, reference=clean, threads=4)
-    _, tree_report = denoise(noisy, d, tree, cfg_tree, reference=clean, threads=4)
+    _, exact_report = denoise(noisy, d, None, cfg_exact, reference=clean)
+    _, tree_report = denoise(noisy, d, tree, cfg_tree, reference=clean)
     assert tree_report.psnr_db >= exact_report.psnr_db - 1.0, (
         f"stmp {tree_report.psnr_db:.2f} dB vs exact {exact_report.psnr_db:.2f} dB"
     )

@@ -8,16 +8,21 @@ import pytest
 
 import stmp
 from stmp import (
+    block_average_operator,
     build_from_patches,
     build_tree,
     coded_exposure_operator,
+    identity_operator,
     load_dictionary,
     load_pgm,
     load_tensor,
     load_tree,
+    project_dictionary,
     random_exposure_mask,
+    row_select_operator,
     save_dictionary,
     save_pgm,
+    save_row_selection,
     save_tensor,
     save_tree,
     simulate_coded_exposure,
@@ -319,6 +324,74 @@ def test_run_maskrecover_needs_one_mask_source(tmp_path):
              "--patch", "4,4", "--stride", "4,4", "--k", "2", "--out", "z"]
         )
     assert err.value.code == 2
+
+
+def _task_run(tmp_path, task):
+    """Write a small input for a task; return its run flags (without --dict,
+    --selector and --out) and the operator its pipeline codes through."""
+    rng = np.random.default_rng(40)
+    in_path = tmp_path / "in.tnsr"
+    flags = ["run", "--task", task, "--in", str(in_path), "--k", "2"]
+    if task == "superres":
+        save_tensor(rng.random((12, 12)).astype(np.float32), in_path)
+        flags += ["--patch", "4,4", "--stride", "1,1", "--factor", "2"]
+        return flags, block_average_operator((4, 4), (2, 2))
+    if task == "csrecover":
+        save_tensor(rng.random((8, 8, 1)).astype(np.float32), in_path)
+        flags += ["--patch", "4,4,3", "--mask-open", "2", "--seed", "5"]
+        return flags, coded_exposure_operator(random_exposure_mask((4, 4), 3, 2, seed=5))
+    save_tensor(rng.random((12, 12)).astype(np.float32), in_path)
+    flags += ["--patch", "4,4", "--stride", "2,2"]
+    if task == "maskrecover":
+        rows = np.arange(0, 16, 2)
+        save_row_selection(rows, tmp_path / "half.rows")
+        return flags + ["--rows", str(tmp_path / "half.rows")], row_select_operator(16, rows)
+    return flags, identity_operator(16)
+
+
+@pytest.mark.parametrize("source", ["exact", "tree", "branching"])
+@pytest.mark.parametrize("task", ["superres", "csrecover", "maskrecover"])
+def test_run_projects_dictionary_once(tmp_path, monkeypatch, task, source):
+    # The pipeline projects the dictionary it codes against; the CLI projects
+    # only to build a tree in place.  So --branching still projects (and
+    # fingerprints) twice, until the tree build can share that projection.
+    flags, op = _task_run(tmp_path, task)
+    d = build_from_patches(np.random.default_rng(41).standard_normal((60, op.n_in)), 40, seed=42)
+    save_dictionary(d, tmp_path / "d.dict")
+    tree = build_tree(project_dictionary(d, op).dictionary, (4, 2), seed=43)
+    save_tree(tree, tmp_path / "d.tree")
+    selector = {
+        "exact": ["--selector", "exact"],
+        "tree": ["--selector", "stmp", "--tree", str(tmp_path / "d.tree")],
+        "branching": ["--selector", "stmp", "--branching", "4,2"],
+    }[source]
+    calls = []
+    real = stmp.operators.project_dictionary
+    counting = lambda *args: calls.append(1) or real(*args)  # noqa: E731
+    monkeypatch.setattr(stmp.cli, "project_dictionary", counting)
+    monkeypatch.setattr(stmp.pipelines, "project_dictionary", counting)
+    assert main(flags + selector + ["--dict", str(tmp_path / "d.dict"),
+                                    "--out", str(tmp_path / "out.tnsr")]) == 0
+    assert len(calls) == (2 if source == "branching" else 1)
+
+
+@pytest.mark.parametrize("selector", [["exact"], ["stmp", "--branching", "3,2"]],
+                         ids=["exact", "stmp"])
+@pytest.mark.parametrize("task", ["denoise", "superres", "csrecover", "maskrecover"])
+def test_run_rejects_dictionary_that_does_not_fit_the_patch(tmp_path, capsys, task, selector):
+    flags, _ = _task_run(tmp_path, task)  # patches of 16 or 48 coordinates
+    d = build_from_patches(np.random.default_rng(44).standard_normal((60, 20)), 30, seed=45)
+    save_dictionary(d, tmp_path / "d.dict")
+    out_path = tmp_path / "out.tnsr"
+    capsys.readouterr()
+    rc = main(flags + ["--selector"] + selector + ["--dict", str(tmp_path / "d.dict"),
+                                                    "--out", str(out_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "dimension" in err
+    assert "Traceback" not in err
+    assert not out_path.exists()
 
 
 def test_benchmark_sweep(tmp_path):

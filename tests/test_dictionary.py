@@ -4,17 +4,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stmp import (
-    Dictionary,
     FormatError,
     InsufficientDataError,
-    ScoreCounter,
     build_from_patches,
     extract_patches,
     fnv1a64,
     load_dictionary,
     normalize_columns,
     save_dictionary,
-    score_all,
 )
 
 
@@ -104,57 +101,6 @@ def test_build_from_image_invariants():
     d = build_from_patches(patches, 200, seed=1)
     d.validate()
     assert (d.m, d.n) == (200, 64)
-
-
-def test_score_all_identity_basis():
-    d = Dictionary(np.eye(3, dtype=np.float32))
-    counter = ScoreCounter()
-    scores = score_all(d, np.array([0.0, 0.0, 5.0]), counter)
-    np.testing.assert_allclose(scores, [0.0, 0.0, 5.0])
-    assert counter.inner_products == 3
-
-
-def test_score_all_self_inner_product():
-    rng = np.random.default_rng(7)
-    d = normalize_columns(rng.standard_normal((50, 12)))
-    scores = score_all(d, d.atoms[17], ScoreCounter())
-    assert abs(scores[17] - 1.0) < 1e-6
-
-
-def test_score_all_counter_delta():
-    rng = np.random.default_rng(8)
-    d = normalize_columns(rng.standard_normal((30, 5)))
-    counter = ScoreCounter()
-    for _ in range(4):
-        before = counter.inner_products
-        score_all(d, rng.standard_normal(5), counter)
-        assert counter.inner_products - before == 30
-
-
-def test_score_all_dimension_mismatch():
-    d = Dictionary(np.eye(3, dtype=np.float32))
-    with pytest.raises(ValueError):
-        score_all(d, np.zeros(4), ScoreCounter())
-
-
-def test_score_all_linear():
-    rng = np.random.default_rng(9)
-    d = normalize_columns(rng.standard_normal((40, 10)))
-    u, v = rng.standard_normal(10), rng.standard_normal(10)
-    lhs = score_all(d, 2.0 * u - 3.0 * v, ScoreCounter())
-    rhs = 2.0 * score_all(d, u, ScoreCounter()) - 3.0 * score_all(d, v, ScoreCounter())
-    np.testing.assert_allclose(lhs, rhs, atol=1e-4)
-
-
-def test_counter_reset_and_merge():
-    a, b = ScoreCounter(), ScoreCounter()
-    a.count_atoms(5)
-    a.count_centroids(7)
-    b.count_atoms(2)
-    b.merge(a)
-    assert b.inner_products == 14 and b.centroid_inner_products == 7
-    a.reset()
-    assert a.inner_products == 0 and a.centroid_inner_products == 0
 
 
 def test_dictionary_round_trip(tmp_path):

@@ -171,19 +171,6 @@ def test_denoise_rejects_non_finite_pixel(selector):
         denoise(img, d, tree, cfg)
 
 
-def test_denoise_thread_count_invisible():
-    rng = np.random.default_rng(13)
-    img = rng.random((20, 20)).astype(np.float32)
-    d = _flat_field_dictionary(25, 60, seed=14)
-    tree = build_tree(d, (6, 2), seed=15)
-    cfg = TaskConfig(patch_shape=(5, 5), stride=(2, 2), K=3, alpha=0.5, selector="stmp")
-    out1, rep1 = denoise(img, d, tree, cfg, reference=img, threads=1)
-    out4, rep4 = denoise(img, d, tree, cfg, reference=img, threads=4)
-    assert out1.tobytes() == out4.tobytes()
-    assert rep1.inner_products == rep4.inner_products
-    assert rep1.psnr_db == rep4.psnr_db
-
-
 @pytest.mark.parametrize("side", [5, 13, 41], ids=["N=1", "N=25", "N=361"])
 @pytest.mark.parametrize("selector", ["exact", "stmp"])
 def test_chunking_invisible(monkeypatch, side, selector):
@@ -305,6 +292,30 @@ def test_compressive_requires_matching_patch():
     cfg = TaskConfig(patch_shape=(4, 4, 4), stride=(4, 4, 4), K=1, selector="exact")
     with pytest.raises(ValueError):
         compressive_recover(np.zeros((4, 4, 1), dtype=np.float32), op, d, None, cfg)
+
+
+@pytest.mark.parametrize("selector", ["exact", "stmp"])
+@pytest.mark.parametrize("task", ["denoise", "maskrecover", "superres", "csrecover"])
+def test_dictionary_that_does_not_fit_the_patch(task, selector):
+    # 20-dimensional atoms against 16- and 48-coordinate patches: every task
+    # must stop with a ValueError before coding
+    d = _flat_field_dictionary(20, 30, seed=32)
+    tree = build_tree(d, (3, 2), seed=33)
+    img = np.random.default_rng(34).random((8, 8)).astype(np.float32)
+    cfg = TaskConfig(patch_shape=(4, 4), stride=(2, 2), K=1, selector=selector)
+    cs_cfg = TaskConfig(patch_shape=(4, 4, 3), stride=(4, 4, 3), K=1, selector=selector)
+    run = {
+        "denoise": lambda: denoise(img, d, tree, cfg),
+        "maskrecover": lambda: masked_recover(img, row_select_operator(16, range(0, 16, 2)),
+                                              d, tree, cfg),
+        "superres": lambda: super_resolve(img, d, tree, cfg, factor=2),
+        "csrecover": lambda: compressive_recover(
+            np.zeros((4, 4, 1), dtype=np.float32),
+            coded_exposure_operator(np.ones((4, 4, 3), dtype=np.float32)), d, tree, cs_cfg,
+        ),
+    }[task]
+    with pytest.raises(ValueError, match="dimension"):
+        run()
 
 
 def test_masked_full_rows_equals_denoise():

@@ -18,7 +18,6 @@ from stmp import (
     matching_pursuit,
     matching_pursuit_batch,
     normalize_columns,
-    omp_refit,
     predicted_ip_count,
     project_dictionary,
     reconstruct,
@@ -31,7 +30,6 @@ from oracles import (
     matching_pursuit_reference,
     nearest_atom_reference,
     predicted_centroid_count_reference,
-    refit_reference,
     tree_leaf_atoms_reference,
     tree_select_reference,
 )
@@ -374,8 +372,6 @@ def test_search_params_validation():
     with pytest.raises(ValueError):
         SearchParams(K=0)
     with pytest.raises(ValueError):
-        SearchParams(K=3, alpha=0.0)
-    with pytest.raises(ValueError):
         SearchParams(K=3, residual_tolerance=-1.0)
 
 
@@ -434,7 +430,7 @@ def test_mp_energy_ledger():
 def test_mp_tree_selector_cost_accounting():
     d = _random_dictionary(1000, 16, seed=21)
     tree = build_tree(d, (100, 10), seed=22)
-    params = SearchParams(K=3, alpha=0.1, residual_tolerance=0.0)
+    params = SearchParams(K=3, residual_tolerance=0.0)
     counter = ScoreCounter()
     code = matching_pursuit(TreeSelector(tree, d, 0.1), np.ones(16), params, counter)
     assert code.ip_count == counter.inner_products
@@ -462,30 +458,3 @@ def test_reconstruct_basics():
     with pytest.raises(ValueError):
         reconstruct(d, SparseCode(m=30, entries=[(30, 1.0)], ip_count=0))
 
-
-def test_omp_refit_orthonormal():
-    d = Dictionary(np.eye(5, dtype=np.float32))
-    x = np.array([0.0, 2.0, 0.0, -1.0, 0.0])
-    coeffs = omp_refit(d, [1, 3], x)
-    np.testing.assert_allclose(coeffs, [2.0, -1.0], atol=1e-6)
-
-
-def test_omp_refit_span_residual():
-    rng = np.random.default_rng(24)
-    d = _random_dictionary(40, 12, seed=25)
-    support = [3, 17, 29]
-    x = d.atoms[support].astype(np.float64).T @ rng.standard_normal(3)
-    coeffs = omp_refit(d, support, x)
-    residual = x - d.atoms[support].astype(np.float64).T @ coeffs
-    assert np.linalg.norm(residual) < 1e-5
-
-
-def test_omp_refit_matches_lstsq_oracle():
-    rng = np.random.default_rng(26)
-    d = _random_dictionary(60, 20, seed=27)
-    for _ in range(10):
-        support = sorted(rng.choice(60, size=5, replace=False).tolist())
-        x = rng.standard_normal(20)
-        np.testing.assert_allclose(
-            omp_refit(d, support, x), refit_reference(d.atoms, support, x), atol=1e-5
-        )
