@@ -4,9 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stmp import (
+    Dictionary,
     FormatError,
     InsufficientDataError,
+    ScoreCounter,
     build_from_patches,
+    exact_select,
     extract_patches,
     fnv1a64,
     load_dictionary,
@@ -101,6 +104,57 @@ def test_build_from_image_invariants():
     d = build_from_patches(patches, 200, seed=1)
     d.validate()
     assert (d.m, d.n) == (200, 64)
+
+
+# Scoring a query against every atom runs through exact_select's scan, the
+# one kernel the pursuit shares; these pin the scores that scan produces.
+
+
+def test_score_all_identity_basis():
+    d = Dictionary(np.eye(3, dtype=np.float32))
+    for i in range(3):
+        counter = ScoreCounter()
+        query = np.zeros(3)
+        query[i] = 5.0
+        assert exact_select(d, query, counter) == (i, 5.0)
+        assert counter.inner_products == 3
+
+
+def test_score_all_self_inner_product():
+    rng = np.random.default_rng(7)
+    d = normalize_columns(rng.standard_normal((50, 12)))
+    index, score = exact_select(d, d.atoms[17], ScoreCounter())
+    assert index == 17
+    assert abs(score - 1.0) < 1e-6
+
+
+def test_score_all_counter_delta():
+    rng = np.random.default_rng(8)
+    d = normalize_columns(rng.standard_normal((30, 5)))
+    counter = ScoreCounter()
+    for _ in range(4):
+        before = counter.inner_products
+        exact_select(d, rng.standard_normal(5), counter)
+        assert counter.inner_products - before == 30
+
+
+def test_score_all_dimension_mismatch():
+    d = Dictionary(np.eye(3, dtype=np.float32))
+    with pytest.raises(ValueError):
+        exact_select(d, np.zeros(4), ScoreCounter())
+
+
+def test_score_all_linear():
+    # a one-atom dictionary's pick is that atom, so its score is d_i . x
+    rng = np.random.default_rng(9)
+    d = normalize_columns(rng.standard_normal((40, 10)))
+    u, v = rng.standard_normal(10), rng.standard_normal(10)
+    for i in range(d.m):
+        atom = Dictionary(d.atoms[i : i + 1])
+        score = lambda x: exact_select(atom, x, ScoreCounter())[1]  # noqa: E731
+        np.testing.assert_allclose(
+            score(2.0 * u - 3.0 * v), 2.0 * score(u) - 3.0 * score(v), atol=1e-4
+        )
 
 
 def test_dictionary_round_trip(tmp_path):

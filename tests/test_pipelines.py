@@ -18,16 +18,21 @@ from stmp import (
     compressive_recover,
     denoise,
     extract_patches,
+    load_tensor,
     masked_recover,
     normalize_columns,
     project_dictionary,
     psnr,
     row_select_operator,
+    save_dictionary,
+    save_tensor,
+    save_tree,
     simulate_coded_exposure,
     snr,
     stmp_select,
     super_resolve,
 )
+from stmp.cli import main
 from oracles import psnr_reference, snr_reference
 
 
@@ -169,6 +174,36 @@ def test_denoise_rejects_non_finite_pixel(selector):
     cfg = TaskConfig(patch_shape=(4, 4), stride=(4, 4), K=1, selector=selector)
     with pytest.raises(ValueError, match="query contains NaN or infinity"):
         denoise(img, d, tree, cfg)
+
+
+def test_denoise_thread_count_invisible(tmp_path):
+    # the pipelines take no thread count; `stmp run --threads` is accepted
+    # and must leave the output, the manifest and the report row unchanged
+    rng = np.random.default_rng(13)
+    img = rng.random((20, 20)).astype(np.float32)
+    d = _flat_field_dictionary(25, 60, seed=14)
+    tree = build_tree(d, (6, 2), seed=15)
+    cfg = TaskConfig(patch_shape=(5, 5), stride=(2, 2), K=3, alpha=0.5, selector="stmp")
+    save_tensor(img, tmp_path / "in.tnsr")
+    save_dictionary(d, tmp_path / "d.dict")
+    save_tree(tree, tmp_path / "d.tree")
+    out, report = tmp_path / "out.tnsr", tmp_path / "report.csv"
+    runs = []
+    for threads in ("1", "4"):
+        report.unlink(missing_ok=True)
+        assert main([
+            "run", "--task", "denoise", "--in", str(tmp_path / "in.tnsr"),
+            "--dict", str(tmp_path / "d.dict"), "--tree", str(tmp_path / "d.tree"),
+            "--selector", "stmp", "--alpha", "0.5", "--k", "3", "--patch", "5,5",
+            "--stride", "2,2", "--reference", str(tmp_path / "in.tnsr"),
+            "--report", str(report), "--out", str(out), "--threads", threads,
+        ]) == 0
+        row = report.read_text().splitlines()[1].rsplit(",", 1)[0]  # minus seconds
+        runs.append((out.read_bytes(), (tmp_path / "out.tnsr.manifest.json").read_bytes(), row))
+    assert runs[0] == runs[1]
+    restored, rep = denoise(img, d, tree, cfg, reference=img)
+    assert load_tensor(out).tobytes() == restored.tobytes()
+    assert runs[0][2] == rep.csv_row().rsplit(",", 1)[0]
 
 
 @pytest.mark.parametrize("side", [5, 13, 41], ids=["N=1", "N=25", "N=361"])
