@@ -64,6 +64,8 @@ class Dictionary:
     atoms: np.ndarray
     _fingerprint: int | None = field(default=None, init=False, repr=False)
     _scoring: np.ndarray | None = field(default=None, init=False, repr=False)
+    _max_norm: float | None = field(default=None, init=False, repr=False)
+    _columns: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         atoms = np.ascontiguousarray(self.atoms, dtype=np.float32)
@@ -81,15 +83,35 @@ class Dictionary:
 
     @property
     def scoring_atoms(self) -> np.ndarray:
-        """float64 copy of the atoms, shared by all scoring paths.
+        """float64 copy of the atoms: the canonical scores are its rows' dot
+        products.
 
-        Selection must produce identical scores whether atoms are scanned in
-        full or gathered through a tree, so every dot product runs on this
-        one matrix at one precision.
+        Atom i's score against a float64 residual r is ``scoring_atoms[i].dot(r)``,
+        one ddot, whatever kernel first filtered the candidates; every pick
+        and coefficient is decided on those bits.
         """
         if self._scoring is None:
             self._scoring = self.atoms.astype(np.float64)
         return self._scoring
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The n x m float32 matrix D whose columns are the atoms, contiguous.
+
+        The exhaustive scan's float32 products run on this layout: a single
+        query's product with every atom takes half the time it takes on the
+        atom-major rows at n = 16.
+        """
+        if self._columns is None:
+            self._columns = np.ascontiguousarray(self.atoms.T)
+        return self._columns
+
+    @property
+    def max_norm(self) -> float:
+        """The largest atom norm, which scales the rounding error of every score."""
+        if self._max_norm is None:
+            self._max_norm = float(np.linalg.norm(self.scoring_atoms, axis=1).max())
+        return self._max_norm
 
     def payload_bytes(self) -> bytes:
         return _binio.f32_bytes(self.atoms)

@@ -9,21 +9,31 @@ pursuit then peels one atom per iteration off the residual regardless of
 which selector is used.
 
 Everything runs on a batch of residuals, one per row: matching pursuit
-codes a (P, n) matrix at once, each row stopping on its own, and both
-selectors score all rows through one kernel, ``_score``, which runs one gemv
-per row (``np.matmul(blocks, R[:, :, None])``).  The blocks are the whole
-atom matrix for the scan, and each row's gathered child centroids or leaf
-atoms for the descent.  The single-query functions are batches of one.
+codes a (P, n) matrix at once, each row stopping on its own.  The
+single-query functions are batches of one; ``exact_select`` adds a one-row
+path that skips the batch bookkeeping.
 
-All scoring runs on one shared float64 copy of the atoms, but equal inputs
-alone do not make equal bits: a gemv row's rounding depends on the shape of
-the block it sits in.  On OpenBLAS ``C[:L] @ r`` differs from ``(C @ r)[:L]``
-for many L (2, 3, 6, 7, ... at n = 64), and numpy computes a one-row block as
-a ddot.  So each row's block holds exactly the rows a lone query would score,
-in the same order, and rows whose blocks differ in length are scored in
-separate calls; a row's scores then do not depend on the batch it is in.
-The per-row dot products of pursuit (norms) and of the pipelines (flat
-components) go through ``row_dots``, one ddot per row like ``x.dot(y)``.
+One canonical score decides every pick: atom i scores
+``d.scoring_atoms[i].dot(r)`` against a residual r, one ddot, the bits
+``row_dots`` and ``_canonical`` give for any batch and block shape.  The pick
+is the atom of maximal |score|, ties to the lowest index, and its score is
+the pursuit coefficient.  So picks, coefficients and outputs depend on
+neither the batch nor the kernel that found the candidates, and exactly
+duplicated atoms always tie.
+
+The scan finds its candidates with one float32 GEMM of the unit-scaled
+residuals against the float32 atoms (``d.columns``).  Any two ways of
+summing an n-term dot product differ by at most gamma_n * |a| * |r|, with
+gamma_n = n*u / (1 - n*u) (Higham, Accuracy and Stability of Numerical
+Algorithms, 3.1), so the canonical winner's fast |score| lies within
+``_band`` of the row's best; only the atoms inside that band, usually one,
+are scored canonically.  A row the
+filter cannot bound (r.r not finite or too small to scale by, or a band that
+reaches zero) is scored canonically against every atom.  The descent scores
+its gathered leaf atoms canonically.  Its internal levels score child
+centroids one gemv per row, over exactly the block a lone query would score,
+because a gemv row's rounding depends on its block's shape; centroid ranks
+then do not depend on the batch either.
 
 A selection is a few dozen numpy calls on tiny arrays, each costing about a
 microsecond, so the per-query path avoids reductions (``a.max()``,
@@ -32,6 +42,7 @@ microsecond, so the per-query path avoids reductions (``a.max()``,
 """
 
 from dataclasses import dataclass, field
+import functools
 import math
 
 import numpy as np
@@ -49,6 +60,11 @@ _NO_ATOM = np.iinfo(np.int64).max
 # read-only, since the slices are views
 _STEPS = np.arange(1 << 12)
 _STEPS.flags.writeable = False
+# unit roundoff of float32 and float64
+_U32 = 2.0**-24
+_U64 = 2.0**-53
+# below this r.r, r / |r| loses bits to underflow; such rows skip the filter
+_RR_MIN = 2.0**-1000
 
 
 def _steps(count: int) -> np.ndarray:
@@ -132,32 +148,44 @@ def _as_queries(X, n: int) -> np.ndarray:
     return X
 
 
-def _as_query(v, n: int) -> np.ndarray:
-    """One query vector as a batch of one."""
+def _as_query(v, n: int):
+    """One query vector as a batch of one, and its r.r."""
     v = np.asarray(v, dtype=np.float64).ravel()
     if v.shape != (n,):
         raise ValueError(f"query has dimension {v.size}, expected {n}")
-    _check_finite(v)
-    return v[None]
+    return v[None], _check_finite(v)
 
 
-def _check_finite(flat: np.ndarray) -> None:
+def _check_finite(flat: np.ndarray) -> float:
+    """flat . flat; ValueError unless every entry is finite."""
+    rr = float(flat.dot(flat))
     # x.x is finite exactly when every entry is, unless it overflows
-    if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
+    if not math.isfinite(rr) and not np.isfinite(flat).all():
         raise ValueError("query contains NaN or infinity")
+    return rr
 
 
 def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A[p] . B[p] for every row p (B may be one shared vector).
 
-    numpy runs this as one ddot per row, the bits of ``A[p].dot(B[p])``; a
-    gemv such as ``A @ b`` would round differently.
+    numpy runs this as one ddot per row, the bits of ``A[p].dot(B[p])``: the
+    canonical score when A holds scoring atoms.  A gemv such as ``A @ b``
+    would round differently.
     """
     return np.matmul(A[:, None, :], B[..., None])[:, 0, 0]
 
 
+def _canonical(blocks: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """scores[p, j] = blocks[p, j] . R[p], one ddot per entry, as ``row_dots``.
+
+    ``blocks`` is (P, L, n), or an (L, n) table that every row scores.  The
+    bits of an entry do not depend on L or P.
+    """
+    return np.matmul(blocks[..., None, :], R[:, None, :, None])[:, :, 0, 0]
+
+
 def _score(blocks: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """The shared scoring kernel: scores[p] = blocks[p] @ R[p], one gemv per row.
+    """Centroid scores: scores[p] = blocks[p] @ R[p], one gemv per row.
 
     ``blocks`` is (P, L, n), or an (L, n) table that scores every row.  A
     single row goes through ``ndarray.dot``, the same gemv with half the call
@@ -168,19 +196,19 @@ def _score(blocks: np.ndarray, R: np.ndarray) -> np.ndarray:
     return np.matmul(blocks, R[:, :, None])[:, :, 0]
 
 
-def _score_rows(table, ids, valid, R, ordered: bool) -> np.ndarray:
+def _score_rows(table, ids, valid, R) -> np.ndarray:
     """scores[p, j] = table[ids[p, j]] . R[p], zero where valid[p, j] is False.
 
     Row p is scored as one block of its valid ids in order, the block a lone
     query would score, so its bits do not depend on the batch; rows whose
     blocks differ in length go in separate calls.  ``valid`` None means every
-    id is valid.  When ``ordered`` (ids ascending and distinct), a block of
-    every table row is the table itself and is not copied.
+    id is valid.  Ids are ascending and distinct, so a block of every table
+    row is the table itself and is not copied.
     """
     if valid is None:
-        if ordered and ids.shape[1] == table.shape[0]:
+        if ids.shape[1] == table.shape[0]:
             return _score(table, R)
-        return _score(table[ids], R)
+        return _score(table.take(ids, axis=0), R)
     scores = np.zeros(ids.shape)
     lengths = valid.sum(axis=1)
     for length in np.unique(lengths).tolist():
@@ -188,7 +216,7 @@ def _score_rows(table, ids, valid, R, ordered: bool) -> np.ndarray:
         mask = valid[rows]
         block_ids = ids[rows][mask].reshape(rows.size, length)
         part = scores[rows]
-        part[mask] = _score_rows(table, block_ids, None, R[rows], ordered).ravel()
+        part[mask] = _score_rows(table, block_ids, None, R[rows]).ravel()
         scores[rows] = part
     return scores
 
@@ -236,12 +264,67 @@ def _best(scores, ids, valid):
     return ids.take(at), scores.take(at)
 
 
+def _band(d: Dictionary) -> float:
+    """How far the canonical winner's fast |score| can lie below the row's
+    best fast |score|, for residuals scaled to unit norm.
+
+    Against the exact a . r / |r|, a fast score errs by at most
+    (u32 + u64 + gamma_n(u32)) |a| (rounding the scaled query to float32,
+    float32 summation) and a canonical one by gamma_n(u64) |a|; the band is
+    twice their sum.  One more u32 covers rounding the threshold to float32,
+    1 % slack the rounding of the norms, and an absolute floor the products
+    that underflow float32.
+    """
+    return _band_for(d.n, d.max_norm)
+
+
+@functools.lru_cache(maxsize=64)
+def _band_for(n: int, a: float) -> float:
+    if n * _U32 >= 0.5:
+        return math.inf
+    gamma = n * _U32 / (1 - n * _U32) + n * _U64 / (1 - n * _U64)
+    return 2.02 * a * (gamma + 2 * _U32 + _U64) + n * (a + 1) * 2.0**-124
+
+
+def _decide(d: Dictionary, ids: np.ndarray, valid, R: np.ndarray):
+    """Per row, the canonical pick among the candidate atoms ``ids[p]``."""
+    return _best(_canonical(d.scoring_atoms.take(ids, axis=0), R), ids, valid)
+
+
 def _scan(d: Dictionary, R: np.ndarray, counter: ScoreCounter | None):
-    """Exhaustive picks for every row of R: the whole atom matrix is each row's block."""
-    scores = _score(d.scoring_atoms, R)
+    """Exhaustive picks for every row of R: a float32 GEMM filter, then
+    canonical scores for the atoms within ``_band`` of each row's best."""
+    P = R.shape[0]
     if counter is not None:
-        counter.count_atoms(scores.size)
-    return _best(scores, None, None)
+        counter.count_atoms(P * d.m)
+    rr = row_dots(R, R)
+    sound = (rr >= _RR_MIN) & (rr < math.inf)
+    Q = np.zeros(R.shape, dtype=np.float32)  # unsound rows score zero: no band
+    Q[sound] = R[sound] / np.sqrt(rr[sound])[:, None]
+    fast = np.matmul(Q, d.columns)
+    np.abs(fast, out=fast)
+    top = fast.argmax(axis=1)
+    at = top + _steps(P) * d.m
+    floor = fast.take(at) - np.float32(_band(d))
+    full = ~(floor > 0)  # rows scored canonically against every atom
+    fast.put(at, -1.0)  # a row's runner-up tells whether it has more candidates
+    crowded = (fast.max(axis=1) >= floor) & ~full
+    ids, valid = top[:, None], None
+    if crowded.any():
+        rows = crowded.nonzero()[0]
+        hit = fast[rows] >= floor[rows, None]
+        hit[_steps(rows.size), top[rows]] = True
+        width = int(np.count_nonzero(hit, axis=1).max())
+        first = np.argsort(~hit, axis=1, kind="stable")[:, :width]  # hits, ascending
+        ids = np.repeat(ids, width, axis=1)
+        ids[rows] = first
+        valid = np.zeros(ids.shape, dtype=bool)
+        valid[:, 0] = True
+        valid[rows] = np.take_along_axis(hit, first, axis=1)
+    picks, scores = _decide(d, ids, valid, R)
+    if full.any():
+        picks[full], scores[full] = _best(_canonical(d.scoring_atoms, R[full]), None, None)
+    return picks, scores
 
 
 def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: ScoreCounter | None):
@@ -261,7 +344,7 @@ def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: Score
     for depth, keep in enumerate(keeps):
         if depth:
             first, count, width, ids, valid = _children(t.offsets[depth], nodes, live)
-            scores = _score_rows(t.centroids[depth + 1], ids, valid, R, True)
+            scores = _score_rows(t.centroids[depth + 1], ids, valid, R)
         if counter is not None:
             counter.count_centroids(scores.size if valid is None else np.count_nonzero(valid))
         magnitudes = np.abs(scores).reshape(first.shape + (width,))
@@ -278,16 +361,26 @@ def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: Score
             nodes *= live
     first, count, width, slots, valid = _children(t.offsets[t.levels], nodes, live)
     ids = t.atoms.take(slots)
-    scores = _score_rows(d.scoring_atoms, ids, valid, R, False)
     if counter is not None:
         counter.count_atoms(ids.size if valid is None else np.count_nonzero(valid))
-    return _best(scores, ids, valid)
+    return _decide(d, ids, valid, R)
 
 
 def exact_select(d: Dictionary, r, counter: ScoreCounter | None = None) -> tuple[int, float]:
     """Atom with maximal |d_i . r| over the whole dictionary; lowest index on ties."""
-    best, scores = _scan(d, _as_query(r, d.n), counter)
-    return int(best[0]), float(scores[0])
+    R, rr = _as_query(r, d.n)
+    if counter is not None:
+        counter.count_atoms(d.m)
+    if _RR_MIN <= rr < math.inf:  # _scan's filter, for the usual single candidate
+        fast = (R[0] / math.sqrt(rr)).astype(np.float32).dot(d.columns)
+        np.abs(fast, out=fast)
+        best = int(fast.argmax())
+        floor = float(fast[best]) - _band(d)
+        fast[best] = -1.0
+        if floor > 0.0 and fast[fast.argmax()] < floor:
+            return best, float(d.scoring_atoms[best].dot(R[0]))
+    picks, scores = _scan(d, R, None)
+    return int(picks[0]), float(scores[0])
 
 
 def stmp_select(
@@ -306,7 +399,7 @@ def stmp_select(
     """
     keeps = [retained_count(alpha, k) for k in t.branching]
     check_fingerprint(t, d)
-    best, scores = _descend(t, d, _as_query(r, d.n), keeps, counter)
+    best, scores = _descend(t, d, _as_query(r, d.n)[0], keeps, counter)
     return int(best[0]), float(scores[0])
 
 
@@ -316,10 +409,8 @@ class ExactSelector:
     def __init__(self, dictionary: Dictionary):
         self.dictionary = dictionary
 
-    def select(self, r, counter: ScoreCounter | None = None) -> tuple[int, float]:
-        return exact_select(self.dictionary, r, counter)
-
-    def _pick(self, R: np.ndarray, counter: ScoreCounter | None):
+    def pick(self, R: np.ndarray, counter: ScoreCounter | None = None):
+        """Picks and canonical scores for every row of a finite float64 (P, n) matrix."""
         return _scan(self.dictionary, R, counter)
 
 
@@ -334,10 +425,8 @@ class TreeSelector:
         self.alpha = alpha
         self._keeps = [retained_count(alpha, k) for k in tree.branching]
 
-    def select(self, r, counter: ScoreCounter | None = None) -> tuple[int, float]:
-        return stmp_select(self.tree, self.dictionary, r, self.alpha, counter)
-
-    def _pick(self, R: np.ndarray, counter: ScoreCounter | None):
+    def pick(self, R: np.ndarray, counter: ScoreCounter | None = None):
+        """Picks and canonical scores for every row of a finite float64 (P, n) matrix."""
         return _descend(self.tree, self.dictionary, R, self._keeps, counter)
 
 
@@ -406,7 +495,7 @@ def _pursue(selector, X: np.ndarray, params: SearchParams,
         rows, r = rows[going], r[going]
         if not rows.size:
             break
-        picks, scores = selector._pick(r, own)
+        picks, scores = selector.pick(r, own)
         going = scores != 0.0
         rows, r, picks, scores = rows[going], r[going], picks[going], scores[going]
         indices[rows, step] = picks
@@ -436,7 +525,7 @@ def matching_pursuit(selector, x, params: SearchParams, counter: ScoreCounter | 
     tolerance (default 1e-6 times the input norm) or the best available
     score is exactly zero.
     """
-    codes = _pursue(selector, _as_query(x, selector.dictionary.n), params, counter)
+    codes = _pursue(selector, _as_query(x, selector.dictionary.n)[0], params, counter)
     return SparseCode(m=codes.m, entries=codes.entries(0), ip_count=codes.ip_count)
 
 

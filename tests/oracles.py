@@ -70,14 +70,20 @@ def _product(axes):
             yield (head,) + tail
 
 
+def canonical_scores_reference(atoms, query):
+    """Every atom's canonical score against the query: one float64 dot
+    product per atom, ``atoms[i].dot(query)``, as a list."""
+    q = np.asarray(query, dtype=np.float64).ravel()
+    return [float(np.dot(atoms[i].astype(np.float64), q)) for i in range(atoms.shape[0])]
+
+
 def nearest_atom_reference(atoms, query):
-    """Exhaustive scan, one dot product at a time, lowest index on ties."""
+    """Exhaustive scan over the canonical scores: maximal |score|, lowest
+    index on ties."""
     best_index = 0
     best_score = 0.0
     best_mag = -1.0
-    q = np.asarray(query, dtype=np.float64).ravel()
-    for i in range(atoms.shape[0]):
-        s = float(np.dot(atoms[i].astype(np.float64), q))
+    for i, s in enumerate(canonical_scores_reference(atoms, query)):
         if abs(s) > best_mag:
             best_index, best_score, best_mag = i, s, abs(s)
     return best_index, best_score
@@ -143,15 +149,15 @@ def _tree_walk(tree, scoring_atoms, query, alpha):
     (ties to the lower child).  Returns the (atom, score) pairs of every
     surviving bottom node in visiting order, and the centroid inner products.
 
-    Scores are read from one product of the query with each whole depth and
-    with the whole atom table, so equal rows get equal scores and duplicated
-    atoms tie exactly.  Scoring each node's block separately would not: numpy
-    computes a one-row block as a ddot, whose last bit can differ from the
-    same row's gemv score in a longer block.
+    Centroid scores are read from one product of the query with each whole
+    depth, so equal centroids get equal scores.  Scoring each node's block
+    separately would not: numpy computes a one-row block as a ddot, whose
+    last bit can differ from the same row's gemv score in a longer block.
+    Atom scores are the canonical ones.
     """
     r = np.asarray(query, dtype=np.float64).ravel()
     level_scores = [None] + [(rows @ r).tolist() for rows in tree.centroids[1:]]
-    atom_scores = (scoring_atoms @ r).tolist()
+    atom_scores = canonical_scores_reference(scoring_atoms, r)
     candidates = []
     centroid_ips = 0
 
@@ -183,9 +189,3 @@ def tree_select_reference(tree, scoring_atoms, query, alpha):
         if abs(score) > abs(best_score) or (abs(score) == abs(best_score) and index < best_index):
             best_index, best_score = index, score
     return best_index, best_score, centroid_ips, len(candidates)
-
-
-def tree_leaf_atoms_reference(tree, scoring_atoms, query, alpha):
-    """The atoms of every surviving bottom node, in frontier order: the leaf
-    block a single query's descent scores in one product."""
-    return [atom for atom, _ in _tree_walk(tree, scoring_atoms, query, alpha)[0]]

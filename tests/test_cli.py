@@ -375,6 +375,28 @@ def test_run_projects_dictionary_once(tmp_path, monkeypatch, task, source):
     assert len(calls) == (2 if source == "branching" else 1)
 
 
+@pytest.mark.parametrize("selector", [["exact"], ["stmp", "--branching", "4,2", "--alpha", "0.5"]],
+                         ids=["exact", "stmp"])
+@pytest.mark.parametrize("task", ["denoise", "superres"])
+def test_run_output_does_not_depend_on_chunk_size(tmp_path, monkeypatch, task, selector):
+    # Every pick and coefficient is a canonical ddot, so how many patches
+    # are coded together cannot move a bit of the output, its manifest or
+    # the report.
+    flags, op = _task_run(tmp_path, task)
+    d = build_from_patches(np.random.default_rng(44).standard_normal((60, op.n_in)), 40, seed=45)
+    save_dictionary(d, tmp_path / "d.dict")
+    out, report = tmp_path / "out.tnsr", tmp_path / "report.csv"
+    runs = []
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(stmp.pipelines, "_CHUNK", chunk)
+        assert main(flags + ["--selector", *selector, "--dict", str(tmp_path / "d.dict"),
+                             "--out", str(out), "--report", str(report)]) == 0
+        row = report.read_text().splitlines()[-1].rsplit(", ", 1)[0]  # without the seconds
+        runs.append((out.read_bytes(), (tmp_path / "out.tnsr.manifest.json").read_bytes(), row))
+        report.unlink()
+    assert runs[0] == runs[1] == runs[2]
+
+
 @pytest.mark.parametrize("selector", [["exact"], ["stmp", "--branching", "3,2"]],
                          ids=["exact", "stmp"])
 @pytest.mark.parametrize("task", ["denoise", "superres", "csrecover", "maskrecover"])

@@ -30,7 +30,6 @@ from oracles import (
     matching_pursuit_reference,
     nearest_atom_reference,
     predicted_centroid_count_reference,
-    tree_leaf_atoms_reference,
     tree_select_reference,
 )
 
@@ -235,9 +234,9 @@ def test_batched_pursuit_matches_per_patch_references(
     # dropped, and ``unusable`` atoms lie only there, so the projected
     # dictionary holds zero rows.  Trees rarely divide m, so last clusters
     # come out short.  Two or more distinct usable rows keep residuals off the
-    # rounding floor, where whether a score is exactly zero would depend on
-    # ddot versus gemv rounding.  At these small n, OpenBLAS's gemv rounds a
-    # row the same wherever it sits in a block, so duplicates tie exactly.
+    # rounding floor.  At these small n, OpenBLAS's gemv rounds a row the same
+    # wherever it sits in a block, so the reference's whole-depth centroid
+    # scores equal the descent's per-block ones.
     rng = np.random.default_rng(seed)
     full = n + 2 if project else n
     unusable = min(unusable, m - 2) if project else 0
@@ -327,25 +326,108 @@ def test_batch_helpers_match_single_code_forms():
 
 
 @pytest.mark.parametrize("n", [16, 64])
-def test_tree_scores_have_the_bits_of_a_lone_querys_block(n):
-    # A row's leaf block is the surviving bottom nodes' atoms, concatenated.
-    # At these n a gemv row's bits depend on its block's length, so every row
-    # of a batch must be scored in a block of exactly its own length, as a
-    # lone query's descent scores it.  997 atoms make every level uneven.
-    # Each bottom node's last atom, as a query, tends to win from the tail of
-    # its block, the rows whose bits a wrong block length would move.
+def test_coefficients_have_the_canonical_ddot_bits(n):
+    # Every coefficient is the canonical score d.scoring_atoms[pick].dot(q), in
+    # a batch or alone, for the scan and for the descent.  At these n a gemv
+    # row's bits depend on its block's length, so any other kernel would move
+    # some of them.  997 atoms make every level uneven.  Each bottom node's
+    # last atom, as a query, tends to win from the tail of its leaf block.
     d = _random_dictionary(997, n, seed=42)
     tree = build_tree(d, (7, 5), seed=43)
     last = tree.atoms[tree.offsets[tree.levels][1:] - 1]
     Q = np.vstack([np.random.default_rng(44).standard_normal((30, n)), d.atoms[last]])
     for alpha in (0.1, 0.35, 1.0):
-        codes = matching_pursuit_batch(TreeSelector(tree, d, alpha), Q, SearchParams(K=1))
-        for q, pick, score in zip(Q, codes.indices[:, 0], codes.coefficients[:, 0]):
-            leaves = tree_leaf_atoms_reference(tree, d.scoring_atoms, q, alpha)
-            block = d.scoring_atoms[leaves] @ q
-            want = block[leaves.index(pick)]
-            assert score.tobytes() == want.tobytes()
-            assert stmp_select(tree, d, q, alpha) == (pick, want)
+        for selector, select in [
+            (TreeSelector(tree, d, alpha), lambda q: stmp_select(tree, d, q, alpha)),
+            (ExactSelector(d), lambda q: exact_select(d, q)),
+        ]:
+            codes = matching_pursuit_batch(selector, Q, SearchParams(K=1))
+            for q, pick, score in zip(Q, codes.indices[:, 0], codes.coefficients[:, 0]):
+                want = d.scoring_atoms[pick].dot(q)
+                assert score.tobytes() == want.tobytes()
+                assert select(q) == (pick, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(2, 70),
+    n=st.integers(2, 64),
+    copies=st.integers(1, 5),
+    branching=st.lists(st.integers(2, 7), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_duplicated_atoms_tie_to_the_lowest_index(m, n, copies, branching, seed):
+    # Exact copies of an atom have equal canonical scores wherever they sit,
+    # so the first copy wins, for the scan and for the descent at alpha = 1.
+    # (OpenBLAS's gemv rounds the last L mod 4 rows of an L-row block
+    # differently at n >= 8, so a copy there could score one ulp higher.)
+    rng = np.random.default_rng(seed)
+    atoms = normalize_columns(rng.standard_normal((m, n))).atoms.copy()
+    source = int(rng.integers(0, m))
+    group = np.unique(np.r_[source, rng.integers(0, m, size=copies), m - 1])
+    atoms[group] = atoms[source]
+    d = Dictionary(atoms)
+    tree = build_tree(d, branching, seed=seed)
+    a = d.scoring_atoms[source]
+    queries = np.array([a, -a, a + 1e-3 * rng.standard_normal(n), 1e-30 * a])
+    picks, scores = ExactSelector(d).pick(queries)
+    won = 0
+    for q, pick, score in zip(queries, picks, scores):
+        want = nearest_atom_reference(d.atoms, q)  # in few dimensions another atom may win
+        assert want[0] not in group[1:]
+        won += want[0] == group[0]
+        assert exact_select(d, q) == want == (pick, score)
+        assert stmp_select(tree, d, q, 1.0) == want
+    assert won
+
+
+def test_duplicated_atom_at_n16_ties_to_the_lower_index():
+    # 6 atoms in 16 dimensions, atom 5 a copy of atom 1, queries near atom 1:
+    # per-row gemv scoring picked atom 5 for about a fifth of them.
+    rng = np.random.default_rng(7)
+    atoms = normalize_columns(rng.standard_normal((6, 16))).atoms.copy()
+    atoms[5] = atoms[1]
+    d = Dictionary(atoms)
+    Q = d.scoring_atoms[1] + 0.05 * rng.standard_normal((500, 16))
+    assert {exact_select(d, q)[0] for q in Q} == {1}
+    picks, _ = ExactSelector(d).pick(Q)
+    assert set(picks.tolist()) == {1}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 60),
+    n=st.integers(1, 64),
+    near=st.integers(1, 6),
+    scale=st.sampled_from([1.0, 1e-30, 1e200, 1e-160]),
+    seed=st.integers(0, 2**16),
+)
+def test_scan_filter_agrees_with_the_canonical_reference(m, n, near, scale, seed):
+    # The float32 filter may only narrow the candidates, never lose the
+    # canonical winner.  Atoms one float32 ulp from the winner in every
+    # coordinate sit inside the filter's rounding error; at 1e200 r.r overflows and at 1e-160 it
+    # underflows, so those rows are scored against every atom; a residual
+    # orthogonal to every atom scores exactly zero everywhere.
+    rng = np.random.default_rng(seed)
+    full = n + 1  # the last coordinate stays empty
+    atoms = np.zeros((m, full), dtype=np.float32)
+    atoms[:, :n] = normalize_columns(rng.standard_normal((m, n))).atoms
+    q = np.r_[rng.standard_normal(n), 0.0]
+    winner, _ = nearest_atom_reference(atoms, q)
+    for j in rng.integers(0, m, size=near):  # each coordinate one ulp up or down
+        away = (rng.choice([-1.0, 1.0], size=n) * np.inf).astype(np.float32)
+        atoms[j, :n] = np.nextafter(atoms[winner, :n], away)
+    d = Dictionary(atoms)
+    tree = build_tree(d, (3, 2), seed=seed)
+    Q = np.vstack([q, d.scoring_atoms[winner], np.eye(full)[n]]) * scale
+    with np.errstate(over="ignore"):  # r.r at 1e200
+        picks, scores = ExactSelector(d).pick(Q)
+        for p, x in enumerate(Q):
+            want = nearest_atom_reference(d.atoms, x)
+            assert exact_select(d, x) == want
+            assert (int(picks[p]), scores[p].tobytes()) == (want[0], np.float64(want[1]).tobytes())
+            assert stmp_select(tree, d, x, 1.0) == want
+    assert scores[2] == 0.0 and picks[2] == 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
