@@ -158,7 +158,7 @@ def _as_query(v, n: int):
 
 def _check_finite(flat: np.ndarray) -> float:
     """flat . flat; ValueError unless every entry is finite."""
-    rr = float(flat.dot(flat))
+    rr = float(np.vdot(flat, flat))  # unlike ndarray.dot, no overflow warning
     # x.x is finite exactly when every entry is, unless it overflows
     if not math.isfinite(rr) and not np.isfinite(flat).all():
         raise ValueError("query contains NaN or infinity")
@@ -297,7 +297,8 @@ def _scan(d: Dictionary, R: np.ndarray, counter: ScoreCounter | None):
     P = R.shape[0]
     if counter is not None:
         counter.count_atoms(P * d.m)
-    rr = row_dots(R, R)
+    with np.errstate(over="ignore"):  # a finite row's r.r may overflow; it is then unsound
+        rr = row_dots(R, R)
     sound = (rr >= _RR_MIN) & (rr < math.inf)
     Q = np.zeros(R.shape, dtype=np.float32)  # unsound rows score zero: no band
     Q[sound] = R[sound] / np.sqrt(rr[sound])[:, None]
@@ -468,6 +469,9 @@ class CodeBatch:
         return used
 
 
+# r.r of a finite row overflows to inf for entries near 1e155 and more; such
+# a row is still above any finite tolerance
+@np.errstate(over="ignore")
 def _pursue(selector, X: np.ndarray, params: SearchParams,
             counter: ScoreCounter | None) -> CodeBatch:
     """Matching pursuit on every row of a checked (P, n) matrix at once.
@@ -480,7 +484,13 @@ def _pursue(selector, X: np.ndarray, params: SearchParams,
     start = own.inner_products
     P = X.shape[0]
     if params.residual_tolerance is None:
-        tolerance = 1e-6 * np.sqrt(row_dots(X, X))
+        xx = row_dots(X, X)
+        tolerance = 1e-6 * np.sqrt(xx)
+        huge = (xx == math.inf).nonzero()[0]
+        if huge.size:  # the norm of x scaled by its largest entry does not overflow
+            top = np.abs(X[huge]).max(axis=1)
+            scaled = X[huge] / top[:, None]
+            tolerance[huge] = 1e-6 * top * np.sqrt(row_dots(scaled, scaled))
     else:
         tolerance = np.full(P, float(params.residual_tolerance))
     residuals = X.copy()

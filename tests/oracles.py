@@ -50,7 +50,8 @@ def extract_reference(tensor, patch, stride):
 
 
 def aggregate_reference(rows, shape, patch, stride):
-    """Nested-loop overlap-averaging."""
+    """Nested-loop overlap-averaging: one slice addition per patch, so each
+    cell sums its patches in float64 in origin order."""
     acc = np.zeros(shape, dtype=np.float64)
     cnt = np.zeros(shape, dtype=np.int64)
     axes = [axis_origins_reference(e, p, s) for e, p, s in zip(shape, patch, stride)]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import stmp.dictionary
 from stmp import (
     Dictionary,
     FormatError,
@@ -25,11 +26,37 @@ def test_fnv1a64_reference_vectors():
     assert fnv1a64(b"foobar") == 0x85944171F73967E8
 
 
-@given(st.binary(max_size=64))
+@given(st.binary(max_size=1000))
 def test_fnv1a64_matches_loop_oracle(data):
     from oracles import fnv1a64_reference
 
     assert fnv1a64(data) == fnv1a64_reference(data)
+
+
+_BLOCK = stmp.dictionary._FNV_BLOCK
+
+
+@pytest.mark.parametrize("fill", ["random", "zeros", "ones"])
+@pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 63])
+def test_fnv1a64_matches_loop_oracle_across_blocks(size, fill):
+    # the hash carries from one block to the next; a short last block uses
+    # the tail of the power table
+    from oracles import fnv1a64_reference
+
+    if fill == "random":
+        data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    else:
+        data = (b"\x00" if fill == "zeros" else b"\xff") * size
+    assert fnv1a64(data) == fnv1a64_reference(data)
+
+
+def test_fnv1a64_matches_loop_oracle_on_a_float32_payload():
+    from oracles import fnv1a64_reference
+
+    d = normalize_columns(np.random.default_rng(11).standard_normal((4000, 64)))
+    data = d.payload_bytes()
+    assert len(data) == 1_024_000
+    assert d.fingerprint() == fnv1a64_reference(data)
 
 
 def test_normalize_three_four_five():

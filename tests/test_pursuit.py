@@ -1,4 +1,4 @@
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -27,6 +27,7 @@ from stmp import (
     stmp_select,
 )
 from oracles import (
+    canonical_scores_reference,
     matching_pursuit_reference,
     nearest_atom_reference,
     predicted_centroid_count_reference,
@@ -356,6 +357,7 @@ def test_coefficients_have_the_canonical_ddot_bits(n):
     branching=st.lists(st.integers(2, 7), min_size=1, max_size=3),
     seed=st.integers(0, 2**16),
 )
+@example(m=40, n=2, copies=1, branching=[2], seed=40)
 def test_duplicated_atoms_tie_to_the_lowest_index(m, n, copies, branching, seed):
     # Exact copies of an atom have equal canonical scores wherever they sit,
     # so the first copy wins, for the scan and for the descent at alpha = 1.
@@ -366,6 +368,16 @@ def test_duplicated_atoms_tie_to_the_lowest_index(m, n, copies, branching, seed)
     source = int(rng.integers(0, m))
     group = np.unique(np.r_[source, rng.integers(0, m, size=copies), m - 1])
     atoms[group] = atoms[source]
+    # The query a must be won by the group: re-draw every other atom whose
+    # |score| against a reaches a.a (in few dimensions one can lie almost
+    # parallel to a with a larger float32 norm, and then rightly wins).
+    a = atoms[source].astype(np.float64)
+    while True:
+        reach = np.abs(canonical_scores_reference(atoms, a)) >= a.dot(a)
+        close = np.setdiff1d(np.flatnonzero(reach), group)
+        if not close.size:
+            break
+        atoms[close] = normalize_columns(rng.standard_normal((close.size, n))).atoms
     d = Dictionary(atoms)
     tree = build_tree(d, branching, seed=seed)
     a = d.scoring_atoms[source]
@@ -394,6 +406,7 @@ def test_duplicated_atom_at_n16_ties_to_the_lower_index():
     assert set(picks.tolist()) == {1}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=80, deadline=None)
 @given(
     m=st.integers(1, 60),
@@ -420,16 +433,16 @@ def test_scan_filter_agrees_with_the_canonical_reference(m, n, near, scale, seed
     d = Dictionary(atoms)
     tree = build_tree(d, (3, 2), seed=seed)
     Q = np.vstack([q, d.scoring_atoms[winner], np.eye(full)[n]]) * scale
-    with np.errstate(over="ignore"):  # r.r at 1e200
-        picks, scores = ExactSelector(d).pick(Q)
-        for p, x in enumerate(Q):
-            want = nearest_atom_reference(d.atoms, x)
-            assert exact_select(d, x) == want
-            assert (int(picks[p]), scores[p].tobytes()) == (want[0], np.float64(want[1]).tobytes())
-            assert stmp_select(tree, d, x, 1.0) == want
+    picks, scores = ExactSelector(d).pick(Q)
+    for p, x in enumerate(Q):
+        want = nearest_atom_reference(d.atoms, x)
+        assert exact_select(d, x) == want
+        assert (int(picks[p]), scores[p].tobytes()) == (want[0], np.float64(want[1]).tobytes())
+        assert stmp_select(tree, d, x, 1.0) == want
     assert scores[2] == 0.0 and picks[2] == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_query_rejected_by_every_selector(bad):
     d = _random_dictionary(40, 5, seed=30)
@@ -446,8 +459,30 @@ def test_non_finite_query_rejected_by_every_selector(bad):
         with pytest.raises(ValueError, match="query contains NaN or infinity"):
             call()
     q[2] = 1e200  # finite, though q.q overflows
-    with np.errstate(over="ignore"):
-        assert exact_select(d, q) == stmp_select(tree, d, q, 1.0)
+    assert exact_select(d, q) == stmp_select(tree, d, q, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_query_whose_norm_overflows_is_coded_like_the_unscaled_one():
+    # At 1e200, q.q overflows to inf; the default tolerance 1e-6 * |q| used
+    # to be inf too, so the code came back empty.
+    d = _random_dictionary(40, 8, seed=32)
+    tree = build_tree(d, (4, 3), seed=33)
+    rng = np.random.default_rng(34)
+    Q = rng.standard_normal((3, 8))
+    for selector in (ExactSelector(d), TreeSelector(tree, d, 0.5)):
+        for q in Q:
+            plain = matching_pursuit(selector, q, SearchParams(K=3)).entries
+            huge = matching_pursuit(selector, q * 1e200, SearchParams(K=3)).entries
+            assert [i for i, _ in huge] == [i for i, _ in plain] and len(plain) == 3
+            np.testing.assert_allclose([c for _, c in huge], [1e200 * c for _, c in plain],
+                                       rtol=1e-12)
+        # rows whose q.q is finite keep their codes, bit for bit, beside huge ones
+        mixed = matching_pursuit_batch(selector, np.vstack([Q[0], Q[1] * 1e200]), SearchParams(K=3))
+        alone = matching_pursuit_batch(selector, Q[:1], SearchParams(K=3))
+        assert mixed.entries(0) == alone.entries(0)
+        assert [i for i, _ in mixed.entries(1)] == [
+            i for i, _ in matching_pursuit(selector, Q[1], SearchParams(K=3)).entries]
 
 
 def test_search_params_validation():

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stmp.tensor
 from stmp import (
     FormatError,
     PatchLayout,
@@ -103,6 +106,29 @@ def test_aggregate_matches_loop_reference():
     out = aggregate_patches(layout, patches)
     ref = aggregate_reference(patches, (10, 9), (4, 3), (2, 2))
     np.testing.assert_allclose(out, ref, atol=1e-6)
+
+
+@settings(max_examples=60)
+@given(
+    data=st.data(),
+    rank=st.integers(1, 3),
+    chunk=st.sampled_from([1, 2, 7, 1024]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+)
+def test_aggregate_has_the_bits_of_the_loop_reference(data, rank, chunk, dtype, seed):
+    # every cell sums its patches in origin order, whatever the chunk size
+    shape = tuple(data.draw(st.integers(1, 9)) for _ in range(rank))
+    patch = tuple(data.draw(st.integers(1, e)) for e in shape)
+    stride = tuple(data.draw(st.integers(1, p)) for p in patch)
+    layout = PatchLayout(shape, patch, stride)
+    rng = np.random.default_rng(seed)
+    patches = rng.standard_normal((layout.num_patches, layout.patch_dim)).astype(dtype)
+    with mock.patch.object(stmp.tensor, "_AGGREGATE_CHUNK", chunk):
+        out = aggregate_patches(layout, patches)
+    ref = aggregate_reference(patches, shape, patch, stride).astype(np.float32)
+    assert out.dtype == np.float32
+    assert out.tobytes() == ref.tobytes()
 
 
 def test_aggregate_count_mismatch_rejected():
