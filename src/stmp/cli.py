@@ -28,11 +28,8 @@ from .dictionary import (
     save_dictionary,
 )
 from .operators import (
-    block_average_operator,
     coded_exposure_operator,
-    identity_operator,
     load_row_selection,
-    project_dictionary,
     random_exposure_mask,
     row_select_operator,
     view_selection_rows,
@@ -246,16 +243,16 @@ def _cmd_build_tree(ns, sub) -> int:
     return 0
 
 
-def _tree_for(values, d, op, sub):
-    """Load the tree if a path was given, else build one in place over the
-    dictionary as ``op`` measures it."""
+def _tree_for(values, sub):
+    """Load the tree if a path was given, else return a builder the pipeline
+    calls on the projected dictionary it codes against."""
     if values["selector"] != "stmp":
         return None
     if values["tree"] is not None:
         return load_tree(values["tree"])
     if values["branching"] is None:
         sub.error("the stmp selector needs --tree or --branching")
-    return build_tree(project_dictionary(d, op).dictionary, values["branching"], values["seed"])
+    return lambda projected: build_tree(projected, values["branching"], values["seed"])
 
 
 def _cmd_run(ns, sub) -> int:
@@ -289,12 +286,10 @@ def _cmd_run(ns, sub) -> int:
     d = load_dictionary(values["dict"])
     reference = None if values["reference"] is None else _load_input(values["reference"])
 
+    tree = _tree_for(values, sub)
     if task == "denoise":
-        tree = _tree_for(values, d, identity_operator(d.n), sub)
         restored, report = denoise(observed, d, tree, cfg, reference=reference)
     elif task == "superres":
-        op = block_average_operator(patch, (values["factor"],) * len(patch))
-        tree = _tree_for(values, d, op, sub)
         restored, report = super_resolve(
             observed, d, tree, cfg, factor=values["factor"], reference=reference
         )
@@ -304,7 +299,6 @@ def _cmd_run(ns, sub) -> int:
         else:
             mask = random_exposure_mask(patch[:-1], patch[-1], values["mask_open"], values["seed"])
         op = coded_exposure_operator(mask)
-        tree = _tree_for(values, d, op, sub)
         restored, report = compressive_recover(
             observed, op, d, tree, cfg, reference=reference
         )
@@ -314,7 +308,6 @@ def _cmd_run(ns, sub) -> int:
         else:
             rows = view_selection_rows(patch, values["views"])
         op = row_select_operator(d.n, rows)
-        tree = _tree_for(values, d, op, sub)
         restored, report = masked_recover(
             observed, op, d, tree, cfg, reference=reference
         )

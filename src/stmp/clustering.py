@@ -73,7 +73,8 @@ def _squared_distances(vectors: np.ndarray, sq_norms: np.ndarray, centroids: np.
 def _kmeanspp_init(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     count = vectors.shape[0]
     chosen = [int(rng.integers(count))]
-    diff = vectors.astype(np.float64) - vectors[chosen[0]].astype(np.float64)
+    wide = vectors.astype(np.float64)
+    diff = wide - wide[chosen[0]]
     d2 = (diff * diff).sum(axis=1)
     for _ in range(1, k):
         total = d2.sum()
@@ -85,17 +86,17 @@ def _kmeanspp_init(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             nxt = int(rng.choice(count, p=d2 / total))
         chosen.append(nxt)
-        diff = vectors.astype(np.float64) - vectors[nxt].astype(np.float64)
-        np.minimum(d2, (diff * diff).sum(axis=1), out=d2)
+        np.subtract(wide, wide[nxt], out=diff)
+        np.minimum(d2, np.square(diff, out=diff).sum(axis=1), out=d2)
     return vectors[chosen].copy()
 
 
 def _group_means(vectors: np.ndarray, assignments: np.ndarray, counts: np.ndarray,
                  old: np.ndarray) -> np.ndarray:
     k, n = old.shape
-    sums = np.empty((k, n), dtype=np.float64)
-    for j in range(n):
-        sums[:, j] = np.bincount(assignments, weights=vectors[:, j], minlength=k)
+    # bin (c, j) adds column j of cluster c's rows in row order, as a per-column bincount would
+    bins = (assignments[:, None] * n + np.arange(n)).ravel()
+    sums = np.bincount(bins, weights=vectors.ravel(), minlength=k * n).reshape(k, n)
     centroids = old.copy()
     nonempty = counts > 0
     centroids[nonempty] = (sums[nonempty] / counts[nonempty, None]).astype(np.float32)
@@ -137,7 +138,7 @@ def kmeans(vectors, k: int, seed, max_iters: int = 25) -> tuple[np.ndarray, np.n
             counts = np.bincount(assignments, minlength=k)
         if previous is not None and np.array_equal(assignments, previous):
             break
-        previous = assignments
+        previous, d2 = assignments, None  # frees d2 before the means and the next distances
         centroids = _group_means(vectors, assignments, counts, centroids)
     return centroids, assignments
 

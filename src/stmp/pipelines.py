@@ -48,9 +48,10 @@ from .tensor import PatchLayout, extract_patches, aggregate_patches
 EXACT = "exact"
 STMP = "stmp"
 
-# Patches coded per batch.  It bounds the memory of a tree level's gathered
-# blocks (chunk x retained children x n float64) and keeps them in cache.
+# Patches coded per batch: the scan's (chunk x m) product wants small blocks,
+# the tree's node-major GEMMs large ones.
 _CHUNK = 64
+_TREE_CHUNK = 1024
 
 CSV_HEADER = "task, m, n, K, alpha, selector, psnr_db, snr_db, inner_products, patches, seconds"
 
@@ -168,11 +169,13 @@ def snr(reference, test) -> float:
     return 10.0 * math.log10(signal_energy / noise_energy)
 
 
-def _selector_for(dictionary: Dictionary, tree: ClusterTree | None, cfg: TaskConfig):
+def _selector_for(dictionary: Dictionary, tree, cfg: TaskConfig):
     if cfg.selector == EXACT:
         return ExactSelector(dictionary)
     if tree is None:
         raise ValueError("the stmp selector needs a cluster tree")
+    if callable(tree):  # builds the tree over the projection the pipeline codes against
+        tree = tree(dictionary)
     report = validate_tree(tree, dictionary)
     if not report.ok:
         raise ValueError(f"cluster tree does not fit the dictionary: {report.violation}")
@@ -189,19 +192,20 @@ def _code_patches(
     """Code measurement patches and synthesize full-space patches.
 
     Returns the (N, n_full) synthesis matrix and the counter.  Chunks of
-    ``_CHUNK`` rows go through batched matching pursuit, lift and
-    reconstruction; each row's arithmetic is the same in any chunk.
+    ``_CHUNK`` (tree: ``_TREE_CHUNK``) rows go through batched matching
+    pursuit, lift and reconstruction; a row's arithmetic is that of any chunk.
     """
     measured = np.ascontiguousarray(measured, dtype=np.float64)
     denom = float(dc_meas @ dc_meas)
     out = np.empty((measured.shape[0], pd.base.n), dtype=np.float64)
     counter = ScoreCounter()
-    for start in range(0, measured.shape[0], _CHUNK):
-        y = measured[start : start + _CHUNK]
+    chunk = _TREE_CHUNK if isinstance(selector, TreeSelector) else _CHUNK
+    for start in range(0, measured.shape[0], chunk):
+        y = measured[start : start + chunk]
         dc = row_dots(y, dc_meas) / denom
         codes = matching_pursuit_batch(selector, y - dc[:, None] * dc_meas, params, counter)
         full = reconstruct_batch(pd.base, lift_codes(pd, codes))
-        out[start : start + _CHUNK] = full + dc[:, None]
+        out[start : start + chunk] = full + dc[:, None]
     return out, counter
 
 

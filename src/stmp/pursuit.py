@@ -1,44 +1,35 @@
 """Greedy sparse coding with pluggable atom selection.
 
-Two selectors answer "which atom best matches this residual": a brute-force
-scan of the whole dictionary, and a descent through a shallow cluster tree
-that scores child centroids level by level, keeps the ceil(alpha*k) most
-promising children, and finally scores the atoms inside the surviving
-bottom-level nodes.  With alpha = 1 the descent visits every atom.  Matching
-pursuit then peels one atom per iteration off the residual regardless of
-which selector is used.
+Two selectors answer "which atom best matches this residual": a scan of the
+whole dictionary, and a descent through a shallow cluster tree that scores
+child centroids level by level, keeps the ceil(alpha*k) most promising
+children of each node, and scores the atoms of the surviving bottom nodes
+(every atom at alpha = 1).  Matching pursuit peels one atom per iteration
+off a (P, n) batch of residuals with either selector, each row stopping on
+its own; single queries are batches of one.
 
-Everything runs on a batch of residuals, one per row: matching pursuit
-codes a (P, n) matrix at once, each row stopping on its own.  The
-single-query functions are batches of one; ``exact_select`` adds a one-row
-path that skips the batch bookkeeping.
+Canonical scores decide every choice: a centroid or atom a scores
+``a.dot(r)``, one ddot (``row_dots``), whatever the batch or block shape.
+A level keeps the children of largest |score|, ties to the lower child; the
+pick is the atom of largest |score|, ties to the lowest index, and its score
+is the coefficient.  So outputs depend on neither the batch nor the kernel
+that found the candidates, and exact duplicates always tie.
 
-One canonical score decides every pick: atom i scores
-``d.scoring_atoms[i].dot(r)`` against a residual r, one ddot, the bits
-``row_dots`` and ``_canonical`` give for any batch and block shape.  The pick
-is the atom of maximal |score|, ties to the lowest index, and its score is
-the pursuit coefficient.  So picks, coefficients and outputs depend on
-neither the batch nor the kernel that found the candidates, and exactly
-duplicated atoms always tie.
+Float32 GEMMs of the unit-scaled residuals only filter.  Two ways of summing
+an n-term dot product differ by at most gamma_n * |a| * |r| (Higham,
+Accuracy and Stability of Numerical Algorithms, 3.1), so whatever the
+canonical choice keeps has a fast |score| within ``_band_for`` of the cut (a
+row's best, or a parent's keep-th best); only entries in the band are scored
+canonically, and a parent with no more of them than it keeps keeps them
+unscored.  A row the filter cannot bound has every entry in its band.
 
-The scan finds its candidates with one float32 GEMM of the unit-scaled
-residuals against the float32 atoms (``d.columns``).  Any two ways of
-summing an n-term dot product differ by at most gamma_n * |a| * |r|, with
-gamma_n = n*u / (1 - n*u) (Higham, Accuracy and Stability of Numerical
-Algorithms, 3.1), so the canonical winner's fast |score| lies within
-``_band`` of the row's best; only the atoms inside that band, usually one,
-are scored canonically.  A row the
-filter cannot bound (r.r not finite or too small to scale by, or a band that
-reaches zero) is scored canonically against every atom.  The descent scores
-its gathered leaf atoms canonically.  Its internal levels score child
-centroids one gemv per row, over exactly the block a lone query would score,
-because a gemv row's rounding depends on its block's shape; centroid ranks
-then do not depend on the batch either.
-
-A selection is a few dozen numpy calls on tiny arrays, each costing about a
-microsecond, so the per-query path avoids reductions (``a.max()``,
-``a.all()``), whose Python-level wrappers cost more than ``argmax``,
-``take`` or ``count_nonzero``.
+The scan scores a block of rows against every atom, a (rows x m) product,
+so callers keep its blocks small.  The descent scores node-major, as an IVF
+index does: ``TreeSelector`` lays the atoms out in leaf order, so every
+node's children are one row range; a level groups its (row, node) pairs by
+node and scores each visited node's children against all the rows that kept
+it in one GEMM, which pays off from about a hundred rows.  Smaller batches,
+single queries too, gather the children and score them all canonically.
 """
 
 from dataclasses import dataclass, field
@@ -65,6 +56,9 @@ _U32 = 2.0**-24
 _U64 = 2.0**-53
 # below this r.r, r / |r| loses bits to underflow; such rows skip the filter
 _RR_MIN = 2.0**-1000
+_VECDOT = getattr(np, "vecdot", None)  # numpy >= 2
+# batches of this many rows descend node-major; smaller ones gather faster
+_NODE_MAJOR_ROWS = 128
 
 
 def _steps(count: int) -> np.ndarray:
@@ -82,6 +76,12 @@ def check_alpha(alpha) -> float:
 def retained_count(alpha: float, k: int) -> int:
     """How many of k children survive a level: ceil(alpha * k), at least 1."""
     return max(1, math.ceil(check_alpha(alpha) * k - _CEIL_NUDGE))
+
+
+@functools.lru_cache(maxsize=64)
+def _keeps(alpha: float, branching: tuple) -> tuple:
+    """The retained count of every level, looked up once per shape and alpha."""
+    return tuple(retained_count(alpha, k) for k in branching)
 
 
 def predicted_ip_count(branching, alpha: float) -> int:
@@ -166,89 +166,44 @@ def _check_finite(flat: np.ndarray) -> float:
 
 
 def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A[p] . B[p] for every row p (B may be one shared vector).
-
-    numpy runs this as one ddot per row, the bits of ``A[p].dot(B[p])``: the
-    canonical score when A holds scoring atoms.  A gemv such as ``A @ b``
-    would round differently.
-    """
-    return np.matmul(A[:, None, :], B[..., None])[:, 0, 0]
-
-
-def _canonical(blocks: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """scores[p, j] = blocks[p, j] . R[p], one ddot per entry, as ``row_dots``.
-
-    ``blocks`` is (P, L, n), or an (L, n) table that every row scores.  The
-    bits of an entry do not depend on L or P.
-    """
-    return np.matmul(blocks[..., None, :], R[:, None, :, None])[:, :, 0, 0]
-
-
-def _score(blocks: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Centroid scores: scores[p] = blocks[p] @ R[p], one gemv per row.
-
-    ``blocks`` is (P, L, n), or an (L, n) table that scores every row.  A
-    single row goes through ``ndarray.dot``, the same gemv with half the call
-    overhead of ``np.matmul``.
-    """
-    if R.shape[0] == 1:
-        return blocks.reshape(-1, R.shape[1]).dot(R[0])[None]
-    return np.matmul(blocks, R[:, :, None])[:, :, 0]
-
-
-def _score_rows(table, ids, valid, R) -> np.ndarray:
-    """scores[p, j] = table[ids[p, j]] . R[p], zero where valid[p, j] is False.
-
-    Row p is scored as one block of its valid ids in order, the block a lone
-    query would score, so its bits do not depend on the batch; rows whose
-    blocks differ in length go in separate calls.  ``valid`` None means every
-    id is valid.  Ids are ascending and distinct, so a block of every table
-    row is the table itself and is not copied.
-    """
-    if valid is None:
-        if ids.shape[1] == table.shape[0]:
-            return _score(table, R)
-        return _score(table.take(ids, axis=0), R)
-    scores = np.zeros(ids.shape)
-    lengths = valid.sum(axis=1)
-    for length in np.unique(lengths).tolist():
-        rows = (lengths == length).nonzero()[0]
-        mask = valid[rows]
-        block_ids = ids[rows][mask].reshape(rows.size, length)
-        part = scores[rows]
-        part[mask] = _score_rows(table, block_ids, None, R[rows]).ravel()
-        scores[rows] = part
-    return scores
+    """A[..., p, :] . B[..., p, :] for every row p, broadcast: with B = R[:, None]
+    row p of R scores every row of A[p] (or of a shared table A).  numpy runs
+    this as one ddot per row, the bits of ``A[p].dot(B[p])`` whatever the
+    shapes: the canonical score when A holds scoring atoms.  A gemv such as
+    ``A @ b`` would round differently.  numpy 2's ``vecdot`` runs the same
+    ddot with less overhead than ``matmul``."""
+    if _VECDOT is not None:
+        return _VECDOT(A, B)
+    return np.matmul(A[..., None, :], B[..., :, None])[..., 0, 0]
 
 
 def _children(bounds: np.ndarray, nodes: np.ndarray, live):
     """The child slots of every frontier node, as (P, F*width) ids and a mask.
 
-    Node j owns slots bounds[j]:bounds[j+1] of the depth below.  ``live``
-    marks the frontier entries that hold a node (None: all of them).  Each
-    node's slots are padded to the widest node's ``width``; the mask of the
-    real ones is None when every node has exactly ``width`` children.
-    Returns (first slot per node, child count per node, width, ids, mask).
+    Node j owns slots bounds[j]:bounds[j+1] of the depth below; ``live``
+    marks the frontier entries that hold a node (None: all).  Slots are
+    padded to the widest node's ``width``; the mask of the real ones is None
+    if there is no padding.  Returns (first slots, counts, width, ids, mask).
     """
     first = bounds.take(nodes)
     count = bounds[1:].take(nodes)
     count -= first
     if live is not None:
         count *= live
-    counts = count.ravel().tolist()
-    width = max(counts)
+    if count.size < 64:  # Python's max and min are cheaper on a few entries
+        width, least = max(counts := count.ravel().tolist()), min(counts)
+    else:
+        width, least = int(count.max()), int(count.min())
     ids = (first[..., None] + _steps(width)).reshape(nodes.shape[0], -1)
-    if live is None and counts.count(width) == len(counts):
+    if live is None and least == width:
         return first, count, width, ids, None
     valid = (_steps(width) < count[..., None]).reshape(nodes.shape[0], -1)
     return first, count, width, np.where(valid, ids, 0), valid
 
 
 def _best(scores, ids, valid):
-    """Per row, the entry with maximal |score| (ties to the lowest atom id).
-
-    ``ids`` None means entry j is atom j.  Returns (atom ids, scores).
-    """
+    """Per row, the entry with maximal |score|, ties to the lowest atom id
+    (``ids`` None: entry j is atom j), as (atom ids, scores)."""
     magnitudes = np.abs(scores)
     if valid is not None:
         magnitudes[~valid] = -1.0
@@ -264,9 +219,10 @@ def _best(scores, ids, valid):
     return ids.take(at), scores.take(at)
 
 
-def _band(d: Dictionary) -> float:
-    """How far the canonical winner's fast |score| can lie below the row's
-    best fast |score|, for residuals scaled to unit norm.
+@functools.lru_cache(maxsize=64)
+def _band_for(n: int, a: float) -> float:
+    """How far below the cut a kept entry's fast |score| can lie, for atoms
+    of norm at most ``a`` and residuals scaled to unit norm.
 
     Against the exact a . r / |r|, a fast score errs by at most
     (u32 + u64 + gamma_n(u32)) |a| (rounding the scaled query to float32,
@@ -275,38 +231,33 @@ def _band(d: Dictionary) -> float:
     1 % slack the rounding of the norms, and an absolute floor the products
     that underflow float32.
     """
-    return _band_for(d.n, d.max_norm)
-
-
-@functools.lru_cache(maxsize=64)
-def _band_for(n: int, a: float) -> float:
     if n * _U32 >= 0.5:
         return math.inf
     gamma = n * _U32 / (1 - n * _U32) + n * _U64 / (1 - n * _U64)
     return 2.02 * a * (gamma + 2 * _U32 + _U64) + n * (a + 1) * 2.0**-124
 
 
-def _decide(d: Dictionary, ids: np.ndarray, valid, R: np.ndarray):
-    """Per row, the canonical pick among the candidate atoms ``ids[p]``."""
-    return _best(_canonical(d.scoring_atoms.take(ids, axis=0), R), ids, valid)
+def _unit32(R: np.ndarray) -> np.ndarray:
+    """R's rows scaled to unit norm in float32; a row the filter cannot bound
+    (r.r not finite or too small to scale by) is zero, all its band."""
+    with np.errstate(over="ignore"):  # a finite row's r.r may overflow; it is then unsound
+        rr = row_dots(R, R)
+    norm = np.sqrt(rr)
+    norm[~(rr >= _RR_MIN)] = math.inf  # an unsound row divides to zero
+    return (R / norm[:, None]).astype(np.float32)
 
 
 def _scan(d: Dictionary, R: np.ndarray, counter: ScoreCounter | None):
     """Exhaustive picks for every row of R: a float32 GEMM filter, then
-    canonical scores for the atoms within ``_band`` of each row's best."""
+    canonical scores for the atoms within the band of each row's best."""
     P = R.shape[0]
     if counter is not None:
         counter.count_atoms(P * d.m)
-    with np.errstate(over="ignore"):  # a finite row's r.r may overflow; it is then unsound
-        rr = row_dots(R, R)
-    sound = (rr >= _RR_MIN) & (rr < math.inf)
-    Q = np.zeros(R.shape, dtype=np.float32)  # unsound rows score zero: no band
-    Q[sound] = R[sound] / np.sqrt(rr[sound])[:, None]
-    fast = np.matmul(Q, d.columns)
+    fast = np.matmul(_unit32(R), d.columns)
     np.abs(fast, out=fast)
     top = fast.argmax(axis=1)
     at = top + _steps(P) * d.m
-    floor = fast.take(at) - np.float32(_band(d))
+    floor = fast.take(at) - np.float32(_band_for(d.n, d.max_norm))
     full = ~(floor > 0)  # rows scored canonically against every atom
     fast.put(at, -1.0)  # a row's runner-up tells whether it has more candidates
     crowded = (fast.max(axis=1) >= floor) & ~full
@@ -322,49 +273,101 @@ def _scan(d: Dictionary, R: np.ndarray, counter: ScoreCounter | None):
         valid = np.zeros(ids.shape, dtype=bool)
         valid[:, 0] = True
         valid[rows] = np.take_along_axis(hit, first, axis=1)
-    picks, scores = _decide(d, ids, valid, R)
+    picks, scores = _best(row_dots(d.scoring_atoms.take(ids, axis=0), R[:, None]), ids, valid)
     if full.any():
-        picks[full], scores[full] = _best(_canonical(d.scoring_atoms, R[full]), None, None)
+        picks[full], scores[full] = _best(row_dots(d.scoring_atoms, R[full, None]), None, None)
     return picks, scores
 
 
-def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: ScoreCounter | None):
+def _node_major(table, bounds, nodes, live, width: int, Q: np.ndarray) -> np.ndarray:
+    """Fast |scores| of every frontier entry's child slots, (P*F, width)
+    float32: each visited node's children, rows bounds[j]:bounds[j+1] of
+    ``table``, are scored against all the rows of Q that kept it in one
+    GEMM.  Slots past a node's children and dead entries hold garbage."""
+    P, F = nodes.shape
+    flat = nodes.ravel()
+    order = flat.argsort()  # in any order: the band covers every block's rounding
+    if live is not None:
+        order = order[live.ravel().take(order)]
+    grouped = flat.take(order)
+    edges = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
+    starts, visited = [0] + edges, grouped.take([0] + edges)
+    rows = Q.take(order // F, axis=0)
+    part = np.empty((order.size, width), dtype=np.float32)
+    for a, b, lo, hi in zip(starts, edges + [order.size],
+                            bounds.take(visited).tolist(), bounds.take(visited + 1).tolist()):
+        np.matmul(rows[a:b], table[lo:hi].T, out=part[a:b, :hi - lo])
+    at = np.zeros(P * F, dtype=np.int64)  # dead entries read row 0
+    at[order] = _steps(order.size)
+    return np.abs(part, out=part).take(at, axis=0)
+
+
+def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: ScoreCounter | None,
+             tables=None):
     """Tree picks for every row of R, all rows descending together.
 
-    Each row keeps its own frontier: the nodes of the current depth it has
-    not pruned, ascending.  A level scores the children of every row's
-    frontier, then keeps each parent's ``keep`` strongest children (a stable
-    sort on -|s|, so ties go to the lower child).  A parent with fewer
-    children than the widest leaves empty slots, which ``live`` masks.
+    Each row keeps a frontier of nodes; parents with fewer children than the
+    widest leave empty slots, which ``live`` masks.  With ``TreeSelector``'s
+    ``tables`` and many rows, a node-major GEMM filters each level;
+    otherwise every child is gathered and scored canonically.
     """
     P = R.shape[0]
-    # the root's children are the whole of depth 1, scored against every row
-    first = np.zeros((P, 1), dtype=np.int64)
-    count, width, valid, live = None, t.centroids[1].shape[0], None, None
-    scores = _score(t.centroids[1], R)
-    for depth, keep in enumerate(keeps):
+    Q = _unit32(R) if tables is not None and P >= _NODE_MAJOR_ROWS else None
+    nodes, live = np.zeros((P, 1), dtype=np.int64), None
+    width, levels, first, count, valid = int(t.offsets[0][1]), t.levels, nodes, None, None
+    ids = _steps(width)[None] if P == 1 else nodes + _steps(width)  # the root's children: all of depth 1
+    for depth, keep in enumerate(keeps + (1,)):
         if depth:
             first, count, width, ids, valid = _children(t.offsets[depth], nodes, live)
-            scores = _score_rows(t.centroids[depth + 1], ids, valid, R)
+        leaf = depth == levels
         if counter is not None:
-            counter.count_centroids(scores.size if valid is None else np.count_nonzero(valid))
-        magnitudes = np.abs(scores).reshape(first.shape + (width,))
+            scored = ids.size if valid is None else np.count_nonzero(valid)
+            (counter.count_atoms if leaf else counter.count_centroids)(scored)
+        # one choice per group: a parent's children, or at the leaf a row's atoms
+        groups = P if leaf else nodes.size
+        source, keys = (d.scoring_atoms, t.atoms.take(ids)) if leaf else (t.centroids[depth + 1], ids)
+        cand = None if valid is None else valid.reshape(groups, -1)
+        if Q is None:  # the root's children are all of its source; one row takes a 2-D form, faster
+            blocks = source.take(keys, axis=0) if depth else source
+            scores = (row_dots(blocks.reshape(-1, R.shape[1]), R[0]) if P == 1
+                      else row_dots(blocks, R[:, None])).reshape(groups, -1)
+        else:
+            table, band = tables[depth]
+            keep = min(keep, width)
+            fast = _node_major(table, t.offsets[depth], nodes, live, width, Q).reshape(groups, -1)
+            if cand is not None:
+                fast[~cand] = -1.0
+            cut = fast.max(axis=1) if keep == 1 else -np.partition(-fast, keep - 1, axis=1)[:, keep - 1]
+            hit = fast >= (cut - band)[:, None]
+            cand = hit if cand is None else hit & cand
+            # a parent with no more candidates than it keeps keeps them, unscored
+            crowded = (np.count_nonzero(cand, axis=1) > keep) | leaf
+            g, e = (cand & crowded[:, None]).nonzero()
+            scores = np.zeros(fast.shape)
+            scores[g, e] = row_dots(source.take(keys.reshape(groups, -1)[g, e], axis=0),
+                                    R.take(g * P // groups, axis=0))
+        if leaf:
+            return _best(scores, keys, cand)
+        if Q is None:
+            position = _top(scores, cand, keep)
+        else:  # a parent keeps its candidates, a crowded one by canonical |score|
+            position = _top(cand.view(np.int8), None, keep)
+            position[crowded] = _top(scores[crowded], cand[crowded], keep)
+        nodes = (first.reshape(-1, 1) + position).reshape(P, -1)
         if valid is not None:
-            magnitudes[~valid.reshape(magnitudes.shape)] = -1.0
-        if keep == 1:  # the first maximum, as the stable sort below would pick
-            nodes = first + magnitudes.argmax(axis=2)  # a dead entry stays dead
-            continue
-        order = (-magnitudes).argsort(axis=2, kind="stable")[:, :, :keep]
-        order.sort(axis=2)
-        nodes = (first[..., None] + order).reshape(P, -1)
-        if valid is not None:
-            live = (order < count[..., None]).reshape(P, -1)
+            live = (position < count.reshape(-1, 1)).reshape(P, -1)
             nodes *= live
-    first, count, width, slots, valid = _children(t.offsets[t.levels], nodes, live)
-    ids = t.atoms.take(slots)
-    if counter is not None:
-        counter.count_atoms(ids.size if valid is None else np.count_nonzero(valid))
-    return _decide(d, ids, valid, R)
+
+
+def _top(scores: np.ndarray, cand, keep: int) -> np.ndarray:
+    """Per row, the positions of the ``keep`` entries of largest |score|
+    among ``cand`` (None: all), ties to the lower position."""
+    magnitudes = np.abs(scores)
+    if cand is not None:
+        magnitudes[~cand] = -1
+    if keep == 1:  # the first maximum, as the stable sort would pick
+        return magnitudes.argmax(axis=1, keepdims=True)
+    return (-magnitudes).argsort(axis=1, kind="stable")[:, :keep]
 
 
 def exact_select(d: Dictionary, r, counter: ScoreCounter | None = None) -> tuple[int, float]:
@@ -376,7 +379,7 @@ def exact_select(d: Dictionary, r, counter: ScoreCounter | None = None) -> tuple
         fast = (R[0] / math.sqrt(rr)).astype(np.float32).dot(d.columns)
         np.abs(fast, out=fast)
         best = int(fast.argmax())
-        floor = float(fast[best]) - _band(d)
+        floor = float(fast[best]) - _band_for(d.n, d.max_norm)
         fast[best] = -1.0
         if floor > 0.0 and fast[fast.argmax()] < floor:
             return best, float(d.scoring_atoms[best].dot(R[0]))
@@ -384,21 +387,16 @@ def exact_select(d: Dictionary, r, counter: ScoreCounter | None = None) -> tuple
     return int(picks[0]), float(scores[0])
 
 
-def stmp_select(
-    t: ClusterTree,
-    d: Dictionary,
-    r,
-    alpha: float,
-    counter: ScoreCounter | None = None,
-) -> tuple[int, float]:
+def stmp_select(t: ClusterTree, d: Dictionary, r, alpha: float,
+                counter: ScoreCounter | None = None) -> tuple[int, float]:
     """Tree descent returning the best atom over all explored branches.
 
     At every internal level all children of the current frontier are scored
-    against r and the ceil(alpha*k) strongest per node survive (ties to the
-    lower child index).  Atoms inside the surviving bottom-level nodes are
-    then scored in full, and the best one wins, ties to the lower atom index.
+    canonically against r and the ceil(alpha*k) strongest per node survive
+    (ties to the lower child index).  Atoms inside the surviving bottom-level
+    nodes are then scored, and the best one wins, ties to the lower atom index.
     """
-    keeps = [retained_count(alpha, k) for k in t.branching]
+    keeps = _keeps(alpha, t.branching)
     check_fingerprint(t, d)
     best, scores = _descend(t, d, _as_query(r, d.n)[0], keeps, counter)
     return int(best[0]), float(scores[0])
@@ -424,11 +422,15 @@ class TreeSelector:
         self.tree = tree
         self.dictionary = dictionary
         self.alpha = alpha
-        self._keeps = [retained_count(alpha, k) for k in tree.branching]
+        self._keeps = _keeps(alpha, tree.branching)
+        # the filter's rows per depth, atoms in leaf order: each node's children are a row range
+        rows = [c.astype(np.float32) for c in tree.centroids[1:]] + [dictionary.atoms.take(tree.atoms, 0)]
+        norms = [np.linalg.norm(c, axis=1).max() for c in tree.centroids[1:]] + [dictionary.max_norm]
+        self._tables = [(r, np.float32(_band_for(tree.n, a))) for r, a in zip(rows, norms)]
 
     def pick(self, R: np.ndarray, counter: ScoreCounter | None = None):
         """Picks and canonical scores for every row of a finite float64 (P, n) matrix."""
-        return _descend(self.tree, self.dictionary, R, self._keeps, counter)
+        return _descend(self.tree, self.dictionary, R, self._keeps, counter, self._tables)
 
 
 @dataclass(eq=False)

@@ -149,15 +149,10 @@ def _tree_walk(tree, scoring_atoms, query, alpha):
     Each node ranks its own children and the ceil(alpha*k) strongest survive
     (ties to the lower child).  Returns the (atom, score) pairs of every
     surviving bottom node in visiting order, and the centroid inner products.
-
-    Centroid scores are read from one product of the query with each whole
-    depth, so equal centroids get equal scores.  Scoring each node's block
-    separately would not: numpy computes a one-row block as a ddot, whose
-    last bit can differ from the same row's gemv score in a longer block.
-    Atom scores are the canonical ones.
+    Centroids and atoms alike get their canonical scores.
     """
     r = np.asarray(query, dtype=np.float64).ravel()
-    level_scores = [None] + [(rows @ r).tolist() for rows in tree.centroids[1:]]
+    level_scores = [None] + [canonical_scores_reference(rows, r) for rows in tree.centroids[1:]]
     atom_scores = canonical_scores_reference(scoring_atoms, r)
     candidates = []
     centroid_ips = 0

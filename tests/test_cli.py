@@ -352,9 +352,8 @@ def _task_run(tmp_path, task):
 @pytest.mark.parametrize("source", ["exact", "tree", "branching"])
 @pytest.mark.parametrize("task", ["superres", "csrecover", "maskrecover"])
 def test_run_projects_dictionary_once(tmp_path, monkeypatch, task, source):
-    # The pipeline projects the dictionary it codes against; the CLI projects
-    # only to build a tree in place.  So --branching still projects (and
-    # fingerprints) twice, until the tree build can share that projection.
+    # The pipeline projects the dictionary it codes against, and a tree built
+    # in place (--branching) is built over that same projection.
     flags, op = _task_run(tmp_path, task)
     d = build_from_patches(np.random.default_rng(41).standard_normal((60, op.n_in)), 40, seed=42)
     save_dictionary(d, tmp_path / "d.dict")
@@ -365,14 +364,17 @@ def test_run_projects_dictionary_once(tmp_path, monkeypatch, task, source):
         "tree": ["--selector", "stmp", "--tree", str(tmp_path / "d.tree")],
         "branching": ["--selector", "stmp", "--branching", "4,2"],
     }[source]
-    calls = []
+    calls, hashed = [], []
     real = stmp.operators.project_dictionary
     counting = lambda *args: calls.append(1) or real(*args)  # noqa: E731
-    monkeypatch.setattr(stmp.cli, "project_dictionary", counting)
-    monkeypatch.setattr(stmp.pipelines, "project_dictionary", counting)
+    for module in (stmp.operators, stmp.pipelines, stmp.cli):
+        monkeypatch.setattr(module, "project_dictionary", counting, raising=False)
+    fnv = stmp.dictionary.fnv1a64
+    monkeypatch.setattr(stmp.dictionary, "fnv1a64", lambda data: hashed.append(1) or fnv(data))
     assert main(flags + selector + ["--dict", str(tmp_path / "d.dict"),
                                     "--out", str(tmp_path / "out.tnsr")]) == 0
-    assert len(calls) == (2 if source == "branching" else 1)
+    assert len(calls) == 1
+    assert len(hashed) == (0 if source == "exact" else 1)
 
 
 @pytest.mark.parametrize("selector", [["exact"], ["stmp", "--branching", "4,2", "--alpha", "0.5"]],
@@ -387,14 +389,18 @@ def test_run_output_does_not_depend_on_chunk_size(tmp_path, monkeypatch, task, s
     save_dictionary(d, tmp_path / "d.dict")
     out, report = tmp_path / "out.tnsr", tmp_path / "report.csv"
     runs = []
-    for chunk in (1, 7, 64):
+    # every tree batch of two rows or more takes the node-major filter
+    monkeypatch.setattr(stmp.pursuit, "_NODE_MAJOR_ROWS", 2)
+    # up to one chunk larger than the 25 (denoise) or 121 (superres) patches
+    for chunk in (1, 7, 64, 122, stmp.pipelines._TREE_CHUNK):
         monkeypatch.setattr(stmp.pipelines, "_CHUNK", chunk)
+        monkeypatch.setattr(stmp.pipelines, "_TREE_CHUNK", chunk)
         assert main(flags + ["--selector", *selector, "--dict", str(tmp_path / "d.dict"),
                              "--out", str(out), "--report", str(report)]) == 0
         row = report.read_text().splitlines()[-1].rsplit(", ", 1)[0]  # without the seconds
         runs.append((out.read_bytes(), (tmp_path / "out.tnsr.manifest.json").read_bytes(), row))
         report.unlink()
-    assert runs[0] == runs[1] == runs[2]
+    assert all(run == runs[0] for run in runs)
 
 
 @pytest.mark.parametrize("selector", [["exact"], ["stmp", "--branching", "3,2"]],

@@ -210,8 +210,9 @@ def test_denoise_thread_count_invisible(tmp_path):
 @pytest.mark.parametrize("selector", ["exact", "stmp"])
 def test_chunking_invisible(monkeypatch, side, selector):
     # 1 patch, fewer patches than a chunk, and a count no chunk size divides
-    # (superres codes side - 2 patches); (7, 3) trees over 60 atoms have short
-    # last clusters
+    # (superres codes side - 2 patches); the tree's chunk and one larger than
+    # the patch count code a whole image at once; (7, 3) trees over 60 atoms
+    # have short last clusters
     rng = np.random.default_rng(side)
     img = rng.random((side, side)).astype(np.float32)
     lowres = rng.random((side, side)).astype(np.float32)
@@ -232,13 +233,14 @@ def test_chunking_invisible(monkeypatch, side, selector):
 
     monkeypatch.setattr(stmp.pipelines, "_code_patches", spy)
     runs = []
-    for chunk in (stmp.pipelines._CHUNK, 1, 7):
+    for chunk in (stmp.pipelines._CHUNK, stmp.pipelines._TREE_CHUNK, 1, 7, side * side + 1):
         monkeypatch.setattr(stmp.pipelines, "_CHUNK", chunk)
+        monkeypatch.setattr(stmp.pipelines, "_TREE_CHUNK", chunk)
         out, rep = denoise(img, d, tree, cfg, reference=img)
         up, sr_rep = super_resolve(lowres[:3], sr_d, sr_tree, sr_cfg, factor=2)
         runs.append((out.tobytes(), rep.inner_products, rep.psnr_db, rep.patches,
                      up.tobytes(), sr_rep.inner_products, *synthesized[-2:]))
-    assert runs[0] == runs[1] == runs[2]
+    assert all(run == runs[0] for run in runs)
 
 
 def test_denoise_hashes_dictionary_once(monkeypatch):

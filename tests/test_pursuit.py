@@ -1,6 +1,11 @@
+from unittest import mock
+
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
+
+import stmp.pipelines
+import stmp.pursuit
 
 from stmp import (
     CodeBatch,
@@ -235,9 +240,7 @@ def test_batched_pursuit_matches_per_patch_references(
     # dropped, and ``unusable`` atoms lie only there, so the projected
     # dictionary holds zero rows.  Trees rarely divide m, so last clusters
     # come out short.  Two or more distinct usable rows keep residuals off the
-    # rounding floor.  At these small n, OpenBLAS's gemv rounds a row the same
-    # wherever it sits in a block, so the reference's whole-depth centroid
-    # scores equal the descent's per-block ones.
+    # rounding floor.
     rng = np.random.default_rng(seed)
     full = n + 2 if project else n
     unusable = min(unusable, m - 2) if project else 0
@@ -440,6 +443,65 @@ def test_scan_filter_agrees_with_the_canonical_reference(m, n, near, scale, seed
         assert (int(picks[p]), scores[p].tobytes()) == (want[0], np.float64(want[1]).tobytes())
         assert stmp_select(tree, d, x, 1.0) == want
     assert scores[2] == 0.0 and picks[2] == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(2, 90),
+    n=st.integers(1, 64),
+    branching=st.lists(st.integers(2, 7), min_size=1, max_size=3),
+    alpha=st.sampled_from([0.1, 0.35, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_descent_decides_every_level_on_canonical_scores(m, n, branching, alpha, seed):
+    # In every parent with two or more children, one child copies its first
+    # sibling's centroid exactly, or lies one float32 ulp from it in every
+    # coordinate; a copy must tie to the lower child, and an ulp twin sits
+    # inside the fast filter's rounding, so only the canonical scores can
+    # rank it.  Queries along centroids and atoms put the twins at the cut.
+    # m rarely divides the branching, so the trees come out uneven.
+    rng = np.random.default_rng(seed)
+    d = _random_dictionary(m, n, seed)
+    tree = build_tree(d, branching, seed=seed)
+    near = []
+    for depth in range(1, tree.levels + 1):
+        rows = tree.centroids[depth]
+        for lo, hi in zip(tree.offsets[depth - 1][:-1], tree.offsets[depth - 1][1:]):
+            if hi - lo < 2:
+                continue
+            twin = rows[lo].astype(np.float32)
+            if rng.random() < 0.5:
+                twin = np.nextafter(twin, (rng.choice([-1.0, 1.0], size=n) * np.inf).astype(np.float32))
+            rows[lo + 1] = twin
+            near.append(rows[lo])
+    Q = np.vstack([rng.standard_normal((6, n)), d.scoring_atoms[rng.integers(0, m, size=3)]]
+                  + [np.asarray(near).reshape(-1, n)[:6]])
+    want = [tree_select_reference(tree, d.scoring_atoms, q, alpha) for q in Q]
+    for q, (index, score, centroids, atoms) in zip(Q, want):
+        counter = ScoreCounter()
+        assert stmp_select(tree, d, q, alpha, counter) == (index, score)
+        assert counter.centroid_inner_products == centroids
+        assert counter.inner_products == centroids + atoms
+    selector = TreeSelector(tree, d, alpha)
+
+    def coded(size, node_major):
+        # batches of node_major rows or more take the node-major filter, smaller ones gather
+        with mock.patch.object(stmp.pursuit, "_NODE_MAJOR_ROWS", node_major):
+            counter = ScoreCounter()
+            parts = [selector.pick(Q[start:start + size], counter) for start in range(0, len(Q), size)]
+            codes = [matching_pursuit_batch(selector, Q[start:start + size], SearchParams(K=3))
+                     for start in range(0, len(Q), size)]
+        picks, scores = (np.concatenate(part) for part in zip(*parts))
+        assert picks.tolist() == [w[0] for w in want]
+        assert scores.tobytes() == np.array([w[1] for w in want]).tobytes()
+        assert counter.centroid_inner_products == sum(w[2] for w in want)
+        assert counter.inner_products == sum(w[2] + w[3] for w in want)
+        return [np.concatenate([getattr(c, field) for c in codes]).tobytes()
+                for field in ("indices", "coefficients", "lengths")] + [sum(c.ip_count for c in codes)]
+
+    runs = [coded(size, node_major) for size, node_major in
+            [(1, 2), (7, 2), (7, 128), (64, 2), (stmp.pipelines._TREE_CHUNK, 2)]]
+    assert all(run == runs[0] for run in runs)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
