@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .clustering import build_tree, load_tree, save_tree
+from .clustering import _derived_seed, _seed_sequence, build_tree, load_tree, save_tree
 from .dictionary import (
     ScoreCounter,
     build_from_patches,
@@ -207,11 +207,6 @@ def _append_report(row: str, path: str | None) -> None:
         fh.write(row + "\n")
 
 
-def _spawn_seed(seed: int, *key: int) -> int:
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(key))
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
 def _cmd_build_dict(ns, sub) -> int:
     defaults = {
         "images": None, "patch": None, "stride": None,
@@ -342,14 +337,11 @@ def _cmd_benchmark(ns, sub) -> int:
         )
     lines = [BENCH_HEADER]
     for i, (m, branching) in enumerate(zip(sizes, branchings)):
-        raw = np.random.default_rng(
-            np.random.SeedSequence(entropy=values["seed"], spawn_key=(i, 0))
-        ).standard_normal((m, values["dim"]))
-        d = normalize_columns(raw)
-        tree = build_tree(d, branching, _spawn_seed(values["seed"], i, 1))
-        queries = np.random.default_rng(
-            np.random.SeedSequence(entropy=values["seed"], spawn_key=(i, 2))
-        ).standard_normal((values["queries"], values["dim"]))
+        rng = np.random.default_rng(_seed_sequence(values["seed"], i, 0))
+        d = normalize_columns(rng.standard_normal((m, values["dim"])))
+        tree = build_tree(d, branching, _derived_seed(values["seed"], i, 1))
+        rng = np.random.default_rng(_seed_sequence(values["seed"], i, 2))
+        queries = rng.standard_normal((values["queries"], values["dim"]))
         for alpha in values["alphas"]:
             exact_total = 0
             stmp_total = 0

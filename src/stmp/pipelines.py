@@ -14,6 +14,7 @@ of patches at a time, and every patch is coded exactly as it would be
 alone, so outputs and counter totals do not depend on the chunk size.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 import math
 import time
@@ -52,6 +53,9 @@ STMP = "stmp"
 # the tree's node-major GEMMs large ones.
 _CHUNK = 64
 _TREE_CHUNK = 1024
+
+# a task's tree over the dictionary its operator projects, or a builder of one from that Dictionary
+TreeSource = ClusterTree | Callable[[Dictionary], ClusterTree] | None
 
 CSV_HEADER = "task, m, n, K, alpha, selector, psnr_db, snr_db, inner_products, patches, seconds"
 
@@ -174,8 +178,6 @@ def _selector_for(dictionary: Dictionary, tree, cfg: TaskConfig):
         return ExactSelector(dictionary)
     if tree is None:
         raise ValueError("the stmp selector needs a cluster tree")
-    if callable(tree):  # builds the tree over the projection the pipeline codes against
-        tree = tree(dictionary)
     report = validate_tree(tree, dictionary)
     if not report.ok:
         raise ValueError(f"cluster tree does not fit the dictionary: {report.violation}")
@@ -213,8 +215,13 @@ def _restore(task, start, d, op, tree, cfg, measured, out_layout, reference):
     """The skeleton every task shares: code the measurement patches (one per
     row of ``measured``) against ``d`` as ``op`` measures it, average the
     restored full-space patches on ``out_layout``, and report.  ``start`` is
-    the task's start time, so the reported seconds cover its extraction."""
+    the task's start time, so the reported seconds cover its extraction, but
+    not the build when ``tree`` is a builder."""
     pd = project_dictionary(d, op)
+    if callable(tree) and cfg.selector == STMP:
+        built = time.perf_counter()
+        tree = tree(pd.dictionary)
+        start += time.perf_counter() - built
     selector = _selector_for(pd.dictionary, tree, cfg)
     dc_meas = apply(op, np.ones(d.n))
     full, counter = _code_patches(measured, dc_meas, selector, pd, cfg.search_params())
@@ -235,7 +242,7 @@ def _restore(task, start, d, op, tree, cfg, measured, out_layout, reference):
     )
 
 
-def denoise(noisy, d: Dictionary, tree: ClusterTree | None, cfg: TaskConfig, reference=None):
+def denoise(noisy, d: Dictionary, tree: TreeSource, cfg: TaskConfig, reference=None):
     """Code every patch of a noisy tensor and average the reconstructions.
 
     Sparse approximation against the dictionary is the only prior: whatever
@@ -248,7 +255,7 @@ def denoise(noisy, d: Dictionary, tree: ClusterTree | None, cfg: TaskConfig, ref
 
 
 def masked_recover(observed, op: ObservationOperator, d: Dictionary,
-                   tree: ClusterTree | None, cfg: TaskConfig, reference=None):
+                   tree: TreeSource, cfg: TaskConfig, reference=None):
     """Complete unobserved patch coordinates from a row selection.
 
     The observed tensor keeps its full shape; only the coordinates the
@@ -263,7 +270,7 @@ def masked_recover(observed, op: ObservationOperator, d: Dictionary,
                     reference)
 
 
-def super_resolve(lowres, d: Dictionary, tree: ClusterTree | None, cfg: TaskConfig,
+def super_resolve(lowres, d: Dictionary, tree: TreeSource, cfg: TaskConfig,
                   factor: int = 4, reference=None):
     """Upscale by coding low-resolution patches against block-averaged atoms.
 
@@ -288,7 +295,7 @@ def super_resolve(lowres, d: Dictionary, tree: ClusterTree | None, cfg: TaskConf
 
 
 def compressive_recover(measurements, op: ObservationOperator, d: Dictionary,
-                        tree: ClusterTree | None, cfg: TaskConfig, reference=None):
+                        tree: TreeSource, cfg: TaskConfig, reference=None):
     """Recover a video from coded-exposure measurement frames.
 
     Measurement patches tile the measurement volume exactly (stride equals

@@ -24,12 +24,13 @@ canonically, and a parent with no more of them than it keeps keeps them
 unscored.  A row the filter cannot bound has every entry in its band.
 
 The scan scores a block of rows against every atom, a (rows x m) product,
-so callers keep its blocks small.  The descent scores node-major, as an IVF
-index does: ``TreeSelector`` lays the atoms out in leaf order, so every
-node's children are one row range; a level groups its (row, node) pairs by
-node and scores each visited node's children against all the rows that kept
-it in one GEMM, which pays off from about a hundred rows.  Smaller batches,
-single queries too, gather the children and score them all canonically.
+so callers keep its blocks small.  ``TreeSelector`` descends a batch
+node-major, as an IVF index does: it lays the atoms out in leaf order, so
+every node's children are one row range; a level groups its (row, node)
+pairs by node and scores each visited node's children against all the
+rows that kept it in one GEMM.  A lone query walks the tree instead and
+scores its few dozen children per level canonically: checking a filter's
+band would take more numpy calls than a cheaper product saves.
 """
 
 from dataclasses import dataclass, field
@@ -57,8 +58,6 @@ _U64 = 2.0**-53
 # below this r.r, r / |r| loses bits to underflow; such rows skip the filter
 _RR_MIN = 2.0**-1000
 _VECDOT = getattr(np, "vecdot", None)  # numpy >= 2
-# batches of this many rows descend node-major; smaller ones gather faster
-_NODE_MAJOR_ROWS = 128
 
 
 def _steps(count: int) -> np.ndarray:
@@ -225,16 +224,16 @@ def _band_for(n: int, a: float) -> float:
     of norm at most ``a`` and residuals scaled to unit norm.
 
     Against the exact a . r / |r|, a fast score errs by at most
-    (u32 + u64 + gamma_n(u32)) |a| (rounding the scaled query to float32,
-    float32 summation) and a canonical one by gamma_n(u64) |a|; the band is
-    twice their sum.  One more u32 covers rounding the threshold to float32,
-    1 % slack the rounding of the norms, and an absolute floor the products
-    that underflow float32.
+    (2 u32 + u64 + gamma_n(u32)) |a| (rounding the table row and the scaled
+    query to float32, float32 summation) and a canonical one by
+    gamma_n(u64) |a|; the band is twice their sum.  One more u32 covers
+    rounding the threshold to float32, 1 % slack the rounding of the norms,
+    and an absolute floor the products that underflow float32.
     """
     if n * _U32 >= 0.5:
         return math.inf
     gamma = n * _U32 / (1 - n * _U32) + n * _U64 / (1 - n * _U64)
-    return 2.02 * a * (gamma + 2 * _U32 + _U64) + n * (a + 1) * 2.0**-124
+    return 2.02 * a * (gamma + 3 * _U32 + _U64) + n * (a + 1) * 2.0**-124
 
 
 def _unit32(R: np.ndarray) -> np.ndarray:
@@ -303,60 +302,74 @@ def _node_major(table, bounds, nodes, live, width: int, Q: np.ndarray) -> np.nda
 
 
 def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: ScoreCounter | None,
-             tables=None):
+             tables):
     """Tree picks for every row of R, all rows descending together.
 
     Each row keeps a frontier of nodes; parents with fewer children than the
-    widest leave empty slots, which ``live`` masks.  With ``TreeSelector``'s
-    ``tables`` and many rows, a node-major GEMM filters each level;
-    otherwise every child is gathered and scored canonically.
+    widest leave empty slots, which ``live`` masks.  A node-major GEMM
+    against ``TreeSelector``'s ``tables`` filters each level.
     """
     P = R.shape[0]
-    Q = _unit32(R) if tables is not None and P >= _NODE_MAJOR_ROWS else None
+    Q = _unit32(R)
     nodes, live = np.zeros((P, 1), dtype=np.int64), None
-    width, levels, first, count, valid = int(t.offsets[0][1]), t.levels, nodes, None, None
-    ids = _steps(width)[None] if P == 1 else nodes + _steps(width)  # the root's children: all of depth 1
     for depth, keep in enumerate(keeps + (1,)):
-        if depth:
-            first, count, width, ids, valid = _children(t.offsets[depth], nodes, live)
-        leaf = depth == levels
+        first, count, width, ids, valid = _children(t.offsets[depth], nodes, live)
+        leaf = depth == t.levels
         if counter is not None:
             scored = ids.size if valid is None else np.count_nonzero(valid)
             (counter.count_atoms if leaf else counter.count_centroids)(scored)
         # one choice per group: a parent's children, or at the leaf a row's atoms
         groups = P if leaf else nodes.size
         source, keys = (d.scoring_atoms, t.atoms.take(ids)) if leaf else (t.centroids[depth + 1], ids)
+        table, band = tables[depth]
+        keep = min(keep, width)
+        fast = _node_major(table, t.offsets[depth], nodes, live, width, Q).reshape(groups, -1)
         cand = None if valid is None else valid.reshape(groups, -1)
-        if Q is None:  # the root's children are all of its source; one row takes a 2-D form, faster
-            blocks = source.take(keys, axis=0) if depth else source
-            scores = (row_dots(blocks.reshape(-1, R.shape[1]), R[0]) if P == 1
-                      else row_dots(blocks, R[:, None])).reshape(groups, -1)
-        else:
-            table, band = tables[depth]
-            keep = min(keep, width)
-            fast = _node_major(table, t.offsets[depth], nodes, live, width, Q).reshape(groups, -1)
-            if cand is not None:
-                fast[~cand] = -1.0
-            cut = fast.max(axis=1) if keep == 1 else -np.partition(-fast, keep - 1, axis=1)[:, keep - 1]
-            hit = fast >= (cut - band)[:, None]
-            cand = hit if cand is None else hit & cand
-            # a parent with no more candidates than it keeps keeps them, unscored
-            crowded = (np.count_nonzero(cand, axis=1) > keep) | leaf
-            g, e = (cand & crowded[:, None]).nonzero()
-            scores = np.zeros(fast.shape)
-            scores[g, e] = row_dots(source.take(keys.reshape(groups, -1)[g, e], axis=0),
-                                    R.take(g * P // groups, axis=0))
+        if cand is not None:
+            fast[~cand] = -1.0
+        cut = fast.max(axis=1) if keep == 1 else -np.partition(-fast, keep - 1, axis=1)[:, keep - 1]
+        hit = fast >= (cut - band)[:, None]
+        cand = hit if cand is None else hit & cand
+        # a parent with no more candidates than it keeps keeps them, unscored
+        crowded = (np.count_nonzero(cand, axis=1) > keep) | leaf
+        g, e = (cand & crowded[:, None]).nonzero()
+        scores = np.zeros(fast.shape)
+        scores[g, e] = row_dots(source.take(keys.reshape(groups, -1)[g, e], axis=0),
+                                R.take(g * P // groups, axis=0))
         if leaf:
             return _best(scores, keys, cand)
-        if Q is None:
-            position = _top(scores, cand, keep)
-        else:  # a parent keeps its candidates, a crowded one by canonical |score|
-            position = _top(cand.view(np.int8), None, keep)
-            position[crowded] = _top(scores[crowded], cand[crowded], keep)
+        # a parent keeps its candidates, a crowded one its best by canonical |score|
+        position = _top(cand.view(np.int8), None, keep)
+        position[crowded] = _top(scores[crowded], cand[crowded], keep)
         nodes = (first.reshape(-1, 1) + position).reshape(P, -1)
         if valid is not None:
             live = (position < count.reshape(-1, 1)).reshape(P, -1)
             nodes *= live
+
+
+def _walk(t: ClusterTree, d: Dictionary, r: np.ndarray, keeps, counter: ScoreCounter | None):
+    """One query's descent, every child of the frontier scored canonically
+    (row j of ``ids`` holds frontier node j's children), with the result
+    ``_descend`` gives a batch of one."""
+    nodes = first = _steps(1)  # the root
+    ids, valid = _steps(int(t.offsets[0][1]))[None], None  # the root's children: all of depth 1
+    for depth, keep in enumerate(keeps + (1,)):
+        if depth:
+            first, count, _, ids, valid = _children(t.offsets[depth], nodes, None)
+        leaf = depth == t.levels
+        if counter is not None:
+            scored = ids.size if valid is None else np.count_nonzero(valid)
+            (counter.count_atoms if leaf else counter.count_centroids)(scored)
+        if leaf:
+            keys = t.atoms.take(ids.reshape(1, -1))
+            scores = row_dots(d.scoring_atoms.take(keys[0], axis=0), r)
+            return _best(scores[None], keys, None if valid is None else valid.reshape(1, -1))
+        source = t.centroids[depth + 1]
+        scores = row_dots(source.take(ids.ravel(), axis=0) if depth else source, r)
+        position = _top(scores.reshape(ids.shape), valid, keep)
+        nodes = (first[:, None] + position).ravel()
+        if valid is not None:
+            nodes = nodes[(position < count[:, None]).ravel()]
 
 
 def _top(scores: np.ndarray, cand, keep: int) -> np.ndarray:
@@ -398,7 +411,7 @@ def stmp_select(t: ClusterTree, d: Dictionary, r, alpha: float,
     """
     keeps = _keeps(alpha, t.branching)
     check_fingerprint(t, d)
-    best, scores = _descend(t, d, _as_query(r, d.n)[0], keeps, counter)
+    best, scores = _walk(t, d, _as_query(r, d.n)[0][0], keeps, counter)
     return int(best[0]), float(scores[0])
 
 
@@ -423,13 +436,17 @@ class TreeSelector:
         self.dictionary = dictionary
         self.alpha = alpha
         self._keeps = _keeps(alpha, tree.branching)
-        # the filter's rows per depth, atoms in leaf order: each node's children are a row range
+        # the filter's rows per depth, atoms in leaf order: each node's children are a row range;
+        # the band covers rounding float64 centroids to float32
         rows = [c.astype(np.float32) for c in tree.centroids[1:]] + [dictionary.atoms.take(tree.atoms, 0)]
         norms = [np.linalg.norm(c, axis=1).max() for c in tree.centroids[1:]] + [dictionary.max_norm]
         self._tables = [(r, np.float32(_band_for(tree.n, a))) for r, a in zip(rows, norms)]
 
     def pick(self, R: np.ndarray, counter: ScoreCounter | None = None):
-        """Picks and canonical scores for every row of a finite float64 (P, n) matrix."""
+        """Picks and canonical scores for every row of a finite float64 (P, n)
+        matrix; a lone row walks the tree as ``stmp_select`` does."""
+        if R.shape[0] == 1:
+            return _walk(self.tree, self.dictionary, R[0], self._keeps, counter)
         return _descend(self.tree, self.dictionary, R, self._keeps, counter, self._tables)
 
 

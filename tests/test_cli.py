@@ -389,8 +389,6 @@ def test_run_output_does_not_depend_on_chunk_size(tmp_path, monkeypatch, task, s
     save_dictionary(d, tmp_path / "d.dict")
     out, report = tmp_path / "out.tnsr", tmp_path / "report.csv"
     runs = []
-    # every tree batch of two rows or more takes the node-major filter
-    monkeypatch.setattr(stmp.pursuit, "_NODE_MAJOR_ROWS", 2)
     # up to one chunk larger than the 25 (denoise) or 121 (superres) patches
     for chunk in (1, 7, 64, 122, stmp.pipelines._TREE_CHUNK):
         monkeypatch.setattr(stmp.pipelines, "_CHUNK", chunk)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -253,6 +254,28 @@ def test_denoise_hashes_dictionary_once(monkeypatch):
     cfg = TaskConfig(patch_shape=(4, 4), stride=(2, 2), K=2, selector="stmp")
     denoise(img, Dictionary(atoms.copy()), tree, cfg)
     assert len(calls) == 1
+
+
+def test_tree_builder_gets_the_projection_and_is_not_timed():
+    # A task's tree may be a builder: it is called once, on the projected
+    # Dictionary the task codes against, and its build is left out of the
+    # report's seconds.
+    lowres = np.random.default_rng(23).random((6, 6)).astype(np.float32)
+    d = _flat_field_dictionary(36, 60, seed=16)
+    projected = project_dictionary(d, block_average_operator((6, 6), (2, 2))).dictionary
+    cfg = TaskConfig(patch_shape=(6, 6), stride=(1, 1), K=2, alpha=0.5)
+    built = []
+
+    def builder(dictionary):
+        built.append(dictionary.atoms.tobytes())
+        time.sleep(0.3)
+        return build_tree(dictionary, (7, 3), seed=17)
+
+    up, report = super_resolve(lowres, d, builder, cfg, factor=2)
+    assert built == [projected.atoms.tobytes()]
+    assert report.seconds < 0.3
+    want = super_resolve(lowres, d, build_tree(projected, (7, 3), seed=17), cfg, factor=2)[0]
+    assert up.tobytes() == want.tobytes()
 
 
 def test_csv_row_shape():

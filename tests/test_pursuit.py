@@ -1,11 +1,8 @@
-from unittest import mock
-
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
 import stmp.pipelines
-import stmp.pursuit
 
 from stmp import (
     CodeBatch,
@@ -484,13 +481,11 @@ def test_descent_decides_every_level_on_canonical_scores(m, n, branching, alpha,
         assert counter.inner_products == centroids + atoms
     selector = TreeSelector(tree, d, alpha)
 
-    def coded(size, node_major):
-        # batches of node_major rows or more take the node-major filter, smaller ones gather
-        with mock.patch.object(stmp.pursuit, "_NODE_MAJOR_ROWS", node_major):
-            counter = ScoreCounter()
-            parts = [selector.pick(Q[start:start + size], counter) for start in range(0, len(Q), size)]
-            codes = [matching_pursuit_batch(selector, Q[start:start + size], SearchParams(K=3))
-                     for start in range(0, len(Q), size)]
+    def coded(size):
+        counter = ScoreCounter()
+        parts = [selector.pick(Q[start:start + size], counter) for start in range(0, len(Q), size)]
+        codes = [matching_pursuit_batch(selector, Q[start:start + size], SearchParams(K=3))
+                 for start in range(0, len(Q), size)]
         picks, scores = (np.concatenate(part) for part in zip(*parts))
         assert picks.tolist() == [w[0] for w in want]
         assert scores.tobytes() == np.array([w[1] for w in want]).tobytes()
@@ -499,9 +494,35 @@ def test_descent_decides_every_level_on_canonical_scores(m, n, branching, alpha,
         return [np.concatenate([getattr(c, field) for c in codes]).tobytes()
                 for field in ("indices", "coefficients", "lengths")] + [sum(c.ip_count for c in codes)]
 
-    runs = [coded(size, node_major) for size, node_major in
-            [(1, 2), (7, 2), (7, 128), (64, 2), (stmp.pipelines._TREE_CHUNK, 2)]]
+    runs = [coded(size) for size in (1, 7, 64, stmp.pipelines._TREE_CHUNK)]
     assert all(run == runs[0] for run in runs)
+
+
+def test_descent_over_float64_centroids_matches_the_reference():
+    # A hand-made ClusterTree may hold centroids float32 cannot represent;
+    # the filter rounds them to float32, and its band must cover that.  Each
+    # odd child copies its elder sibling up to 1e-13, below a float32 ulp,
+    # so the two look equal to the filter and only canonical scores rank them.
+    rng = np.random.default_rng(52)
+    d = _random_dictionary(150, 12, seed=52)
+    tree = build_tree(d, (6, 5), seed=53)
+    for rows in tree.centroids[1:]:
+        rows += rng.standard_normal(rows.shape) * 1e-3
+        rows[1::2] = rows[0:-1:2] + rng.standard_normal(rows[1::2].shape) * 1e-13
+        assert (rows.astype(np.float32) != rows).any()
+    Q = np.vstack([rng.standard_normal((8, 12)), tree.centroids[1][:4], tree.centroids[2][:8]])
+    for alpha in (0.1, 0.35, 1.0):
+        want = [tree_select_reference(tree, d.scoring_atoms, q, alpha) for q in Q]
+        selector = TreeSelector(tree, d, alpha)
+        for size in (1, len(Q)):
+            for start in range(0, len(Q), size):
+                counter = ScoreCounter()
+                picks, scores = selector.pick(Q[start:start + size], counter)
+                part = want[start:start + size]
+                assert picks.tolist() == [w[0] for w in part]
+                assert scores.tobytes() == np.array([w[1] for w in part]).tobytes()
+                assert counter.centroid_inner_products == sum(w[2] for w in part)
+        assert [stmp_select(tree, d, q, alpha) for q in Q] == [w[:2] for w in want]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
