@@ -7,6 +7,18 @@ that reach the capacity C = ceil(count/k) are frozen with their C members
 nearest to the centroid, everything left over is re-clustered, and the final
 stragglers (at most C of them) form the last cluster.
 
+All nodes of one depth split together.  Their rounds run in lockstep, and
+in each round the nodes whose k-means input has the same (rows, k) shape
+form one stack: k-means++, the distance GEMM (``np.matmul`` on the 3-D
+stack), argmin, counts and means are one numpy call for the whole stack,
+and nodes leave it as they converge.  Since every frozen cluster holds
+exactly C atoms, a depth has few shapes.  Stacks are never padded to one
+shape: OpenBLAS rounds a padded product differently, a changed ulp can flip
+an argmin, and a node's split, like the ``.tree`` bytes, must not depend on
+which nodes share its stack.  Each node keeps its own seeded generator, and
+every node's arithmetic is its lone run's, so a tree is the one the nodes
+split one at a time would give.
+
 On unit-norm vectors squared Euclidean distance and inner product induce the
 same ordering (|u - v|^2 = 2 - 2 u.v), which is what lets a distance-based
 clustering serve an inner-product-based search.
@@ -37,7 +49,7 @@ import math
 import numpy as np
 
 from . import _binio
-from .dictionary import Dictionary
+from .dictionary import Dictionary, row_dots
 from .errors import FormatError, StaleTreeError, UnsupportedFormatError
 
 _TREE_MAGIC = b"STMPTREE"
@@ -64,43 +76,129 @@ def _derived_seed(seed, *key) -> int:
     return int(_seed_sequence(seed, *key).generate_state(1, np.uint64)[0])
 
 
-def _squared_distances(vectors: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = sq_norms[:, None] - 2.0 * (vectors @ centroids.T) + (centroids * centroids).sum(axis=1)[None, :]
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+def _bincounts(assignments: np.ndarray, k: int) -> np.ndarray:
+    """Cluster sizes of every node of an (S, rows) assignment stack, as (S, k)."""
+    S = assignments.shape[0]
+    bins = assignments + k * np.arange(S)[:, None]
+    return np.bincount(bins.ravel(), minlength=S * k).reshape(S, k)
 
 
-def _kmeanspp_init(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    count = vectors.shape[0]
-    chosen = [int(rng.integers(count))]
-    wide = vectors.astype(np.float64)
-    diff = wide - wide[chosen[0]]
-    d2 = (diff * diff).sum(axis=1)
-    for _ in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            # all remaining mass sits on already-chosen duplicates
-            taken = np.zeros(count, dtype=bool)
-            taken[chosen] = True
-            nxt = int(np.flatnonzero(~taken)[0])
-        else:
-            nxt = int(rng.choice(count, p=d2 / total))
-        chosen.append(nxt)
-        np.subtract(wide, wide[nxt], out=diff)
-        np.minimum(d2, np.square(diff, out=diff).sum(axis=1), out=d2)
-    return vectors[chosen].copy()
+def _draw(d2: np.ndarray, total: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Per row, the index ``rng.choice(len(d2[r]), p=d2[r] / total[r])`` picks
+    when ``rng.random()`` gives ``uniforms[r]``: the first whose entry of
+    the normalized cumsum of p exceeds it."""
+    cdf = np.cumsum(d2 / total[:, None], axis=1)
+    cdf /= cdf[:, -1:]
+    return np.count_nonzero(cdf <= uniforms[:, None], axis=1)
 
 
-def _group_means(vectors: np.ndarray, assignments: np.ndarray, counts: np.ndarray,
-                 old: np.ndarray) -> np.ndarray:
-    k, n = old.shape
-    # bin (c, j) adds column j of cluster c's rows in row order, as a per-column bincount would
-    bins = (assignments[:, None] * n + np.arange(n)).ravel()
-    sums = np.bincount(bins, weights=vectors.ravel(), minlength=k * n).reshape(k, n)
+def _kmeanspp(vectors: np.ndarray, wide: np.ndarray, k: int, seeds) -> np.ndarray:
+    """k-means++ centroids of every node of an (S, rows, n) stack, (S, k, n).
+
+    Node s draws from its own generator ``default_rng(seeds[s])``: a first
+    row from ``integers(rows)``, then each next one as ``choice(rows,
+    p=d2 / total)`` would (``_draw``).  A node whose remaining mass is 0
+    (only chosen duplicates left) draws nothing and takes its first
+    unchosen row.
+    """
+    S, rows, _ = vectors.shape
+    chosen = np.empty((S, k), dtype=np.int64)
+    uniforms = np.empty((S, k - 1))
+    for s, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        chosen[s, 0] = rng.integers(rows)
+        uniforms[s] = rng.random(k - 1)  # the draws k-1 random() calls give
+    at = np.arange(S)
+    diff = wide - wide[at, chosen[:, 0]][:, None, :]
+    d2 = np.square(diff, out=diff).sum(axis=2)
+    drawn = np.zeros(S, dtype=np.int64)
+    for j in range(1, k):
+        total = d2.sum(axis=1)
+        spread = np.flatnonzero(total > 0.0)
+        chosen[spread, j] = _draw(d2[spread], total[spread], uniforms[spread, drawn[spread]])
+        drawn[spread] += 1
+        for s in np.flatnonzero(~(total > 0.0)).tolist():
+            taken = np.zeros(rows, dtype=bool)
+            taken[chosen[s, :j]] = True
+            chosen[s, j] = np.flatnonzero(~taken)[0]
+        np.subtract(wide, wide[at, chosen[:, j]][:, None, :], out=diff)
+        np.minimum(d2, np.square(diff, out=diff).sum(axis=2), out=d2)
+    return vectors[at[:, None], chosen]
+
+
+def _means(wide: np.ndarray, assignments: np.ndarray, counts: np.ndarray,
+           old: np.ndarray) -> np.ndarray:
+    S, _, n = wide.shape
+    k = old.shape[1]
+    # bin (s, c, j) adds column j of node s's cluster c in row order, as a per-node bincount would
+    bins = ((assignments + k * np.arange(S)[:, None]) * n)[:, :, None] + np.arange(n)
+    sums = np.bincount(bins.ravel(), weights=wide.ravel(), minlength=S * k * n).reshape(S, k, n)
     centroids = old.copy()
     nonempty = counts > 0
-    centroids[nonempty] = (sums[nonempty] / counts[nonempty, None]).astype(np.float32)
+    centroids[nonempty] = (sums[nonempty] / counts[nonempty][:, None]).astype(np.float32)
     return centroids
+
+
+def _kmeans(atoms: np.ndarray, index: np.ndarray, k: int, seeds,
+            max_iters: int = 25) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd iterations on every node of a stack at once: node s clusters
+    the float32 rows ``atoms[index[s]]``, of one count for all nodes.
+
+    Returns (S, k, n) centroids and (S, rows) assignments; node s gets what
+    a lone run on its rows seeded by ``seeds[s]`` gives, bit for bit.
+    Nodes leave the stack as they converge.
+    """
+    vectors = atoms[index]
+    S, rows, n = vectors.shape
+    if k == rows:
+        return vectors.copy(), np.tile(np.arange(rows, dtype=np.int64), (S, 1))
+    wide = vectors.astype(np.float64)
+    centroids = _kmeanspp(vectors, wide, k, seeds)
+    sq_norms = np.square(wide).sum(axis=2).astype(np.float32)
+    done_c = np.empty((S, k, n), dtype=np.float32)
+    done_a = np.empty((S, rows), dtype=np.int64)
+    live = np.arange(S)
+    previous = None
+    assignments = np.zeros((S, rows), dtype=np.int64)
+    for _ in range(max_iters):
+        # squared distances in place: (sq - 2 v.c) + c.c, the bits of the unfused sum
+        d2 = np.matmul(vectors, centroids.transpose(0, 2, 1))
+        d2 *= -2.0
+        d2 += sq_norms[:, :, None]
+        d2 += np.square(centroids).sum(axis=2)[:, None, :]
+        np.maximum(d2, 0.0, out=d2)
+        assignments = d2.argmin(axis=2)
+        counts = _bincounts(assignments, k)
+        for s in np.flatnonzero((counts == 0).any(axis=1)).tolist():
+            # re-seed each empty cluster at the point farthest from its own centroid
+            own = d2[s, np.arange(rows), assignments[s]].astype(np.float64)
+            for c in np.flatnonzero(counts[s] == 0).tolist():
+                far = int(np.argmax(own))
+                centroids[s, c] = vectors[s, far]
+                assignments[s, far] = c
+                own[far] = -np.inf
+            counts[s] = np.bincount(assignments[s], minlength=k)
+        d2 = None  # frees the distances before the means
+        if previous is not None:
+            settled = (assignments == previous).all(axis=1)
+            if settled.any():
+                done_c[live[settled]] = centroids[settled]
+                done_a[live[settled]] = assignments[settled]
+                going = ~settled
+                if not going.any():
+                    return done_c, done_a
+                kept = np.flatnonzero(going).tolist()
+                for dst, src in enumerate(kept):  # in place: a copy would double the peak memory
+                    vectors[dst], wide[dst] = vectors[src], wide[src]
+                vectors, wide = vectors[:len(kept)], wide[:len(kept)]
+                live, sq_norms, centroids, assignments, counts = (
+                    a[going] for a in (live, sq_norms, centroids, assignments, counts)
+                )
+        previous = assignments
+        centroids = _means(wide, assignments, counts, centroids)
+    done_c[live] = centroids
+    done_a[live] = assignments
+    return done_c, done_a
 
 
 def kmeans(vectors, k: int, seed, max_iters: int = 25) -> tuple[np.ndarray, np.ndarray]:
@@ -116,31 +214,9 @@ def kmeans(vectors, k: int, seed, max_iters: int = 25) -> tuple[np.ndarray, np.n
     count = vectors.shape[0]
     if not 1 <= k <= count:
         raise ValueError(f"cluster count {k} must be in [1, {count}]")
-    if k == count:
-        return vectors.copy(), np.arange(count, dtype=np.int64)
-    rng = np.random.default_rng(_seed_sequence(seed))
-    centroids = _kmeanspp_init(vectors, k, rng)
-    sq_norms = (vectors.astype(np.float64) ** 2).sum(axis=1).astype(np.float32)
-    previous = None
-    assignments = np.zeros(count, dtype=np.int64)
-    for _ in range(max_iters):
-        d2 = _squared_distances(vectors, sq_norms, centroids)
-        assignments = d2.argmin(axis=1).astype(np.int64)
-        counts = np.bincount(assignments, minlength=k)
-        empties = np.flatnonzero(counts == 0)
-        if empties.size:
-            own = d2[np.arange(count), assignments].astype(np.float64)
-            for c in empties:
-                far = int(np.argmax(own))
-                centroids[c] = vectors[far]
-                assignments[far] = c
-                own[far] = -np.inf
-            counts = np.bincount(assignments, minlength=k)
-        if previous is not None and np.array_equal(assignments, previous):
-            break
-        previous, d2 = assignments, None  # frees d2 before the means and the next distances
-        centroids = _group_means(vectors, assignments, counts, centroids)
-    return centroids, assignments
+    centroids, assignments = _kmeans(vectors, np.arange(count)[None], k, [_seed_sequence(seed)],
+                                     max_iters)
+    return centroids[0], assignments[0]
 
 
 @dataclass(eq=False)
@@ -157,15 +233,99 @@ class BalancedPartition:
         return math.ceil(self.assignments.size / self.k)
 
 
-def _unit_mean(block: np.ndarray) -> np.ndarray:
-    mean = block.astype(np.float64).mean(axis=0)
-    norm = float(np.linalg.norm(mean))
-    if norm < _DEGENERATE_NORM:
-        # members cancel; fall back to a fixed unit vector
-        fallback = np.zeros(block.shape[1], dtype=np.float32)
-        fallback[0] = 1.0
-        return fallback
-    return (mean / norm).astype(np.float32)
+def _unit_means(atoms: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The unit-norm float32 mean of each run of ``members`` (run lengths
+    ``sizes``), summed in member order; runs of one length are one stack."""
+    starts = np.cumsum(sizes) - sizes
+    means = np.empty((sizes.size, atoms.shape[1]))
+    for size in np.unique(sizes).tolist():
+        runs = np.flatnonzero(sizes == size)
+        block = atoms[members[starts[runs, None] + np.arange(size)]]
+        means[runs] = block.astype(np.float64).mean(axis=1)
+    norms = np.sqrt(row_dots(means, means))  # np.linalg.norm's ddot
+    flat = norms < _DEGENERATE_NORM  # members cancel; a fixed unit vector stands in
+    means[flat] = 0.0
+    means[flat, 0] = norms[flat] = 1.0
+    return (means / norms[:, None]).astype(np.float32)
+
+
+def _freeze(atoms: np.ndarray, rows: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,
+            capacity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One round's frozen clusters for every node of a k-means stack, whose
+    row j of node s is ``atoms[rows[s, j]]``.
+
+    Each cluster of at least its node's capacity is frozen with the
+    capacity's worth of members nearest its centroid.  A node with no such
+    cluster freezes its largest one, topped up with the other atoms nearest
+    its centroid.  Distance ties go to the lower row, as a stable sort
+    would.  Returns the (S, rows) rank among the node's clusters frozen this
+    round of every atom frozen (-1 elsewhere), and their count per node.
+    """
+    k = centroids.shape[1]
+    sizes = _bincounts(assignments, k)
+    frozen = sizes >= capacity[:, None]
+    target = np.where(np.take_along_axis(frozen, assignments, axis=1), assignments, -1)
+    late = np.zeros(assignments.shape, dtype=bool)  # the top-up comes after the members
+    short = np.flatnonzero(~frozen.any(axis=1))
+    if short.size:
+        largest = sizes[short].argmax(axis=1)
+        frozen[short, largest] = True
+        target[short] = largest[:, None]
+        late[short] = assignments[short] != largest[:, None]
+    s, i = np.nonzero(target >= 0)
+    c = target[s, i]
+    diff = atoms[rows[s, i]].astype(np.float64)
+    diff -= centroids[s, c]
+    dist = np.square(diff, out=diff).sum(axis=1)
+    ranked = np.lexsort((dist, late[s, i], c, s))  # stable: ties keep row order
+    s, i, c = s[ranked], i[ranked], c[ranked]
+    group = s * k + c
+    first = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
+    place = np.arange(group.size) - np.repeat(first, np.diff(np.append(first, group.size)))
+    keep = place < capacity[s]
+    ranks = np.full(assignments.shape, -1, dtype=np.int64)
+    ranks[s[keep], i[keep]] = (np.cumsum(frozen, axis=1) - 1)[s[keep], c[keep]]
+    return ranks, np.count_nonzero(frozen, axis=1)
+
+
+def _split(atoms: np.ndarray, members: np.ndarray, sizes: np.ndarray, k: int,
+           seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Balanced clusters of every node of one tree depth, rounds in lockstep.
+
+    Node j owns the next ``sizes[j]`` entries of ``members`` (atom indices,
+    ascending) and splits with seed ``seeds[j]`` (None if it has no more
+    atoms than k, and so draws nothing).  Each round, the nodes whose
+    k-means input has one (rows, k) shape run as one stack.  Returns every
+    member's cluster id within its node and each node's cluster count.
+    """
+    nodes = sizes.size
+    owner = np.repeat(np.arange(nodes), sizes)
+    capacity = -(-sizes // k)
+    labels = np.full(members.size, -1, dtype=np.int64)
+    issued = np.zeros(nodes, dtype=np.int64)
+    left = sizes.copy()
+    for round_no in itertools.count():
+        active = np.flatnonzero(left > capacity)
+        if not active.size:
+            break
+        shapes = np.stack([left[active], np.minimum(k - issued[active], left[active])], axis=1)
+        for rows, k_round in np.unique(shapes, axis=0).tolist():
+            group = active[(shapes == (rows, k_round)).all(axis=1)]
+            in_group = np.zeros(nodes, dtype=bool)
+            in_group[group] = True
+            at = np.flatnonzero(in_group[owner] & (labels < 0)).reshape(group.size, rows)
+            index = members[at]
+            round_seeds = ([_seed_sequence(seeds[j], round_no) for j in group.tolist()]
+                           if k_round < rows else ())
+            centroids, assignments = _kmeans(atoms, index, k_round, round_seeds)
+            ranks, added = _freeze(atoms, index, centroids, assignments, capacity[group])
+            hit = ranks >= 0
+            labels[at[hit]] = (ranks + issued[group, None])[hit]
+            issued[group] += added
+            left[group] -= np.count_nonzero(hit, axis=1)
+    rest = labels < 0  # the last 1..C atoms of a node form its last cluster
+    labels[rest] = issued[owner[rest]]
+    return labels, issued + (left > 0)
 
 
 def balanced_cluster(atoms, k: int, seed) -> BalancedPartition:
@@ -184,47 +344,9 @@ def balanced_cluster(atoms, k: int, seed) -> BalancedPartition:
     if k < 1:
         raise ValueError(f"cluster count must be positive, got {k}")
     m = atoms.shape[0]
-    capacity = math.ceil(m / k)
-    remaining = np.arange(m, dtype=np.int64)
-    clusters: list[np.ndarray] = []
-    round_no = 0
-    while remaining.size > capacity:
-        k_round = min(k - len(clusters), remaining.size)
-        sub = atoms[remaining]
-        cents, assign = kmeans(sub, k_round, _seed_sequence(seed, round_no))
-        sizes = np.bincount(assign, minlength=k_round)
-        large = np.flatnonzero(sizes >= capacity)
-        taken = np.zeros(remaining.size, dtype=bool)
-        if large.size:
-            for c in large:
-                members = np.flatnonzero(assign == c)
-                diff = sub[members].astype(np.float64) - cents[c].astype(np.float64)
-                dist = (diff * diff).sum(axis=1)
-                keep = members[np.argsort(dist, kind="stable")[:capacity]]
-                keep.sort()
-                clusters.append(remaining[keep])
-                taken[keep] = True
-        else:
-            c = int(np.argmax(sizes))
-            members = np.flatnonzero(assign == c)
-            others = np.flatnonzero(assign != c)
-            diff = sub[others].astype(np.float64) - cents[c].astype(np.float64)
-            dist = (diff * diff).sum(axis=1)
-            pad = others[np.argsort(dist, kind="stable")[: capacity - members.size]]
-            keep = np.sort(np.concatenate([members, pad]))
-            clusters.append(remaining[keep])
-            taken[keep] = True
-        remaining = remaining[~taken]
-        round_no += 1
-    if remaining.size:
-        clusters.append(remaining)
-    assignments = np.empty(m, dtype=np.int64)
-    centroids = np.empty((len(clusters), atoms.shape[1]), dtype=np.float32)
-    sizes = np.empty(len(clusters), dtype=np.int64)
-    for cid, members in enumerate(clusters):
-        assignments[members] = cid
-        centroids[cid] = _unit_mean(atoms[members])
-        sizes[cid] = members.size
+    assignments, count = _split(atoms, np.arange(m), np.array([m]), k, [seed])
+    sizes = np.bincount(assignments, minlength=int(count[0]))
+    centroids = _unit_means(atoms, np.argsort(assignments, kind="stable"), sizes)
     return BalancedPartition(k=k, assignments=assignments, centroids=centroids, sizes=sizes)
 
 
@@ -283,34 +405,36 @@ def build_tree(d: Dictionary, branching, seed) -> ClusterTree:
     """Balanced-cluster the dictionary level by level into a shallow tree.
 
     Each node is split with a seed derived from its path of cluster ids, so
-    no split depends on the order in which nodes are visited.
+    no split depends on the order in which nodes are visited.  All nodes of
+    a depth split together (``_split``).
     """
     branching = _check_branching(branching)
     atoms = d.atoms
-    members = [np.arange(d.m, dtype=np.int64)]
+    members = np.arange(d.m, dtype=np.int64)  # each node's atoms, ascending, node after node
+    sizes = np.array([d.m])
     paths = [()]
-    centroids = [_unit_mean(atoms[members[0]])[None, :]]
+    centroids = [_unit_means(atoms, members, sizes)]
     offsets = []
     for depth, k in enumerate(branching):
-        below, below_paths, rows, counts = [], [], [], []
-        for node, path in zip(members, paths):
-            part = balanced_cluster(atoms[node], k, _derived_seed(seed, *path))
-            rows.append(part.centroids)
-            counts.append(part.sizes.size)
-            for cid in range(part.sizes.size):
-                below.append(node[part.assignments == cid])
-                below_paths.append(path + (cid,))
-        centroids.append(np.concatenate(rows))
-        offsets.append(_csr(counts))
-        members, paths = below, below_paths
-    offsets.append(_csr(node.size for node in members))
+        seeds = [_derived_seed(seed, *path) if size > k else None
+                 for path, size in zip(paths, sizes.tolist())]
+        labels, counts = _split(atoms, members, sizes, k, seeds)
+        key = np.repeat(k * np.arange(sizes.size), sizes) + labels
+        members = members[np.argsort(key, kind="stable")]
+        sizes = np.bincount(key, minlength=k * sizes.size)
+        sizes = sizes[sizes > 0]
+        centroids.append(_unit_means(atoms, members, sizes))
+        offsets.append(_csr(counts.tolist()))
+        if depth + 1 < len(branching):
+            paths = [path + (cid,) for path, count in zip(paths, counts.tolist()) for cid in range(count)]
+    offsets.append(_csr(sizes.tolist()))
     return ClusterTree(
         branching=branching,
         dictionary_fingerprint=d.fingerprint(),
         n=d.n,
         centroids=[rows.astype(np.float64) for rows in centroids],
         offsets=offsets,
-        atoms=np.concatenate(members),
+        atoms=members,
     )
 
 

@@ -31,6 +31,19 @@ _MASK64 = (1 << 64) - 1
 _FNV_BLOCK = 1 << 16
 # one in the low bit of each byte of a 64-bit word
 _BYTE_ONES = np.uint64(0x0101010101010101)
+_VECDOT = getattr(np, "vecdot", None)  # numpy >= 2
+
+
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A[..., p, :] . B[..., p, :] for every row p, broadcast: with B = R[:, None]
+    row p of R scores every row of A[p] (or of a shared table A).  numpy runs
+    this as one ddot per row, the bits of ``A[p].dot(B[p])`` whatever the
+    shapes: the canonical score when A holds scoring atoms.  A gemv such as
+    ``A @ b`` would round differently.  numpy 2's ``vecdot`` runs the same
+    ddot with less overhead than ``matmul``."""
+    if _VECDOT is not None:
+        return _VECDOT(A, B)
+    return np.matmul(A[..., None, :], B[..., :, None])[..., 0, 0]
 
 
 def fnv1a64(data: bytes) -> int:

@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 from .clustering import ClusterTree, check_fingerprint
-from .dictionary import Dictionary, ScoreCounter
+from .dictionary import Dictionary, ScoreCounter, row_dots
 
 # Nudge before the ceiling so products like 0.1 * 100, which land just above
 # an integer in binary, do not inflate the retained-branch count.
@@ -57,7 +57,6 @@ _U32 = 2.0**-24
 _U64 = 2.0**-53
 # below this r.r, r / |r| loses bits to underflow; such rows skip the filter
 _RR_MIN = 2.0**-1000
-_VECDOT = getattr(np, "vecdot", None)  # numpy >= 2
 
 
 def _steps(count: int) -> np.ndarray:
@@ -164,18 +163,6 @@ def _check_finite(flat: np.ndarray) -> float:
     return rr
 
 
-def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A[..., p, :] . B[..., p, :] for every row p, broadcast: with B = R[:, None]
-    row p of R scores every row of A[p] (or of a shared table A).  numpy runs
-    this as one ddot per row, the bits of ``A[p].dot(B[p])`` whatever the
-    shapes: the canonical score when A holds scoring atoms.  A gemv such as
-    ``A @ b`` would round differently.  numpy 2's ``vecdot`` runs the same
-    ddot with less overhead than ``matmul``."""
-    if _VECDOT is not None:
-        return _VECDOT(A, B)
-    return np.matmul(A[..., None, :], B[..., :, None])[..., 0, 0]
-
-
 def _children(bounds: np.ndarray, nodes: np.ndarray, live):
     """The child slots of every frontier node, as (P, F*width) ids and a mask.
 
@@ -236,23 +223,26 @@ def _band_for(n: int, a: float) -> float:
     return 2.02 * a * (gamma + 3 * _U32 + _U64) + n * (a + 1) * 2.0**-124
 
 
-def _unit32(R: np.ndarray) -> np.ndarray:
-    """R's rows scaled to unit norm in float32; a row the filter cannot bound
-    (r.r not finite or too small to scale by) is zero, all its band."""
-    with np.errstate(over="ignore"):  # a finite row's r.r may overflow; it is then unsound
-        rr = row_dots(R, R)
+def _unit32(R: np.ndarray, rr: np.ndarray | None) -> np.ndarray:
+    """R's rows scaled to unit norm in float32, given their r.r (None: taken
+    here); a row the filter cannot bound (r.r not finite or too small to
+    scale by) is zero, all its band."""
+    if rr is None:
+        with np.errstate(over="ignore"):  # a finite row's r.r may overflow; it is then unsound
+            rr = row_dots(R, R)
     norm = np.sqrt(rr)
     norm[~(rr >= _RR_MIN)] = math.inf  # an unsound row divides to zero
     return (R / norm[:, None]).astype(np.float32)
 
 
-def _scan(d: Dictionary, R: np.ndarray, counter: ScoreCounter | None):
-    """Exhaustive picks for every row of R: a float32 GEMM filter, then
-    canonical scores for the atoms within the band of each row's best."""
+def _scan(d: Dictionary, R: np.ndarray, counter: ScoreCounter | None, rr=None):
+    """Exhaustive picks for every row of R (r.r of each row in ``rr``, if
+    known): a float32 GEMM filter, then canonical scores for the atoms
+    within the band of each row's best."""
     P = R.shape[0]
     if counter is not None:
         counter.count_atoms(P * d.m)
-    fast = np.matmul(_unit32(R), d.columns)
+    fast = np.matmul(_unit32(R, rr), d.columns)
     np.abs(fast, out=fast)
     top = fast.argmax(axis=1)
     at = top + _steps(P) * d.m
@@ -302,7 +292,7 @@ def _node_major(table, bounds, nodes, live, width: int, Q: np.ndarray) -> np.nda
 
 
 def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: ScoreCounter | None,
-             tables):
+             tables, rr=None):
     """Tree picks for every row of R, all rows descending together.
 
     Each row keeps a frontier of nodes; parents with fewer children than the
@@ -310,7 +300,7 @@ def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: Score
     against ``TreeSelector``'s ``tables`` filters each level.
     """
     P = R.shape[0]
-    Q = _unit32(R)
+    Q = _unit32(R, rr)
     nodes, live = np.zeros((P, 1), dtype=np.int64), None
     for depth, keep in enumerate(keeps + (1,)):
         first, count, width, ids, valid = _children(t.offsets[depth], nodes, live)
@@ -421,9 +411,10 @@ class ExactSelector:
     def __init__(self, dictionary: Dictionary):
         self.dictionary = dictionary
 
-    def pick(self, R: np.ndarray, counter: ScoreCounter | None = None):
-        """Picks and canonical scores for every row of a finite float64 (P, n) matrix."""
-        return _scan(self.dictionary, R, counter)
+    def pick(self, R: np.ndarray, counter: ScoreCounter | None = None, rr=None):
+        """Picks and canonical scores for every row of a finite float64 (P, n)
+        matrix; ``rr``, if given, holds ``row_dots(R, R)``."""
+        return _scan(self.dictionary, R, counter, rr)
 
 
 class TreeSelector:
@@ -442,12 +433,13 @@ class TreeSelector:
         norms = [np.linalg.norm(c, axis=1).max() for c in tree.centroids[1:]] + [dictionary.max_norm]
         self._tables = [(r, np.float32(_band_for(tree.n, a))) for r, a in zip(rows, norms)]
 
-    def pick(self, R: np.ndarray, counter: ScoreCounter | None = None):
+    def pick(self, R: np.ndarray, counter: ScoreCounter | None = None, rr=None):
         """Picks and canonical scores for every row of a finite float64 (P, n)
-        matrix; a lone row walks the tree as ``stmp_select`` does."""
+        matrix (``rr``, if given, holds ``row_dots(R, R)``); a lone row walks
+        the tree as ``stmp_select`` does."""
         if R.shape[0] == 1:
             return _walk(self.tree, self.dictionary, R[0], self._keeps, counter)
-        return _descend(self.tree, self.dictionary, R, self._keeps, counter, self._tables)
+        return _descend(self.tree, self.dictionary, R, self._keeps, counter, self._tables, rr)
 
 
 @dataclass(eq=False)
@@ -520,11 +512,12 @@ def _pursue(selector, X: np.ndarray, params: SearchParams,
     rows = np.arange(P)
     for step in range(params.K):
         r = residuals[rows]
-        going = ~(np.sqrt(row_dots(r, r)) <= tolerance[rows])
-        rows, r = rows[going], r[going]
+        rr = row_dots(r, r)
+        going = ~(np.sqrt(rr) <= tolerance[rows])
+        rows, r, rr = rows[going], r[going], rr[going]
         if not rows.size:
             break
-        picks, scores = selector.pick(r, own)
+        picks, scores = selector.pick(r, own, rr)
         going = scores != 0.0
         rows, r, picks, scores = rows[going], r[going], picks[going], scores[going]
         indices[rows, step] = picks

@@ -10,6 +10,17 @@ import math
 
 import numpy as np
 
+from stmp.clustering import (
+    _DEGENERATE_NORM,
+    BalancedPartition,
+    ClusterTree,
+    _check_branching,
+    _csr,
+    _derived_seed,
+    _seed_sequence,
+)
+from stmp.dictionary import Dictionary
+
 
 def fnv1a64_reference(data: bytes) -> int:
     """Byte-at-a-time FNV-1a, 64-bit."""
@@ -185,3 +196,192 @@ def tree_select_reference(tree, scoring_atoms, query, alpha):
         if abs(score) > abs(best_score) or (abs(score) == abs(best_score) and index < best_index):
             best_index, best_score = index, score
     return best_index, best_score, centroid_ips, len(candidates)
+
+
+# The per-node clustering that ``stmp.clustering`` ran before it batched a
+# tree depth's k-means together, kept unchanged as the reference its
+# centroids, offsets, atoms and ``.tree`` bytes are pinned to.
+
+def _squared_distances(vectors: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    d2 = sq_norms[:, None] - 2.0 * (vectors @ centroids.T) + (centroids * centroids).sum(axis=1)[None, :]
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def _kmeanspp_init(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    count = vectors.shape[0]
+    chosen = [int(rng.integers(count))]
+    wide = vectors.astype(np.float64)
+    diff = wide - wide[chosen[0]]
+    d2 = (diff * diff).sum(axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            # all remaining mass sits on already-chosen duplicates
+            taken = np.zeros(count, dtype=bool)
+            taken[chosen] = True
+            nxt = int(np.flatnonzero(~taken)[0])
+        else:
+            nxt = int(rng.choice(count, p=d2 / total))
+        chosen.append(nxt)
+        np.subtract(wide, wide[nxt], out=diff)
+        np.minimum(d2, np.square(diff, out=diff).sum(axis=1), out=d2)
+    return vectors[chosen].copy()
+
+
+def _group_means(vectors: np.ndarray, assignments: np.ndarray, counts: np.ndarray,
+                 old: np.ndarray) -> np.ndarray:
+    k, n = old.shape
+    # bin (c, j) adds column j of cluster c's rows in row order, as a per-column bincount would
+    bins = (assignments[:, None] * n + np.arange(n)).ravel()
+    sums = np.bincount(bins, weights=vectors.ravel(), minlength=k * n).reshape(k, n)
+    centroids = old.copy()
+    nonempty = counts > 0
+    centroids[nonempty] = (sums[nonempty] / counts[nonempty, None]).astype(np.float32)
+    return centroids
+
+
+def kmeans(vectors, k: int, seed, max_iters: int = 25) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded Lloyd iterations with k-means++ initialization.
+
+    Returns (centroids, assignments).  Empty clusters are re-seeded at the
+    point currently farthest from its own centroid.  All tie-breaks go to the
+    lowest index, so the output is a pure function of (vectors, k, seed).
+    """
+    vectors = np.ascontiguousarray(vectors, dtype=np.float32)
+    if vectors.ndim != 2:
+        raise ValueError(f"expected 2-D vectors, got shape {vectors.shape}")
+    count = vectors.shape[0]
+    if not 1 <= k <= count:
+        raise ValueError(f"cluster count {k} must be in [1, {count}]")
+    if k == count:
+        return vectors.copy(), np.arange(count, dtype=np.int64)
+    rng = np.random.default_rng(_seed_sequence(seed))
+    centroids = _kmeanspp_init(vectors, k, rng)
+    sq_norms = (vectors.astype(np.float64) ** 2).sum(axis=1).astype(np.float32)
+    previous = None
+    assignments = np.zeros(count, dtype=np.int64)
+    for _ in range(max_iters):
+        d2 = _squared_distances(vectors, sq_norms, centroids)
+        assignments = d2.argmin(axis=1).astype(np.int64)
+        counts = np.bincount(assignments, minlength=k)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size:
+            own = d2[np.arange(count), assignments].astype(np.float64)
+            for c in empties:
+                far = int(np.argmax(own))
+                centroids[c] = vectors[far]
+                assignments[far] = c
+                own[far] = -np.inf
+            counts = np.bincount(assignments, minlength=k)
+        if previous is not None and np.array_equal(assignments, previous):
+            break
+        previous, d2 = assignments, None  # frees d2 before the means and the next distances
+        centroids = _group_means(vectors, assignments, counts, centroids)
+    return centroids, assignments
+
+
+def _unit_mean(block: np.ndarray) -> np.ndarray:
+    mean = block.astype(np.float64).mean(axis=0)
+    norm = float(np.linalg.norm(mean))
+    if norm < _DEGENERATE_NORM:
+        # members cancel; fall back to a fixed unit vector
+        fallback = np.zeros(block.shape[1], dtype=np.float32)
+        fallback[0] = 1.0
+        return fallback
+    return (mean / norm).astype(np.float32)
+
+
+def balanced_cluster(atoms, k: int, seed) -> BalancedPartition:
+    """Partition atoms into at most k clusters of capacity C = ceil(m/k).
+
+    Rounds of k-means over the not-yet-frozen atoms; every cluster that
+    reaches capacity is frozen with its C members nearest to the centroid.
+    If a round produces no such cluster, the largest one is frozen anyway,
+    topped up with the nearest leftover atoms, so the loop always finishes.
+    Cluster ids are issued in freezing order; the final cluster holds the
+    last 1..C atoms.
+    """
+    atoms = np.ascontiguousarray(atoms, dtype=np.float32)
+    if atoms.ndim != 2 or atoms.shape[0] == 0:
+        raise ValueError(f"expected non-empty 2-D atoms, got shape {atoms.shape}")
+    if k < 1:
+        raise ValueError(f"cluster count must be positive, got {k}")
+    m = atoms.shape[0]
+    capacity = math.ceil(m / k)
+    remaining = np.arange(m, dtype=np.int64)
+    clusters: list[np.ndarray] = []
+    round_no = 0
+    while remaining.size > capacity:
+        k_round = min(k - len(clusters), remaining.size)
+        sub = atoms[remaining]
+        cents, assign = kmeans(sub, k_round, _seed_sequence(seed, round_no))
+        sizes = np.bincount(assign, minlength=k_round)
+        large = np.flatnonzero(sizes >= capacity)
+        taken = np.zeros(remaining.size, dtype=bool)
+        if large.size:
+            for c in large:
+                members = np.flatnonzero(assign == c)
+                diff = sub[members].astype(np.float64) - cents[c].astype(np.float64)
+                dist = (diff * diff).sum(axis=1)
+                keep = members[np.argsort(dist, kind="stable")[:capacity]]
+                keep.sort()
+                clusters.append(remaining[keep])
+                taken[keep] = True
+        else:
+            c = int(np.argmax(sizes))
+            members = np.flatnonzero(assign == c)
+            others = np.flatnonzero(assign != c)
+            diff = sub[others].astype(np.float64) - cents[c].astype(np.float64)
+            dist = (diff * diff).sum(axis=1)
+            pad = others[np.argsort(dist, kind="stable")[: capacity - members.size]]
+            keep = np.sort(np.concatenate([members, pad]))
+            clusters.append(remaining[keep])
+            taken[keep] = True
+        remaining = remaining[~taken]
+        round_no += 1
+    if remaining.size:
+        clusters.append(remaining)
+    assignments = np.empty(m, dtype=np.int64)
+    centroids = np.empty((len(clusters), atoms.shape[1]), dtype=np.float32)
+    sizes = np.empty(len(clusters), dtype=np.int64)
+    for cid, members in enumerate(clusters):
+        assignments[members] = cid
+        centroids[cid] = _unit_mean(atoms[members])
+        sizes[cid] = members.size
+    return BalancedPartition(k=k, assignments=assignments, centroids=centroids, sizes=sizes)
+
+
+def build_tree(d: Dictionary, branching, seed) -> ClusterTree:
+    """Balanced-cluster the dictionary level by level into a shallow tree.
+
+    Each node is split with a seed derived from its path of cluster ids, so
+    no split depends on the order in which nodes are visited.
+    """
+    branching = _check_branching(branching)
+    atoms = d.atoms
+    members = [np.arange(d.m, dtype=np.int64)]
+    paths = [()]
+    centroids = [_unit_mean(atoms[members[0]])[None, :]]
+    offsets = []
+    for depth, k in enumerate(branching):
+        below, below_paths, rows, counts = [], [], [], []
+        for node, path in zip(members, paths):
+            part = balanced_cluster(atoms[node], k, _derived_seed(seed, *path))
+            rows.append(part.centroids)
+            counts.append(part.sizes.size)
+            for cid in range(part.sizes.size):
+                below.append(node[part.assignments == cid])
+                below_paths.append(path + (cid,))
+        centroids.append(np.concatenate(rows))
+        offsets.append(_csr(counts))
+        members, paths = below, below_paths
+    offsets.append(_csr(node.size for node in members))
+    return ClusterTree(
+        branching=branching,
+        dictionary_fingerprint=d.fingerprint(),
+        n=d.n,
+        centroids=[rows.astype(np.float64) for rows in centroids],
+        offsets=offsets,
+        atoms=np.concatenate(members),
+    )

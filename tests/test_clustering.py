@@ -1,5 +1,6 @@
 import struct
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -15,6 +16,10 @@ from stmp import (
     save_tree,
     validate_tree,
 )
+from stmp.clustering import _draw, _kmeans, _seed_sequence
+from stmp.dictionary import Dictionary
+
+import oracles
 
 
 def _random_dictionary(m, n, seed):
@@ -214,6 +219,117 @@ def test_tree_file_corruption(tmp_path):
     bad.write_bytes(raw + b"\0")
     with pytest.raises(FormatError):
         load_tree(bad)
+
+
+def _atoms(m, n, distinct, zeros, seed):
+    """m float32 atoms drawn from `distinct` unit rows, plus `zeros` all-zero
+    rows (-0.0 in places), shuffled."""
+    rng = np.random.default_rng(seed)
+    base = normalize_columns(rng.standard_normal((distinct, n))).atoms
+    rows = base[rng.integers(distinct, size=m - zeros)]
+    blank = np.zeros((zeros, n), dtype=np.float32)
+    blank[:, ::2] = -0.0
+    return np.concatenate([rows, blank])[rng.permutation(m)]
+
+
+def _assert_same_tree(got, want, tmp_path):
+    assert [c.tobytes() for c in got.centroids] == [c.tobytes() for c in want.centroids]
+    assert [b.tolist() for b in got.offsets] == [b.tolist() for b in want.offsets]
+    assert got.atoms.tobytes() == want.atoms.tobytes()
+    save_tree(got, tmp_path / "got.tree")
+    save_tree(want, tmp_path / "want.tree")
+    assert (tmp_path / "got.tree").read_bytes() == (tmp_path / "want.tree").read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(2, 400),
+    n=st.integers(2, 64),
+    branching=st.lists(st.integers(2, 12), min_size=1, max_size=3),
+    distinct=st.integers(1, 400),
+    zero_share=st.sampled_from([0.0, 0.0, 0.1, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# n = 64 builds whose float32 distance bits matter: a copy that pads the
+# GEMM's rows or centroids (and so changes those bits) fails one of these
+@example(m=326, n=64, branching=[4, 9], distinct=12, zero_share=0.5, seed=2049427296)
+@example(m=371, n=64, branching=[3, 7, 9], distinct=279, zero_share=0.0, seed=1051542348)
+@example(m=65, n=64, branching=[5, 9, 11], distinct=260, zero_share=0.0, seed=1523092976)
+@example(m=219, n=64, branching=[6, 6, 9], distinct=15, zero_share=0.0, seed=3644617559)
+@example(m=300, n=33, branching=[5, 3, 2], distinct=6, zero_share=0.1, seed=2)
+@example(m=40, n=5, branching=[12, 3], distinct=3, zero_share=0.5, seed=3)
+def test_batched_build_matches_the_per_node_reference(tmp_path_factory, m, n, branching,
+                                                      distinct, zero_share, seed):
+    """Every depth's nodes split together; each tree array and the file
+    bytes equal the node-by-node build, on duplicated and all-zero atoms too."""
+    atoms = _atoms(m, n, min(distinct, m), int(zero_share * m), seed)
+    d = Dictionary(atoms)
+    _assert_same_tree(build_tree(d, branching, seed), oracles.build_tree(d, branching, seed),
+                      tmp_path_factory.mktemp("trees"))
+
+
+@pytest.mark.parametrize("m, n, branching", [(2000, 64, (40, 10)), (997, 5, (7, 3)), (500, 9, (5, 4, 3))])
+def test_batched_build_matches_the_reference_at_size(tmp_path, m, n, branching):
+    d = _random_dictionary(m, n, seed=m + n)
+    _assert_same_tree(build_tree(d, branching, 11), oracles.build_tree(d, branching, 11), tmp_path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(2, 80),
+    n=st.integers(2, 64),
+    k_share=st.floats(0.0, 1.0),
+    nodes=st.integers(1, 5),
+    distinct=st.integers(1, 80),
+    max_iters=st.sampled_from([1, 2, 3, 25]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=6, n=3, k_share=0.6, nodes=3, distinct=2, max_iters=25, seed=0)  # zero mass, empties
+@example(rows=9, n=4, k_share=1.0, nodes=2, distinct=9, max_iters=25, seed=1)  # k == count
+@example(rows=64, n=64, k_share=0.2, nodes=4, distinct=64, max_iters=2, seed=2)  # max_iters exit
+def test_stacked_kmeans_matches_the_lone_reference(rows, n, k_share, nodes, distinct, max_iters, seed):
+    """A stack of same-shape nodes gives each node the lone reference run's
+    centroid and assignment bits, whichever nodes converge first."""
+    k = 1 + round(k_share * (rows - 1))
+    stack = np.stack([_atoms(rows, n, min(distinct, rows), 0, seed + s) for s in range(nodes)])
+    seeds = [_seed_sequence(seed, s) for s in range(nodes)]
+    index = np.arange(nodes * rows).reshape(nodes, rows)
+    centroids, assignments = _kmeans(stack.reshape(-1, n), index, k, seeds, max_iters)
+    for s in range(nodes):
+        want_c, want_a = oracles.kmeans(stack[s], k, seeds[s], max_iters)
+        assert centroids[s].tobytes() == want_c.tobytes()
+        assert assignments[s].tolist() == want_a.tolist()
+    public_c, public_a = kmeans(stack[0], k, seeds[0], max_iters)
+    assert public_c.tobytes() == centroids[0].tobytes() and public_a.tolist() == assignments[0].tolist()
+
+
+def test_kmeans_duplicates_take_the_zero_mass_and_reseeding_paths(monkeypatch):
+    """Two distinct points and k = 4: the third seed has no mass left to draw
+    from, and Lloyd's first pass leaves clusters empty to re-seed."""
+    vectors = np.repeat(np.eye(2, 3, dtype=np.float32), 5, axis=0)
+    calls = []
+    original = oracles._squared_distances
+    monkeypatch.setattr(oracles, "_squared_distances",
+                        lambda *a: calls.append(d2 := original(*a)) or d2)
+    want_c, want_a = oracles.kmeans(vectors, 4, seed=0)
+    got_c, got_a = kmeans(vectors, 4, seed=0)
+    assert got_c.tobytes() == want_c.tobytes() and got_a.tolist() == want_a.tolist()
+    assert np.bincount(calls[0].argmin(axis=1), minlength=4).min() == 0  # re-seeding ran
+
+
+@pytest.mark.parametrize("count", [4, 6, 40])
+def test_kmeanspp_draw_matches_rng_choice(count):
+    rng = np.random.default_rng(count)
+    for trial in range(200):
+        d2 = rng.random(count) * (rng.random(count) < 0.5)  # p with zeros
+        d2[rng.integers(count)] = rng.random() + 0.1
+        if trial % 3 == 0:
+            d2 *= 1e-300  # denormal-scale mass
+        total = d2.sum()
+        want = np.random.default_rng(trial).choice(count, p=d2 / total)
+        got = _draw(d2[None], np.array([total]), np.array([np.random.default_rng(trial).random()]))
+        assert got.tolist() == [want]
+        assert d2[want] > 0
 
 
 # A hand-checked 3-atom tree, n = 2, branching (2,): the root splits into

@@ -658,3 +658,23 @@ def test_reconstruct_basics():
     with pytest.raises(ValueError):
         reconstruct(d, SparseCode(m=30, entries=[(30, 1.0)], ip_count=0))
 
+
+
+@pytest.mark.parametrize("selector_kind", ["exact", "tree"])
+def test_mp_takes_each_residual_norm_once(monkeypatch, selector_kind):
+    """A pursuit step's r.r serves both the tolerance test and the selector's
+    unit scaling: one self product per step, besides the input's x.x."""
+    d = _random_dictionary(120, 8, seed=61)
+    if selector_kind == "exact":
+        selector = ExactSelector(d)
+    else:
+        selector = TreeSelector(build_tree(d, (6, 4), seed=2), d, 0.5)
+    X = np.random.default_rng(62).standard_normal((20, 8))
+    want = matching_pursuit_batch(selector, X, SearchParams(K=4))
+    calls = []
+    original = stmp.pursuit.row_dots
+    monkeypatch.setattr(stmp.pursuit, "row_dots", lambda A, B: calls.append(A is B) or original(A, B))
+    got = matching_pursuit_batch(selector, X, SearchParams(K=4))
+    assert sum(calls) == 1 + 4
+    assert got.indices.tolist() == want.indices.tolist()
+    assert got.coefficients.tobytes() == want.coefficients.tobytes()
