@@ -7,6 +7,14 @@ import numpy as np
 from .errors import FormatError
 
 
+def truncated(source: str, what: str, offset: int, count: int, size: int) -> FormatError:
+    """The error for `count` bytes of `what` needed at `offset` of a `size`-byte buffer."""
+    return FormatError(
+        f"{source}: truncated while reading {what} at offset "
+        f"{offset} (need {count} bytes, have {size - offset})"
+    )
+
+
 class Reader:
     """Sequential reader over a byte buffer that reports offsets on failure."""
 
@@ -15,16 +23,17 @@ class Reader:
         self.source = source
         self.offset = 0
 
+    def _advance(self, count: int, what: str) -> int:
+        """Step over `count` bytes, checked against the buffer; returns where they start."""
+        start = self.offset
+        if start + count > len(self.data):
+            raise truncated(self.source, what, start, count, len(self.data))
+        self.offset = start + count
+        return start
+
     def take(self, count: int, what: str) -> bytes:
-        end = self.offset + count
-        if end > len(self.data):
-            raise FormatError(
-                f"{self.source}: truncated while reading {what} at offset "
-                f"{self.offset} (need {count} bytes, have {len(self.data) - self.offset})"
-            )
-        chunk = self.data[self.offset:end]
-        self.offset = end
-        return chunk
+        start = self._advance(count, what)
+        return self.data[start:self.offset]
 
     def magic(self, expected: bytes) -> None:
         got = self.take(len(expected), "magic")
@@ -33,9 +42,6 @@ class Reader:
                 f"{self.source}: bad magic at offset 0: expected {expected!r}, got {got!r}"
             )
 
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
@@ -43,8 +49,8 @@ class Reader:
         return struct.unpack("<Q", self.take(8, what))[0]
 
     def f32_array(self, count: int, what: str) -> np.ndarray:
-        raw = self.take(4 * count, what)
-        return np.frombuffer(raw, dtype="<f4", count=count).astype(np.float32)
+        start = self._advance(4 * count, what)
+        return np.frombuffer(self.data, "<f4", count, start).astype(np.float32)
 
     def expect_end(self) -> None:
         if self.offset != len(self.data):

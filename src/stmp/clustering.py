@@ -39,14 +39,20 @@ Tree file layout, v1 (little-endian):
 Node records: u8 is_leaf; leaves carry u64 atom_index, internal nodes carry
 n x float32 centroid and u32 child_count.  Leaf centroids are not stored;
 they are the dictionary atoms themselves.  The child_count leaf records
-(9 bytes each) after a node at depth L are written and read as one block.
+(9 bytes each) after a node at depth L are written as one block.  Loading
+walks the records by offset once, reading only tags and child counts and
+stepping over leaf runs; each depth's centroids and all leaf records are
+then one gather from the file bytes, and the leaf tags and indices are
+checked in one vectorized pass.
 """
 
 from dataclasses import dataclass
 import itertools
 import math
+import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _binio
 from .dictionary import Dictionary, row_dots
@@ -60,6 +66,7 @@ CENTROID_NORM_TOL = 1e-5
 
 # one leaf record of the v1 file: u8 tag (always 1) then u64 atom index
 _LEAF_RECORD = np.dtype([("tag", "u1"), ("index", "<u8")])
+_U32 = struct.Struct("<I")
 
 
 def _seed_sequence(seed, *key) -> np.random.SeedSequence:
@@ -467,12 +474,14 @@ def _first_violation(t: ClusterTree, d: Dictionary) -> str:
         empty = np.flatnonzero(np.diff(b) < 1)
         if empty.size:
             return f"internal node {empty[0]} at depth {depth} has no children"
-        norms = np.linalg.norm(rows, axis=1)
+        norms = np.sqrt(row_dots(rows, rows))
         bad = np.flatnonzero(np.abs(norms - 1.0) > CENTROID_NORM_TOL)
         if bad.size:
             return f"internal centroid {bad[0]} at depth {depth} has norm {norms[bad[0]]:.8f}"
-    if not np.array_equal(np.sort(t.atoms), np.arange(d.m)):
-        return f"leaves cover {t.atoms.size} atoms, expected all {d.m} exactly once"
+    atoms = t.atoms
+    if (atoms.size != d.m or atoms.min() < 0 or atoms.max() >= d.m
+            or not (np.bincount(atoms, minlength=d.m) == 1).all()):
+        return f"leaves cover {atoms.size} atoms, expected all {d.m} exactly once"
     # Every child holds C = ceil(size/k) atoms except at most one, which holds
     # fewer; a node with more than k children always breaks this.  Every node
     # has a child by now, so each range start below is a valid reduceat index.
@@ -524,29 +533,90 @@ def save_tree(t: ClusterTree, path) -> None:
         fh.write(b"".join(parts))
 
 
-def _read_leaf_run(reader: _binio.Reader, count: int, levels: int, path) -> np.ndarray:
-    """Atom indices of one bottom node's `count` leaf records, read as one block."""
-    start = reader.offset
+def _walk(data: bytes, at: int, n: int, levels: int, path, starts: list, counts: list) -> None:
+    """Step through the preorder node records from offset `at`, reading only
+    tags and child counts; leaf runs are stepped over unread.
+
+    Appends each internal record's offset and child count to ``starts`` and
+    ``counts`` of its depth as it goes, so on a FormatError they hold what
+    came before it; a run cut short by the end of the file counts only its
+    whole records.
+    """
+    size = len(data)
+    record = 4 * n + 5  # u8 tag, n x f32 centroid, u32 child count
+    leaf = _LEAF_RECORD.itemsize
+    pending = [1]  # nodes still to read at depth len(pending) - 1, in preorder
+    while pending:
+        if not pending[-1]:
+            pending.pop()
+            continue
+        pending[-1] -= 1
+        depth = len(pending) - 1
+        if at >= size:
+            raise _binio.truncated(str(path), "node tag", at, 1, size)
+        tag = data[at]
+        if tag == 1:
+            raise FormatError(
+                f"{path}: leaf at depth {depth} at offset {at}, expected leaves at depth {levels + 1}"
+            )
+        if tag:
+            raise FormatError(f"{path}: bad node tag {tag} at offset {at}")
+        if at + record > size:
+            if at + 1 + 4 * n > size:
+                raise _binio.truncated(str(path), "centroid", at + 1, 4 * n, size)
+            raise _binio.truncated(str(path), "child count", at + record - 4, 4, size)
+        count = _U32.unpack_from(data, at + record - 4)[0]
+        if not count:
+            raise FormatError(f"{path}: internal node with no children at offset {at}")
+        starts[depth].append(at)
+        at += record
+        if depth < levels:
+            counts[depth].append(count)
+            pending.append(count)
+            continue
+        whole = min(count, (size - at) // leaf)
+        counts[depth].append(whole)
+        if whole < count:
+            raise FormatError(
+                f"{path}: leaf run of {count} atoms cut short after {whole} "
+                f"at offset {at + leaf * whole}"
+            )
+        at += leaf * count
+    if at != size:
+        raise FormatError(f"{path}: {size - at} unexpected trailing bytes at offset {at}")
+
+
+def _leaf_atoms(buf: np.ndarray, bottom: list, counts: list, record: int, levels: int,
+                path) -> np.ndarray:
+    """The atom indices of every leaf run, gathered and checked in one pass.
+
+    Run j holds ``counts[j]`` leaf records right after the depth-L record at
+    offset ``bottom[j]`` (``record`` bytes long).  Raises on the first leaf
+    record, in file order, whose tag is not 1 or whose index overflows int64.
+    """
     size = _LEAF_RECORD.itemsize
-    whole = min(count, (len(reader.data) - start) // size)
-    records = np.frombuffer(reader.data, dtype=_LEAF_RECORD, count=whole, offset=start)
+    counts = np.array(counts, dtype=np.int64)
+    first = np.cumsum(counts) - counts
+    # leaf j of run r sits at bottom[r] + record + size * (j - first[r]), j counted over all runs
+    at = np.arange(0, size * int(counts.sum()), size, dtype=np.int64)
+    at += np.repeat(np.array(bottom, dtype=np.int64) + record - size * first, counts)
+    records = sliding_window_view(buf, size)[at].view(_LEAF_RECORD)[:, 0]
     bad = np.flatnonzero((records["tag"] != 1) | (records["index"] >= 1 << 63))
     if bad.size:
         tag = int(records["tag"][bad[0]])
         what = {0: f"internal node below level {levels}", 1: "leaf atom index out of range"}
-        raise FormatError(
-            f"{path}: {what.get(tag, f'bad node tag {tag}')} at offset {start + size * int(bad[0])}"
-        )
-    if whole < count:
-        raise FormatError(
-            f"{path}: leaf run of {count} atoms cut short after {whole} "
-            f"at offset {start + size * whole}"
-        )
-    reader.take(size * count, "leaf run")
-    return records["index"]
+        raise FormatError(f"{path}: {what.get(tag, f'bad node tag {tag}')} at offset {at[bad[0]]}")
+    return records["index"].astype(np.int64)
 
 
 def load_tree(path) -> ClusterTree:
+    """Read a v1 ``.tree`` file; raises FormatError naming the first bad offset.
+
+    One walk over the records finds every internal record and leaf run;
+    each depth's centroids and all leaf records are then one gather from
+    the file bytes.  A bad leaf record before the point where the walk
+    stopped is reported first, as a record-by-record reader would.
+    """
     with open(path, "rb") as fh:
         reader = _binio.Reader(fh.read(), source=str(path))
     reader.magic(_TREE_MAGIC)
@@ -566,42 +636,26 @@ def load_tree(path) -> ClusterTree:
     if any(k < 2 for k in branching):
         raise FormatError(f"{path}: branching {branching} has an entry below 2")
 
-    rows = [[] for _ in range(levels + 1)]
+    starts = [[] for _ in range(levels + 1)]
     counts = [[] for _ in range(levels + 1)]
-    runs = []
-    pending = [1]  # nodes still to read at depth len(pending) - 1, in preorder
-    while pending:
-        if not pending[-1]:
-            pending.pop()
-            continue
-        pending[-1] -= 1
-        depth = len(pending) - 1
-        at = reader.offset
-        tag = reader.u8("node tag")
-        if tag == 1:
-            raise FormatError(
-                f"{path}: leaf at depth {depth} at offset {at}, expected leaves at depth {levels + 1}"
-            )
-        if tag != 0:
-            raise FormatError(f"{path}: bad node tag {tag} at offset {at}")
-        rows[depth].append(reader.take(4 * n, "centroid"))
-        count = reader.u32("child count")
-        if count == 0:
-            raise FormatError(f"{path}: internal node with no children at offset {at}")
-        counts[depth].append(count)
-        if depth < levels:
-            pending.append(count)
-        else:
-            runs.append(_read_leaf_run(reader, count, levels, path))
-    reader.expect_end()
+    try:
+        _walk(reader.data, reader.offset, n, levels, path, starts, counts)
+        error = None
+    except FormatError as exc:
+        error = exc  # raised once the leaf records walked over are checked
+    buf = np.frombuffer(reader.data, dtype=np.uint8)
+    atoms = _leaf_atoms(buf, starts[levels], counts[levels], 4 * n + 5, levels, path)
+    if error is not None:
+        raise error
+    rows = sliding_window_view(buf, 4 * n)
     return ClusterTree(
         branching=branching,
         dictionary_fingerprint=fingerprint,
         n=n,
         centroids=[
-            np.frombuffer(b"".join(level), dtype="<f4").reshape(-1, n).astype(np.float64)
-            for level in rows
+            rows[np.array(level, dtype=np.int64) + 1].view("<f4").astype(np.float64)
+            for level in starts
         ],
         offsets=[_csr(level) for level in counts],
-        atoms=np.concatenate(runs).astype(np.int64),
+        atoms=atoms,
     )

@@ -173,7 +173,8 @@ class Dictionary:
     def max_norm(self) -> float:
         """The largest atom norm, which scales the rounding error of every score."""
         if self._max_norm is None:
-            self._max_norm = float(np.linalg.norm(self.scoring_atoms, axis=1).max())
+            w = self.scoring_atoms
+            self._max_norm = float(np.sqrt(row_dots(w, w).max()))
         return self._max_norm
 
     def payload_bytes(self) -> bytes:
@@ -189,7 +190,8 @@ class Dictionary:
         """Raise ValueError on the first invariant violation."""
         if not np.isfinite(self.atoms).all():
             raise ValueError("dictionary contains NaN or Inf")
-        norms = np.linalg.norm(self.atoms.astype(np.float64), axis=1)
+        w = self.atoms.astype(np.float64)
+        norms = np.sqrt(row_dots(w, w))
         bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
         if bad.size:
             i = int(bad[0])

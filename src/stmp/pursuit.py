@@ -430,7 +430,7 @@ class TreeSelector:
         # the filter's rows per depth, atoms in leaf order: each node's children are a row range;
         # the band covers rounding float64 centroids to float32
         rows = [c.astype(np.float32) for c in tree.centroids[1:]] + [dictionary.atoms.take(tree.atoms, 0)]
-        norms = [np.linalg.norm(c, axis=1).max() for c in tree.centroids[1:]] + [dictionary.max_norm]
+        norms = [np.sqrt(row_dots(c, c).max()) for c in tree.centroids[1:]] + [dictionary.max_norm]
         self._tables = [(r, np.float32(_band_for(tree.n, a))) for r, a in zip(rows, norms)]
 
     def pick(self, R: np.ndarray, counter: ScoreCounter | None = None, rr=None):

@@ -10,8 +10,12 @@ import math
 
 import numpy as np
 
+from stmp import _binio
 from stmp.clustering import (
     _DEGENERATE_NORM,
+    _LEAF_RECORD,
+    _TREE_MAGIC,
+    _TREE_VERSION,
     BalancedPartition,
     ClusterTree,
     _check_branching,
@@ -20,6 +24,7 @@ from stmp.clustering import (
     _seed_sequence,
 )
 from stmp.dictionary import Dictionary
+from stmp.errors import FormatError, UnsupportedFormatError
 
 
 def fnv1a64_reference(data: bytes) -> int:
@@ -384,4 +389,89 @@ def build_tree(d: Dictionary, branching, seed) -> ClusterTree:
         centroids=[rows.astype(np.float64) for rows in centroids],
         offsets=offsets,
         atoms=np.concatenate(members),
+    )
+
+
+def _read_leaf_run(reader: _binio.Reader, count: int, levels: int, path) -> np.ndarray:
+    """Atom indices of one bottom node's `count` leaf records, read as one block."""
+    start = reader.offset
+    size = _LEAF_RECORD.itemsize
+    whole = min(count, (len(reader.data) - start) // size)
+    records = np.frombuffer(reader.data, dtype=_LEAF_RECORD, count=whole, offset=start)
+    bad = np.flatnonzero((records["tag"] != 1) | (records["index"] >= 1 << 63))
+    if bad.size:
+        tag = int(records["tag"][bad[0]])
+        what = {0: f"internal node below level {levels}", 1: "leaf atom index out of range"}
+        raise FormatError(
+            f"{path}: {what.get(tag, f'bad node tag {tag}')} at offset {start + size * int(bad[0])}"
+        )
+    if whole < count:
+        raise FormatError(
+            f"{path}: leaf run of {count} atoms cut short after {whole} "
+            f"at offset {start + size * whole}"
+        )
+    reader.take(size * count, "leaf run")
+    return records["index"]
+
+
+def load_tree_reference(path) -> ClusterTree:
+    """Node-by-node reader of a v1 ``.tree``: each record's tag, centroid and
+    child count through a sequential Reader, each leaf run as one block."""
+    with open(path, "rb") as fh:
+        reader = _binio.Reader(fh.read(), source=str(path))
+    reader.magic(_TREE_MAGIC)
+    version = reader.u32("version")
+    if version != _TREE_VERSION:
+        raise UnsupportedFormatError(
+            f"{path}: unsupported tree format version {version} at offset 8"
+        )
+    fingerprint = reader.u64("dictionary fingerprint")
+    n = reader.u64("atom dimension")
+    if n == 0:
+        raise FormatError(f"{path}: zero atom dimension at offset 20")
+    levels = reader.u32("level count")
+    if levels == 0:
+        raise FormatError(f"{path}: zero level count at offset 28")
+    branching = tuple(reader.u32(f"branching of level {i}") for i in range(levels))
+    if any(k < 2 for k in branching):
+        raise FormatError(f"{path}: branching {branching} has an entry below 2")
+
+    rows = [[] for _ in range(levels + 1)]
+    counts = [[] for _ in range(levels + 1)]
+    runs = []
+    pending = [1]  # nodes still to read at depth len(pending) - 1, in preorder
+    while pending:
+        if not pending[-1]:
+            pending.pop()
+            continue
+        pending[-1] -= 1
+        depth = len(pending) - 1
+        at = reader.offset
+        tag = reader.take(1, "node tag")[0]
+        if tag == 1:
+            raise FormatError(
+                f"{path}: leaf at depth {depth} at offset {at}, expected leaves at depth {levels + 1}"
+            )
+        if tag != 0:
+            raise FormatError(f"{path}: bad node tag {tag} at offset {at}")
+        rows[depth].append(reader.take(4 * n, "centroid"))
+        count = reader.u32("child count")
+        if count == 0:
+            raise FormatError(f"{path}: internal node with no children at offset {at}")
+        counts[depth].append(count)
+        if depth < levels:
+            pending.append(count)
+        else:
+            runs.append(_read_leaf_run(reader, count, levels, path))
+    reader.expect_end()
+    return ClusterTree(
+        branching=branching,
+        dictionary_fingerprint=fingerprint,
+        n=n,
+        centroids=[
+            np.frombuffer(b"".join(level), dtype="<f4").reshape(-1, n).astype(np.float64)
+            for level in rows
+        ],
+        offsets=[_csr(level) for level in counts],
+        atoms=np.concatenate(runs).astype(np.int64),
     )

@@ -1,3 +1,4 @@
+import math
 import struct
 
 from hypothesis import example, given, settings, strategies as st
@@ -403,3 +404,135 @@ def test_tree_load_errors_name_offset(tmp_path, data, message):
     path.write_bytes(data)
     with pytest.raises(FormatError, match=message):
         load_tree(path)
+
+
+def _load_outcome(load, path):
+    """A loader's arrays as bytes, or its error's type and message."""
+    try:
+        t = load(path)
+    except FormatError as exc:
+        return type(exc).__name__, str(exc)
+    return (t.branching, t.dictionary_fingerprint, t.n,
+            [(c.dtype.str, c.shape, c.tobytes()) for c in t.centroids],
+            [(b.dtype.str, b.tobytes()) for b in t.offsets],
+            (t.atoms.dtype.str, t.atoms.tobytes()))
+
+
+def _record_fields(tree):
+    """File offsets of every node tag, child count and leaf index, in the
+    order ``save_tree`` writes them."""
+    at = 32 + 4 * tree.levels
+    record = 4 * tree.n + 5
+    tags, counts, indices = [], [], []
+    stack = [(0, 0)]
+    while stack:
+        depth, j = stack.pop()
+        lo, hi = (int(v) for v in tree.offsets[depth][j : j + 2])
+        tags.append(at)
+        counts.append(at + record - 4)
+        at += record
+        if depth == tree.levels:
+            tags.extend(range(at, at + 9 * (hi - lo), 9))
+            indices.extend(range(at + 1, at + 9 * (hi - lo), 9))
+            at += 9 * (hi - lo)
+        else:
+            stack.extend((depth + 1, child) for child in reversed(range(lo, hi)))
+    return tags, counts, indices
+
+
+_FIELD_VALUES = {
+    "tag": st.sampled_from([0, 1, 2, 255]).map(lambda v: struct.pack("<B", v)),
+    "count": st.one_of(st.sampled_from([0, 1, 2, 3, 2**32 - 1]),
+                       st.integers(0, 2**32 - 1)).map(lambda v: struct.pack("<I", v)),
+    "index": st.one_of(st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 1]),
+                       st.integers(0, 2**64 - 1)).map(lambda v: struct.pack("<Q", v)),
+}
+
+
+# a corrupted child count shifts the walk, so centroid bytes may hold signalling NaNs
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(3, 40),
+    n=st.integers(1, 4),
+    branching=st.lists(st.integers(2, 5), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@example(m=7, n=2, branching=[3, 2], seed=0, data=None)
+def test_load_tree_matches_the_record_by_record_reference(tmp_path_factory, m, n, branching,
+                                                         seed, data):
+    """Every truncation and random corruptions of tags, child counts and leaf
+    indices: the loader gives the reference reader's arrays or its error."""
+    if m % math.prod(branching) == 0:
+        m += 1  # uneven cluster sizes at every level
+    tmp = tmp_path_factory.mktemp("trees")
+    d = _random_dictionary(m, n, seed=seed % 1000)
+    tree = build_tree(d, branching, seed)
+    path = tmp / "t.tree"
+    save_tree(tree, path)
+    raw = path.read_bytes()
+    got = load_tree(path)
+    assert _load_outcome(lambda _: got, path) == _load_outcome(oracles.load_tree_reference, path)
+    save_tree(got, tmp / "again.tree")
+    assert (tmp / "again.tree").read_bytes() == raw
+
+    bad = tmp / "bad.tree"
+    for length in range(len(raw)):
+        bad.write_bytes(raw[:length])
+        assert _load_outcome(load_tree, bad) == _load_outcome(oracles.load_tree_reference, bad)
+
+    if data is None:
+        return
+    fields = dict(zip(("tag", "count", "index"), _record_fields(tree)))
+    assert [int.from_bytes(raw[at : at + 8], "little") for at in fields["index"]] == tree.atoms.tolist()
+    for _ in range(8):
+        corrupt = bytearray(raw)
+        for _ in range(data.draw(st.integers(1, 3))):
+            kind = data.draw(st.sampled_from(sorted(fields)))
+            at = data.draw(st.sampled_from(fields[kind]))
+            value = data.draw(_FIELD_VALUES[kind])
+            corrupt[at : at + len(value)] = value
+        # the whole file, a random cut, or a cut just past the last corrupted field
+        cut = data.draw(st.sampled_from([len(corrupt), data.draw(st.integers(0, len(corrupt))),
+                                         at + len(value) + data.draw(st.integers(0, 17))]))
+        bad.write_bytes(bytes(corrupt[:cut]))
+        assert _load_outcome(load_tree, bad) == _load_outcome(oracles.load_tree_reference, bad)
+
+
+@pytest.mark.parametrize("atom", [-1, 12])
+def test_validate_reports_leaves_outside_the_dictionary(atom):
+    d = _random_dictionary(12, 3, seed=17)
+    tree = build_tree(d, (3,), seed=0)
+    tree.atoms[4] = atom
+    assert validate_tree(tree, d).violation == "leaves cover 12 atoms, expected all 12 exactly once"
+
+
+@pytest.mark.parametrize("leaf_fault", [b"\x00", b"\x07", b"\x01" + struct.pack("<Q", 1 << 63)])
+@pytest.mark.parametrize("later", ["cut-in-run", "zero-children", "bad-tag", "truncated", "trailing"])
+def test_load_tree_reports_a_bad_leaf_before_a_later_fault(tmp_path, leaf_fault, later):
+    """A bad leaf record comes before the fault at which the walk stops,
+    as in a record-by-record read; a run cut short counts its whole records."""
+    d = _random_dictionary(11, 2, seed=18)
+    tree = build_tree(d, (3, 2), seed=1)
+    path = tmp_path / "t.tree"
+    save_tree(tree, path)
+    raw = bytearray(path.read_bytes())
+    tags, counts, _ = _record_fields(tree)
+    leaf = next(at for at in tags if raw[at] == 1 and raw[at + 9] == 1)  # a run's first of two or more
+    raw[leaf : leaf + len(leaf_fault)] = leaf_fault
+    after = [at for at in counts if at > leaf]
+    if later == "cut-in-run":
+        raw = raw[: leaf + 9 + 4]
+    elif later == "zero-children":
+        raw[after[0] : after[0] + 4] = struct.pack("<I", 0)
+    elif later == "bad-tag":
+        raw[after[0] - 8] = 9  # the tag of the next internal record, n = 2
+    elif later == "truncated":
+        raw = raw[: after[0] + 2]
+    else:
+        raw += b"\0"
+    path.write_bytes(bytes(raw))
+    want = _load_outcome(oracles.load_tree_reference, path)
+    assert want[0] == "FormatError" and str(leaf) in want[1]
+    assert _load_outcome(load_tree, path) == want

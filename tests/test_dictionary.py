@@ -213,6 +213,21 @@ def test_dictionary_truncated_payload(tmp_path):
         load_dictionary(path)
 
 
+def test_dictionary_truncation_names_offset(tmp_path):
+    path = tmp_path / "d.dict"
+    save_dictionary(normalize_columns(np.eye(4)), path)
+    path.write_bytes(path.read_bytes()[:-2])
+    with pytest.raises(FormatError, match=r"truncated while reading atom payload at offset 28 "
+                                          r"\(need 64 bytes, have 62\)"):
+        load_dictionary(path)
+
+
+def test_loaded_atoms_are_a_writable_copy(tmp_path):
+    path = tmp_path / "d.dict"
+    save_dictionary(normalize_columns(np.eye(4)), path)
+    assert load_dictionary(path).atoms.flags.writeable  # not a view of the read-only file bytes
+
+
 def test_dictionary_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "d.dict"
     save_dictionary(normalize_columns(np.eye(4)), path)
