@@ -13,7 +13,8 @@ from stmp import (
     build_from_patches,
     extract_patches,
     matching_pursuit,
-    reconstruct,
+    matching_pursuit_batch,
+    reconstruct_batch,
 )
 
 
@@ -39,11 +40,11 @@ def main():
     total = float(x0 @ x0)
     print(f"query energy {total:.6f}")
     for K in (1, 2, 4, 8):
-        code = matching_pursuit(ExactSelector(d), x0, SearchParams(K=K))
-        r = x0 - reconstruct(d, code).astype(np.float64)
+        codes = matching_pursuit_batch(ExactSelector(d), x0[None], SearchParams(K=K))
+        r = x0 - reconstruct_batch(d, codes)[0]
         kept = 1.0 - float(r @ r) / total
-        print(f"K={K}: {len(code.entries)} picks, "
-              f"{code.ip_count} inner products, "
+        print(f"K={K}: {codes.lengths[0]} picks, "
+              f"{codes.ip_count} inner products, "
               f"{100.0 * kept:.2f}% of energy captured")
 
     code = matching_pursuit(ExactSelector(d), x0, SearchParams(K=4))

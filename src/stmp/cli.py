@@ -102,7 +102,7 @@ def _positive(value) -> int:
 
 def _tolerance(value) -> float:
     t = float(value)
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"tolerance must be non-negative, got {value!r}")
     return t
 

@@ -48,7 +48,6 @@ checked in one vectorized pass.
 
 from dataclasses import dataclass
 import itertools
-import math
 import struct
 
 import numpy as np
@@ -208,38 +207,6 @@ def _kmeans(atoms: np.ndarray, index: np.ndarray, k: int, seeds,
     return done_c, done_a
 
 
-def kmeans(vectors, k: int, seed, max_iters: int = 25) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded Lloyd iterations with k-means++ initialization.
-
-    Returns (centroids, assignments).  Empty clusters are re-seeded at the
-    point currently farthest from its own centroid.  All tie-breaks go to the
-    lowest index, so the output is a pure function of (vectors, k, seed).
-    """
-    vectors = np.ascontiguousarray(vectors, dtype=np.float32)
-    if vectors.ndim != 2:
-        raise ValueError(f"expected 2-D vectors, got shape {vectors.shape}")
-    count = vectors.shape[0]
-    if not 1 <= k <= count:
-        raise ValueError(f"cluster count {k} must be in [1, {count}]")
-    centroids, assignments = _kmeans(vectors, np.arange(count)[None], k, [_seed_sequence(seed)],
-                                     max_iters)
-    return centroids[0], assignments[0]
-
-
-@dataclass(eq=False)
-class BalancedPartition:
-    """Capacity-constrained clustering of one batch of atoms."""
-
-    k: int
-    assignments: np.ndarray
-    centroids: np.ndarray
-    sizes: np.ndarray
-
-    @property
-    def capacity(self) -> int:
-        return math.ceil(self.assignments.size / self.k)
-
-
 def _unit_means(atoms: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The unit-norm float32 mean of each run of ``members`` (run lengths
     ``sizes``), summed in member order; runs of one length are one stack."""
@@ -333,28 +300,6 @@ def _split(atoms: np.ndarray, members: np.ndarray, sizes: np.ndarray, k: int,
     rest = labels < 0  # the last 1..C atoms of a node form its last cluster
     labels[rest] = issued[owner[rest]]
     return labels, issued + (left > 0)
-
-
-def balanced_cluster(atoms, k: int, seed) -> BalancedPartition:
-    """Partition atoms into at most k clusters of capacity C = ceil(m/k).
-
-    Rounds of k-means over the not-yet-frozen atoms; every cluster that
-    reaches capacity is frozen with its C members nearest to the centroid.
-    If a round produces no such cluster, the largest one is frozen anyway,
-    topped up with the nearest leftover atoms, so the loop always finishes.
-    Cluster ids are issued in freezing order; the final cluster holds the
-    last 1..C atoms.
-    """
-    atoms = np.ascontiguousarray(atoms, dtype=np.float32)
-    if atoms.ndim != 2 or atoms.shape[0] == 0:
-        raise ValueError(f"expected non-empty 2-D atoms, got shape {atoms.shape}")
-    if k < 1:
-        raise ValueError(f"cluster count must be positive, got {k}")
-    m = atoms.shape[0]
-    assignments, count = _split(atoms, np.arange(m), np.array([m]), k, [seed])
-    sizes = np.bincount(assignments, minlength=int(count[0]))
-    centroids = _unit_means(atoms, np.argsort(assignments, kind="stable"), sizes)
-    return BalancedPartition(k=k, assignments=assignments, centroids=centroids, sizes=sizes)
 
 
 @dataclass(eq=False)

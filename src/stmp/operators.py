@@ -4,7 +4,7 @@ An operator maps a full patch (dimension n_in) to its measured coordinates
 (dimension n_out): keeping a subset of rows, averaging blocks down to a
 coarser grid, or integrating frames through a per-pixel binary exposure
 mask.  Coding happens in measurement space against the projected dictionary;
-``lift_code`` maps the coefficients back to the full-space atoms.
+``lift_codes`` maps the coefficients back to the full-space atoms.
 
 Row selections serialize as magic "STMPRSEL" | u64 count | count x u64
 indices; exposure masks are ordinary tensors and use the tensor format.
@@ -18,7 +18,7 @@ import numpy as np
 from . import _binio
 from .dictionary import Dictionary
 from .errors import DegenerateOperatorError, FormatError
-from .pursuit import CodeBatch, SparseCode
+from .pursuit import CodeBatch
 
 _ROWS_MAGIC = b"STMPRSEL"
 
@@ -141,14 +141,6 @@ def apply_batch(op: ObservationOperator, patches) -> np.ndarray:
     raise ValueError(f"unknown operator kind {op.kind!r}")
 
 
-def apply(op: ObservationOperator, patch) -> np.ndarray:
-    """Measure a single patch vector."""
-    patch = np.asarray(patch, dtype=np.float64).ravel()
-    if patch.shape != (op.n_in,):
-        raise ValueError(f"patch has dimension {patch.size}, operator expects {op.n_in}")
-    return apply_batch(op, patch[np.newaxis, :])[0]
-
-
 @dataclass(eq=False)
 class ProjectedDictionary:
     """Measurement-space image of a dictionary, renormalized atom by atom.
@@ -213,12 +205,6 @@ def lift_codes(pd: ProjectedDictionary, codes: CodeBatch) -> CodeBatch:
         )
     coefficients = np.where(used, codes.coefficients / pd.scale[picks], 0.0)
     return CodeBatch(pd.base.m, codes.indices, coefficients, codes.lengths, codes.ip_count)
-
-
-def lift_code(pd: ProjectedDictionary, code: SparseCode) -> SparseCode:
-    """``lift_codes`` for one code."""
-    lifted = lift_codes(pd, CodeBatch.of(code))
-    return SparseCode(m=pd.base.m, entries=lifted.entries(0), ip_count=code.ip_count)
 
 
 def random_exposure_mask(spatial_shape, frames: int, open_length: int, seed) -> np.ndarray:
@@ -304,8 +290,12 @@ def load_row_selection(path) -> np.ndarray:
     count = reader.u64("row count")
     if count == 0:
         raise FormatError(f"{path}: empty row selection")
-    rows = np.array([reader.u64(f"row {i}") for i in range(count)], dtype=np.int64)
+    rows = np.array([reader.u64(f"row {i}") for i in range(count)], dtype=np.uint64)
+    big = np.flatnonzero(rows >= 1 << 63)
+    if big.size:
+        raise FormatError(f"{path}: row index {rows[big[0]]} out of range at offset {16 + 8 * big[0]}")
     reader.expect_end()
+    rows = rows.astype(np.int64)
     if np.any(np.diff(rows) <= 0):
         raise FormatError(f"{path}: row indices are not strictly increasing")
     return rows

@@ -28,7 +28,6 @@ from .operators import (
     IDENTITY,
     ROW_SELECT,
     ObservationOperator,
-    apply,
     apply_batch,
     block_average_operator,
     identity_operator,
@@ -132,11 +131,14 @@ def _metric(value: float | None) -> str:
 def add_noise_to_snr(t, target_snr_db, seed) -> np.ndarray:
     """Add seeded white Gaussian noise scaled to hit the target SNR.
 
-    Passing None or an infinite target returns the tensor unchanged.
+    Passing None or an infinite target returns the tensor unchanged; a NaN
+    target raises ValueError.
     """
     t = np.asarray(t, dtype=np.float32)
     if target_snr_db is None or math.isinf(target_snr_db):
         return t.copy()
+    if math.isnan(target_snr_db):
+        raise ValueError("target SNR must not be NaN")
     energy = float((t.astype(np.float64) ** 2).sum())
     if energy == 0.0:
         raise ValueError("cannot scale noise against an all-zero signal")
@@ -223,7 +225,7 @@ def _restore(task, start, d, op, tree, cfg, measured, out_layout, reference):
         tree = tree(pd.dictionary)
         start += time.perf_counter() - built
     selector = _selector_for(pd.dictionary, tree, cfg)
-    dc_meas = apply(op, np.ones(d.n))
+    dc_meas = apply_batch(op, np.ones((1, d.n)))[0]
     full, counter = _code_patches(measured, dc_meas, selector, pd, cfg.search_params())
     restored = aggregate_patches(out_layout, full.astype(np.float32))
     seconds = time.perf_counter() - start

@@ -110,7 +110,7 @@ class SearchParams:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError(f"sparsity K must be at least 1, got {self.K}")
-        if self.residual_tolerance is not None and self.residual_tolerance < 0:
+        if self.residual_tolerance is not None and not self.residual_tolerance >= 0:
             raise ValueError(f"residual tolerance must be non-negative, got {self.residual_tolerance}")
 
 
@@ -457,14 +457,6 @@ class CodeBatch:
     lengths: np.ndarray
     ip_count: int = 0
 
-    @classmethod
-    def of(cls, code: SparseCode) -> "CodeBatch":
-        """One code as a batch of one."""
-        indices = np.array([[index for index, _ in code.entries]], dtype=np.int64)
-        coefficients = np.array([[c for _, c in code.entries]], dtype=np.float64)
-        lengths = np.array([len(code.entries)], dtype=np.int64)
-        return cls(code.m, indices, coefficients, lengths, code.ip_count)
-
     def entries(self, p: int) -> list[tuple[int, float]]:
         """Row p as (index, coefficient) pairs."""
         count = int(self.lengths[p])
@@ -555,7 +547,7 @@ def reconstruct_batch(d: Dictionary, codes: CodeBatch) -> np.ndarray:
     """Weighted sum of each row's coded atoms, as a float64 (P, n) matrix.
 
     Atoms are added one selection step at a time, in selection order, so
-    every row gets the bits ``reconstruct`` gives its own code.
+    a row's bits do not depend on the other rows of the batch.
     """
     codes.check_range(d.m)
     out = np.zeros((codes.indices.shape[0], d.n))
@@ -567,8 +559,3 @@ def reconstruct_batch(d: Dictionary, codes: CodeBatch) -> np.ndarray:
         picks = codes.indices[rows, step]
         out[rows] += codes.coefficients[rows, step][:, None] * atoms[picks]
     return out
-
-
-def reconstruct(d: Dictionary, code: SparseCode) -> np.ndarray:
-    """Weighted sum of the coded atoms, as a float64 n-vector."""
-    return reconstruct_batch(d, CodeBatch.of(code))[0]

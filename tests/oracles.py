@@ -16,7 +16,6 @@ from stmp.clustering import (
     _LEAF_RECORD,
     _TREE_MAGIC,
     _TREE_VERSION,
-    BalancedPartition,
     ClusterTree,
     _check_branching,
     _csr,
@@ -297,7 +296,7 @@ def _unit_mean(block: np.ndarray) -> np.ndarray:
     return (mean / norm).astype(np.float32)
 
 
-def balanced_cluster(atoms, k: int, seed) -> BalancedPartition:
+def balanced_cluster(atoms, k: int, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partition atoms into at most k clusters of capacity C = ceil(m/k).
 
     Rounds of k-means over the not-yet-frozen atoms; every cluster that
@@ -305,7 +304,8 @@ def balanced_cluster(atoms, k: int, seed) -> BalancedPartition:
     If a round produces no such cluster, the largest one is frozen anyway,
     topped up with the nearest leftover atoms, so the loop always finishes.
     Cluster ids are issued in freezing order; the final cluster holds the
-    last 1..C atoms.
+    last 1..C atoms.  Returns (assignments, centroids, sizes): each atom's
+    cluster id, and each cluster's unit-norm float32 centroid and size.
     """
     atoms = np.ascontiguousarray(atoms, dtype=np.float32)
     if atoms.ndim != 2 or atoms.shape[0] == 0:
@@ -354,7 +354,7 @@ def balanced_cluster(atoms, k: int, seed) -> BalancedPartition:
         assignments[members] = cid
         centroids[cid] = _unit_mean(atoms[members])
         sizes[cid] = members.size
-    return BalancedPartition(k=k, assignments=assignments, centroids=centroids, sizes=sizes)
+    return assignments, centroids, sizes
 
 
 def build_tree(d: Dictionary, branching, seed) -> ClusterTree:
@@ -372,11 +372,11 @@ def build_tree(d: Dictionary, branching, seed) -> ClusterTree:
     for depth, k in enumerate(branching):
         below, below_paths, rows, counts = [], [], [], []
         for node, path in zip(members, paths):
-            part = balanced_cluster(atoms[node], k, _derived_seed(seed, *path))
-            rows.append(part.centroids)
-            counts.append(part.sizes.size)
-            for cid in range(part.sizes.size):
-                below.append(node[part.assignments == cid])
+            assignments, cents, sizes = balanced_cluster(atoms[node], k, _derived_seed(seed, *path))
+            rows.append(cents)
+            counts.append(sizes.size)
+            for cid in range(sizes.size):
+                below.append(node[assignments == cid])
                 below_paths.append(path + (cid,))
         centroids.append(np.concatenate(rows))
         offsets.append(_csr(counts))

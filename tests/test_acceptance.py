@@ -14,27 +14,27 @@ import numpy as np
 
 import acceptance_log
 from stmp import (
+    CodeBatch,
     ExactSelector,
     ScoreCounter,
     SearchParams,
-    SparseCode,
     TaskConfig,
     add_noise_to_snr,
-    apply,
+    apply_batch,
     build_from_patches,
     build_tree,
     coded_exposure_operator,
     denoise,
     exact_select,
     extract_patches,
-    lift_code,
+    lift_codes,
     masked_recover,
     matching_pursuit,
     normalize_columns,
     predicted_ip_count,
     project_dictionary,
     random_exposure_mask,
-    reconstruct,
+    reconstruct_batch,
     row_select_operator,
     save_pgm,
     stmp_select,
@@ -238,14 +238,15 @@ def test_criterion_7_projection_commutation():
             op = coded_exposure_operator(mask)
         pd = project_dictionary(d, op)
         usable = np.flatnonzero(pd.usable)
+        indices, coefficients = [], []
         for _ in range(10):
-            support = rng.choice(usable, size=5, replace=False)
-            entries = [(int(i), float(rng.standard_normal())) for i in support]
-            code = SparseCode(m=80, entries=entries, ip_count=0)
-            lhs = apply(op, reconstruct(d, lift_code(pd, code)))
-            rhs = reconstruct(pd.dictionary, code)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-4)
-            checked += 1
+            indices.append(rng.choice(usable, size=5, replace=False))
+            coefficients.append([float(rng.standard_normal()) for _ in range(5)])
+        codes = CodeBatch(80, np.array(indices), np.array(coefficients), np.full(10, 5))
+        lhs = apply_batch(op, reconstruct_batch(d, lift_codes(pd, codes)))
+        rhs = reconstruct_batch(pd.dictionary, codes)
+        np.testing.assert_allclose(lhs, rhs, atol=1e-4)
+        checked += lhs.shape[0]
     assert checked == 100
 
 

@@ -58,6 +58,17 @@ def test_version_subprocess(tmp_path):
     assert Path(where.stdout.strip()).resolve() == Path(stmp.__file__).resolve()
 
 
+def test_public_surface():
+    assert len(stmp.__all__) == len(set(stmp.__all__))
+    for name in stmp.__all__:
+        getattr(stmp, name)
+    modules = (stmp, stmp.clustering, stmp.operators, stmp.pipelines, stmp.pursuit, stmp.cli)
+    for name in ("reconstruct", "lift_code", "apply", "kmeans", "balanced_cluster", "BalancedPartition"):
+        assert name not in stmp.__all__
+        assert not any(hasattr(module, name) for module in modules), name
+    assert not hasattr(stmp.CodeBatch, "of")
+
+
 def test_build_dict_and_tree(tmp_path, capsys):
     img1 = tmp_path / "a.pgm"
     img2 = tmp_path / "b.pgm"
@@ -166,9 +177,21 @@ def test_run_denoise_paired_selectors(tmp_path):
     assert load_pgm(out_exact).shape == (40, 40)
 
 
+# every flag a run needs, so that only the value under test can end it with a usage error
+_RUN_FLAGS = ["run", "--task", "denoise", "--in", "x", "--dict", "y", "--patch", "4,4",
+              "--stride", "2,2", "--k", "2", "--selector", "exact", "--out", "z"]
+
+
 def test_run_alpha_usage_error():
     with pytest.raises(SystemExit) as err:
-        main(["run", "--task", "denoise", "--alpha", "0"])
+        main(_RUN_FLAGS + ["--alpha", "0"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan"])
+def test_run_tolerance_usage_error(tolerance):
+    with pytest.raises(SystemExit) as err:
+        main(_RUN_FLAGS + ["--tolerance", tolerance])
     assert err.value.code == 2
 
 
@@ -347,6 +370,23 @@ def _task_run(tmp_path, task):
         save_row_selection(rows, tmp_path / "half.rows")
         return flags + ["--rows", str(tmp_path / "half.rows")], row_select_operator(16, rows)
     return flags, identity_operator(16)
+
+
+def test_run_rejects_a_row_index_past_int64(tmp_path, capsys):
+    flags, _ = _task_run(tmp_path, "maskrecover")
+    rows_path = tmp_path / "half.rows"
+    raw = bytearray(rows_path.read_bytes())
+    raw[16:24] = (1 << 63).to_bytes(8, "little")
+    rows_path.write_bytes(bytes(raw))
+    d = build_from_patches(np.random.default_rng(41).standard_normal((60, 16)), 40, seed=42)
+    save_dictionary(d, tmp_path / "d.dict")
+    capsys.readouterr()
+    rc = main(flags + ["--selector", "exact", "--dict", str(tmp_path / "d.dict"),
+                       "--out", str(tmp_path / "out.tnsr")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "out of range at offset 16" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("source", ["exact", "tree", "branching"])

@@ -9,15 +9,13 @@ from stmp import (
     ClusterTree,
     FormatError,
     StaleTreeError,
-    balanced_cluster,
     build_tree,
-    kmeans,
     load_tree,
     normalize_columns,
     save_tree,
     validate_tree,
 )
-from stmp.clustering import _draw, _kmeans, _seed_sequence
+from stmp.clustering import _draw, _kmeans, _seed_sequence, _split, _unit_means
 from stmp.dictionary import Dictionary
 
 import oracles
@@ -28,10 +26,28 @@ def _random_dictionary(m, n, seed):
     return normalize_columns(rng.standard_normal((m, n)))
 
 
+def _lone_kmeans(vectors, k, seed, max_iters=25):
+    """One node's k-means: a stack of one through the kernel build_tree runs."""
+    vectors = np.ascontiguousarray(vectors, dtype=np.float32)
+    centroids, assignments = _kmeans(vectors, np.arange(len(vectors))[None], k,
+                                     [_seed_sequence(seed)], max_iters)
+    return centroids[0], assignments[0]
+
+
+def _balanced(atoms, k, seed):
+    """One node's balanced split as build_tree runs it: each atom's cluster
+    id, and each cluster's size and unit-norm centroid."""
+    atoms = np.ascontiguousarray(atoms, dtype=np.float32)
+    m = atoms.shape[0]
+    labels, count = _split(atoms, np.arange(m), np.array([m]), k, [seed])
+    sizes = np.bincount(labels, minlength=int(count[0]))
+    return labels, sizes, _unit_means(atoms, np.argsort(labels, kind="stable"), sizes)
+
+
 def test_kmeans_k_equals_count():
     rng = np.random.default_rng(0)
     vectors = rng.standard_normal((6, 3)).astype(np.float32)
-    centroids, assignments = kmeans(vectors, 6, seed=1)
+    centroids, assignments = _lone_kmeans(vectors, 6, seed=1)
     np.testing.assert_array_equal(assignments, np.arange(6))
     np.testing.assert_array_equal(centroids, vectors)
 
@@ -41,7 +57,7 @@ def test_kmeans_separated_clouds():
     a = rng.standard_normal((40, 4)) * 0.05 + np.array([10.0, 0, 0, 0])
     b = rng.standard_normal((40, 4)) * 0.05 - np.array([10.0, 0, 0, 0])
     vectors = np.vstack([a, b]).astype(np.float32)
-    _, assignments = kmeans(vectors, 2, seed=3)
+    _, assignments = _lone_kmeans(vectors, 2, seed=3)
     assert len(set(assignments[:40])) == 1
     assert len(set(assignments[40:])) == 1
     assert assignments[0] != assignments[40]
@@ -50,15 +66,10 @@ def test_kmeans_separated_clouds():
 def test_kmeans_deterministic():
     rng = np.random.default_rng(2)
     vectors = rng.standard_normal((100, 8)).astype(np.float32)
-    c1, a1 = kmeans(vectors, 7, seed=5)
-    c2, a2 = kmeans(vectors, 7, seed=5)
+    c1, a1 = _lone_kmeans(vectors, 7, seed=5)
+    c2, a2 = _lone_kmeans(vectors, 7, seed=5)
     assert c1.tobytes() == c2.tobytes()
     np.testing.assert_array_equal(a1, a2)
-
-
-def test_kmeans_k_too_large():
-    with pytest.raises(ValueError):
-        kmeans(np.zeros((3, 2), dtype=np.float32), 4, seed=0)
 
 
 def test_balanced_quadruplets():
@@ -67,25 +78,23 @@ def test_balanced_quadruplets():
         [[10, 0, 0], [-10, 0, 0], [0, 10, 0], [0, 0, 10]], dtype=np.float64
     )
     atoms = np.repeat(corners, 3, axis=0) + rng.standard_normal((12, 3)) * 0.01
-    part = balanced_cluster(atoms.astype(np.float32), 4, seed=0)
-    assert part.capacity == 3
-    assert part.sizes.tolist() == [3, 3, 3, 3]
+    labels, sizes, _ = _balanced(atoms, 4, seed=0)
+    assert sizes.tolist() == [3, 3, 3, 3]
     # group labels must match the generating quadruplets
-    groups = [set(np.flatnonzero(part.assignments == c) // 3) for c in range(part.k)]
+    groups = [set(np.flatnonzero(labels == c) // 3) for c in range(4)]
     assert all(len(g) == 1 for g in groups)
 
 
 def test_balanced_sizes_m10_k3():
     atoms = _random_dictionary(10, 5, seed=6).atoms
-    part = balanced_cluster(atoms, 3, seed=1)
-    assert part.capacity == 4
-    assert part.sizes.tolist() == [4, 4, 2]
+    _, sizes, _ = _balanced(atoms, 3, seed=1)
+    assert sizes.tolist() == [4, 4, 2]
 
 
 def test_balanced_singletons():
     atoms = _random_dictionary(5, 4, seed=7).atoms
-    part = balanced_cluster(atoms, 5, seed=2)
-    assert part.sizes.tolist() == [1, 1, 1, 1, 1]
+    _, sizes, _ = _balanced(atoms, 5, seed=2)
+    assert sizes.tolist() == [1, 1, 1, 1, 1]
 
 
 def test_balanced_invariants_random():
@@ -93,20 +102,23 @@ def test_balanced_invariants_random():
         m = 17 + 9 * seed
         k = 2 + seed
         atoms = _random_dictionary(m, 6, seed=seed + 10).atoms
-        part = balanced_cluster(atoms, k, seed=seed)
+        labels, sizes, centroids = _balanced(atoms, k, seed=seed)
         capacity = -(-m // k)
-        assert part.k <= k
-        assert part.sizes[:-1].tolist() == [capacity] * (part.k - 1)
-        assert 1 <= part.sizes[-1] <= capacity
-        assert np.bincount(part.assignments, minlength=part.k).tolist() == part.sizes.tolist()
-        norms = np.linalg.norm(part.centroids.astype(np.float64), axis=1)
+        assert sizes.size <= k
+        assert sizes[:-1].tolist() == [capacity] * (sizes.size - 1)
+        assert 1 <= sizes[-1] <= capacity
+        norms = np.linalg.norm(centroids.astype(np.float64), axis=1)
         assert np.abs(norms - 1.0).max() < 1e-5
+        want_labels, want_centroids, want_sizes = oracles.balanced_cluster(atoms, k, seed)
+        assert labels.tolist() == want_labels.tolist() and sizes.tolist() == want_sizes.tolist()
+        assert centroids.tobytes() == want_centroids.tobytes()
 
 
 def test_balanced_tolerates_duplicate_atoms():
     atoms = np.tile(normalize_columns(np.eye(4)).atoms, (5, 1))
-    part = balanced_cluster(atoms, 4, seed=3)
-    assert part.sizes.sum() == 20
+    labels, sizes, _ = _balanced(atoms, 4, seed=3)
+    assert sizes.tolist() == [5, 5, 5, 5]
+    assert np.bincount(labels).tolist() == sizes.tolist()
 
 
 def test_build_tree_rejects_small_branching():
@@ -300,8 +312,8 @@ def test_stacked_kmeans_matches_the_lone_reference(rows, n, k_share, nodes, dist
         want_c, want_a = oracles.kmeans(stack[s], k, seeds[s], max_iters)
         assert centroids[s].tobytes() == want_c.tobytes()
         assert assignments[s].tolist() == want_a.tolist()
-    public_c, public_a = kmeans(stack[0], k, seeds[0], max_iters)
-    assert public_c.tobytes() == centroids[0].tobytes() and public_a.tolist() == assignments[0].tolist()
+    lone_c, lone_a = _lone_kmeans(stack[0], k, seeds[0], max_iters)
+    assert lone_c.tobytes() == centroids[0].tobytes() and lone_a.tolist() == assignments[0].tolist()
 
 
 def test_kmeans_duplicates_take_the_zero_mass_and_reseeding_paths(monkeypatch):
@@ -313,7 +325,7 @@ def test_kmeans_duplicates_take_the_zero_mass_and_reseeding_paths(monkeypatch):
     monkeypatch.setattr(oracles, "_squared_distances",
                         lambda *a: calls.append(d2 := original(*a)) or d2)
     want_c, want_a = oracles.kmeans(vectors, 4, seed=0)
-    got_c, got_a = kmeans(vectors, 4, seed=0)
+    got_c, got_a = _lone_kmeans(vectors, 4, seed=0)
     assert got_c.tobytes() == want_c.tobytes() and got_a.tolist() == want_a.tolist()
     assert np.bincount(calls[0].argmin(axis=1), minlength=4).min() == 0  # re-seeding ran
 

@@ -2,21 +2,20 @@ import numpy as np
 import pytest
 
 from stmp import (
+    CodeBatch,
     DegenerateOperatorError,
     Dictionary,
     FormatError,
-    SparseCode,
-    apply,
     apply_batch,
     block_average_operator,
     coded_exposure_operator,
     identity_operator,
-    lift_code,
+    lift_codes,
     load_row_selection,
     normalize_columns,
     project_dictionary,
     random_exposure_mask,
-    reconstruct,
+    reconstruct_batch,
     row_select_operator,
     save_row_selection,
     simulate_coded_exposure,
@@ -31,14 +30,17 @@ def _random_dictionary(m, n, seed):
 
 def test_identity_apply_copies():
     op = identity_operator(6)
-    x = np.arange(6, dtype=np.float32)
-    np.testing.assert_array_equal(apply(op, x), x)
+    x = np.arange(6.0)[None]
+    out = apply_batch(op, x)
+    np.testing.assert_array_equal(out, x)
+    out[0, 0] = 9.0
+    assert x[0, 0] == 0.0
 
 
 def test_row_select_gathers():
     op = row_select_operator(5, [0, 2, 4])
     np.testing.assert_array_equal(
-        apply(op, np.array([1.0, 2.0, 3.0, 4.0, 5.0])), [1.0, 3.0, 5.0]
+        apply_batch(op, np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])), [[1.0, 3.0, 5.0]]
     )
 
 
@@ -57,7 +59,7 @@ def test_coded_exposure_all_open_sums_frames():
     mask = np.ones(spatial + (frames,), dtype=np.float32)
     op = coded_exposure_operator(mask)
     patch = np.random.default_rng(0).random(spatial + (frames,)).astype(np.float32)
-    out = apply(op, patch.ravel())
+    out = apply_batch(op, patch.reshape(1, -1))
     np.testing.assert_allclose(out.reshape(spatial), patch.sum(axis=-1), atol=1e-6)
     assert op.n_out == op.n_in // frames
 
@@ -75,7 +77,7 @@ def test_coded_exposure_validation():
 def test_block_average_means():
     op = block_average_operator((4, 4), (2, 2))
     patch = np.arange(16, dtype=np.float32)
-    out = apply(op, patch)
+    out = apply_batch(op, patch[None])
     grid = patch.reshape(4, 4)
     expected = grid.reshape(2, 2, 2, 2).mean(axis=(1, 3))
     np.testing.assert_allclose(out.reshape(2, 2), expected, atol=1e-6)
@@ -91,8 +93,8 @@ def test_view_selection_dimension_192():
     assert len(rows) == 192
     op = row_select_operator(1600, rows)
     assert op.n_out == 192
-    out = apply(op, np.arange(1600, dtype=np.float32))
-    assert out.shape == (192,)
+    out = apply_batch(op, np.arange(1600, dtype=np.float32)[None])
+    assert out.shape == (1, 192)
 
 
 def test_view_selection_validation():
@@ -139,18 +141,17 @@ def test_projection_scale_identity():
     d = _random_dictionary(50, 24, seed=3)
     op = row_select_operator(24, [0, 3, 5, 7, 11, 20])
     pd = project_dictionary(d, op)
-    for i in range(d.m):
-        direct = apply(op, d.atoms[i])
-        via = pd.dictionary.atoms[i].astype(np.float64) * pd.scale[i]
-        np.testing.assert_allclose(via, direct, atol=1e-5)
+    direct = apply_batch(op, d.atoms)
+    via = pd.dictionary.atoms.astype(np.float64) * pd.scale[:, None]
+    np.testing.assert_allclose(via, direct, atol=1e-5)
 
 
 def test_lift_identity_keeps_code():
     d = _random_dictionary(30, 6, seed=4)
     pd = project_dictionary(d, identity_operator(6))
-    code = SparseCode(m=30, entries=[(3, 1.25), (8, -0.5)], ip_count=7)
-    lifted = lift_code(pd, code)
-    assert lifted.entries == code.entries
+    codes = CodeBatch(30, np.array([[3, 8]]), np.array([[1.25, -0.5]]), np.array([2]), ip_count=7)
+    lifted = lift_codes(pd, codes)
+    assert lifted.entries(0) == codes.entries(0)
     assert lifted.ip_count == 7
 
 
@@ -159,19 +160,16 @@ def test_lift_commutation_single_and_multi():
     d = _random_dictionary(60, 18, seed=6)
     op = row_select_operator(18, [0, 2, 4, 6, 8, 10, 12])
     pd = project_dictionary(d, op)
-    single = SparseCode(m=60, entries=[(11, 2.5)], ip_count=0)
-    lifted = lift_code(pd, single)
-    lhs = apply(op, reconstruct(d, lifted))
-    rhs = reconstruct(pd.dictionary, single)
+    single = CodeBatch(60, np.array([[11]]), np.array([[2.5]]), np.array([1]))
+    lhs = apply_batch(op, reconstruct_batch(d, lift_codes(pd, single)))
+    rhs = reconstruct_batch(pd.dictionary, single)
     np.testing.assert_allclose(lhs, rhs, atol=1e-5)
 
-    for _ in range(20):
-        support = rng.choice(60, size=4, replace=False)
-        entries = [(int(i), float(rng.standard_normal())) for i in support]
-        code = SparseCode(m=60, entries=entries, ip_count=0)
-        lhs = apply(op, reconstruct(d, lift_code(pd, code)))
-        rhs = reconstruct(pd.dictionary, code)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-4)
+    indices = np.array([rng.choice(60, size=4, replace=False) for _ in range(20)])
+    multi = CodeBatch(60, indices, rng.standard_normal((20, 4)), np.full(20, 4))
+    lhs = apply_batch(op, reconstruct_batch(d, lift_codes(pd, multi)))
+    rhs = reconstruct_batch(pd.dictionary, multi)
+    np.testing.assert_allclose(lhs, rhs, atol=1e-4)
 
 
 def test_lift_rejects_unusable_atom():
@@ -181,7 +179,7 @@ def test_lift_rejects_unusable_atom():
     d = Dictionary(atoms)
     pd = project_dictionary(d, row_select_operator(4, [0, 1]))
     with pytest.raises(RuntimeError):
-        lift_code(pd, SparseCode(m=2, entries=[(1, 1.0)], ip_count=0))
+        lift_codes(pd, CodeBatch(2, np.array([[0, 1]]), np.ones((1, 2)), np.array([2])))
 
 
 def test_apply_batch_matches_apply():
@@ -190,7 +188,9 @@ def test_apply_batch_matches_apply():
     rows = np.random.default_rng(9).random((15, 12)).astype(np.float32)
     batch = apply_batch(op, rows)
     for i in range(15):
-        np.testing.assert_allclose(batch[i], apply(op, rows[i]), atol=1e-6)
+        assert apply_batch(op, rows[i:i + 1])[0].tobytes() == batch[i].tobytes()
+        want = (rows[i].reshape(2, 2, 3) * mask).sum(axis=-1).ravel()
+        np.testing.assert_allclose(batch[i], want, atol=1e-6)
 
 
 def test_random_exposure_mask_contract():
@@ -244,4 +244,19 @@ def test_row_selection_rejects_disorder(tmp_path):
     raw[start + 8 : start + 16] = first
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
+        load_row_selection(path)
+
+
+@pytest.mark.parametrize("index", [1 << 63, (1 << 64) - 1])
+def test_row_selection_rejects_an_index_past_int64(tmp_path, index):
+    path = tmp_path / "rows.rsel"
+    save_row_selection([1, 5, 9], path)
+    raw = bytearray(path.read_bytes())
+    raw[24:32] = index.to_bytes(8, "little")  # the second row
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"row index {index} out of range at offset 24"):
+        load_row_selection(path)
+    # a file cut short still reports the truncation first
+    path.write_bytes(bytes(raw[:-1]))
+    with pytest.raises(FormatError, match="truncated while reading row 2 at offset 32"):
         load_row_selection(path)

@@ -59,6 +59,9 @@ def test_task_config_validation():
         TaskConfig(patch_shape=(4, 4), stride=(2, 2), K=3, alpha=0.0)
     with pytest.raises(ValueError):
         TaskConfig(patch_shape=(4, 4), stride=(2, 2), K=3, selector="other")
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            TaskConfig(patch_shape=(4, 4), stride=(2, 2), K=3, residual_tolerance=bad)
 
 
 def test_add_noise_hits_target():
@@ -76,6 +79,7 @@ def test_add_noise_identity_sentinel():
     t = np.ones((4, 4), dtype=np.float32)
     assert add_noise_to_snr(t, None, seed=0).tobytes() == t.tobytes()
     assert add_noise_to_snr(t, math.inf, seed=0).tobytes() == t.tobytes()
+    assert add_noise_to_snr(t, -math.inf, seed=0).tobytes() == t.tobytes()
 
 
 def test_add_noise_deterministic():
@@ -88,6 +92,11 @@ def test_add_noise_deterministic():
 def test_add_noise_rejects_zero_signal():
     with pytest.raises(ValueError):
         add_noise_to_snr(np.zeros((3, 3), dtype=np.float32), 10.0, seed=0)
+
+
+def test_add_noise_rejects_nan_target():
+    with pytest.raises(ValueError, match="NaN"):
+        add_noise_to_snr(np.ones((3, 3), dtype=np.float32), math.nan, seed=0)
 
 
 def test_psnr_snr_formulas():

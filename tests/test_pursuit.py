@@ -15,14 +15,12 @@ from stmp import (
     TreeSelector,
     build_tree,
     exact_select,
-    lift_code,
     lift_codes,
     matching_pursuit,
     matching_pursuit_batch,
     normalize_columns,
     predicted_ip_count,
     project_dictionary,
-    reconstruct,
     reconstruct_batch,
     retained_count,
     row_select_operator,
@@ -292,8 +290,9 @@ def test_batched_pursuit_matches_per_patch_references(
             code = matching_pursuit(selector, x, params, alone)
             assert code.entries == codes.entries(p)
             assert alone.inner_products == ips
-            one = reconstruct_batch(d, CodeBatch.of(code))[0]
-            assert one.tobytes() == reconstruct_batch(d, codes)[p].tobytes()
+            row = CodeBatch(d.m, codes.indices[p:p + 1], codes.coefficients[p:p + 1],
+                            codes.lengths[p:p + 1])
+            assert reconstruct_batch(d, row)[0].tobytes() == reconstruct_batch(d, codes)[p].tobytes()
         assert counter.inner_products == total
     assert "zero score" in stops
     if tolerance is None:
@@ -305,6 +304,7 @@ def test_batched_pursuit_matches_per_patch_references(
 
 
 def test_batch_helpers_match_single_code_forms():
+    # every row lifts and reconstructs to the bits it gets in a batch of one
     d = _random_dictionary(30, 6, seed=40)
     rng = np.random.default_rng(41)
     pd = project_dictionary(d, row_select_operator(6, [0, 2, 3, 5]))
@@ -313,17 +313,18 @@ def test_batch_helpers_match_single_code_forms():
     lifted = lift_codes(pd, codes)
     full = reconstruct_batch(d, lifted)
     for p in range(7):
-        code = SparseCode(m=30, entries=codes.entries(p), ip_count=0)
-        assert lift_code(pd, code).entries == lifted.entries(p)
-        assert reconstruct(d, lift_code(pd, code)).tobytes() == full[p].tobytes()
+        one = lift_codes(pd, CodeBatch(30, codes.indices[p:p + 1], codes.coefficients[p:p + 1],
+                                       codes.lengths[p:p + 1]))
+        assert one.entries(0) == lifted.entries(p)
+        assert reconstruct_batch(d, one)[0].tobytes() == full[p].tobytes()
     bad = CodeBatch(30, np.array([[3, 30]]), np.ones((1, 2)), np.array([2]))
     with pytest.raises(ValueError, match="code index 30 outside"):
         reconstruct_batch(d, bad)
     with pytest.raises(ValueError, match="code index 30 outside"):
         lift_codes(pd, bad)
     short = CodeBatch(30, np.array([[3, 30]]), np.ones((1, 2)), np.array([1]))
-    assert reconstruct_batch(d, short)[0].tobytes() == reconstruct(
-        d, SparseCode(m=30, entries=[(3, 1.0)])).tobytes()
+    alone = CodeBatch(30, np.array([[3]]), np.ones((1, 1)), np.array([1]))
+    assert reconstruct_batch(d, short)[0].tobytes() == reconstruct_batch(d, alone)[0].tobytes()
 
 
 @pytest.mark.parametrize("n", [16, 64])
@@ -571,16 +572,17 @@ def test_query_whose_norm_overflows_is_coded_like_the_unscaled_one():
 def test_search_params_validation():
     with pytest.raises(ValueError):
         SearchParams(K=0)
-    with pytest.raises(ValueError):
-        SearchParams(K=3, residual_tolerance=-1.0)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            SearchParams(K=3, residual_tolerance=bad)
 
 
 def test_mp_orthonormal_two_atoms():
     d = Dictionary(np.eye(4, dtype=np.float32))
     x = 2.0 * d.atoms[0] + 3.0 * d.atoms[1]
-    code = matching_pursuit(ExactSelector(d), x, SearchParams(K=2))
-    assert [(i, round(c, 6)) for i, c in code.entries] == [(1, 3.0), (0, 2.0)]
-    residual = x - reconstruct(d, code)
+    codes = matching_pursuit_batch(ExactSelector(d), x[None], SearchParams(K=2))
+    assert [(i, round(c, 6)) for i, c in codes.entries(0)] == [(1, 3.0), (0, 2.0)]
+    residual = x - reconstruct_batch(d, codes)[0]
     assert np.linalg.norm(residual) < 1e-6
 
 
@@ -604,13 +606,13 @@ def test_mp_matches_reference_runs():
     d = _random_dictionary(80, 10, seed=18)
     for _ in range(20):
         x = rng.standard_normal(10)
-        code = matching_pursuit(ExactSelector(d), x, SearchParams(K=6))
+        codes = matching_pursuit_batch(ExactSelector(d), x[None], SearchParams(K=6))
         ref_entries, ref_residual = matching_pursuit_reference(d.atoms, x, 6)
-        assert [i for i, _ in code.entries] == [i for i, _ in ref_entries]
-        got = np.array([c for _, c in code.entries])
+        assert [i for i, _ in codes.entries(0)] == [i for i, _ in ref_entries]
+        got = np.array([c for _, c in codes.entries(0)])
         ref = np.array([c for _, c in ref_entries])
         np.testing.assert_allclose(got, ref, atol=1e-5)
-        residual = x - reconstruct(d, code)
+        residual = x - reconstruct_batch(d, codes)[0]
         np.testing.assert_allclose(residual, ref_residual, atol=1e-5)
 
 
@@ -620,9 +622,9 @@ def test_mp_energy_ledger():
     d = _random_dictionary(120, 14, seed=20)
     for _ in range(10):
         x = rng.standard_normal(14)
-        code = matching_pursuit(ExactSelector(d), x, SearchParams(K=8))
-        spent = sum(c * c for _, c in code.entries)
-        left = float(np.linalg.norm(x - reconstruct(d, code)) ** 2)
+        codes = matching_pursuit_batch(ExactSelector(d), x[None], SearchParams(K=8))
+        spent = sum(c * c for _, c in codes.entries(0))
+        left = float(np.linalg.norm(x - reconstruct_batch(d, codes)[0]) ** 2)
         total = float(np.dot(x, x))
         assert abs((total - spent) - left) < 1e-4 * total
 
@@ -651,12 +653,16 @@ def test_sparse_code_text_format():
 
 def test_reconstruct_basics():
     d = _random_dictionary(30, 6, seed=23)
-    empty = reconstruct(d, SparseCode(m=30, entries=[], ip_count=0))
-    np.testing.assert_array_equal(empty, np.zeros(6, dtype=np.float32))
-    one = reconstruct(d, SparseCode(m=30, entries=[(7, 1.0)], ip_count=0))
-    np.testing.assert_allclose(one, d.atoms[7], atol=1e-7)
+    empty = reconstruct_batch(d, CodeBatch(30, np.zeros((1, 0), dtype=np.int64), np.zeros((1, 0)),
+                                           np.array([0])))
+    np.testing.assert_array_equal(empty, np.zeros((1, 6)))
+    codes = CodeBatch(30, np.array([[7, 0], [7, 3]]), np.array([[1.0, 0.0], [1.0, -2.0]]),
+                      np.array([1, 2]))
+    got = reconstruct_batch(d, codes)
+    np.testing.assert_allclose(got[0], d.atoms[7], atol=1e-7)
+    np.testing.assert_allclose(got[1], d.atoms[7] - 2.0 * d.atoms[3], atol=1e-6)
     with pytest.raises(ValueError):
-        reconstruct(d, SparseCode(m=30, entries=[(30, 1.0)], ip_count=0))
+        reconstruct_batch(d, CodeBatch(30, np.array([[30]]), np.ones((1, 1)), np.array([1])))
 
 
 
