@@ -48,10 +48,17 @@ from .tensor import extract_patches, load_pgm, load_tensor, save_pgm, save_tenso
 BENCH_HEADER = "m, alpha, exact_ip, stmp_ip, stmp_centroid_ip, agreement"
 
 
+def _int(value) -> int:
+    """An int from a flag's text or a JSON number; booleans and fractions are refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _dims(value) -> tuple[int, ...]:
     """'16,16' or a JSON list -> tuple of positive ints."""
     parts = value.split(",") if isinstance(value, str) else value
-    dims = tuple(int(p) for p in parts)
+    dims = tuple(_int(p) for p in parts)
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"expected positive comma-separated dimensions, got {value!r}")
     return dims
@@ -87,17 +94,31 @@ def _views(value) -> tuple[tuple[int, int], ...]:
         pairs = [part.split(",") for part in value.split(";") if part]
     else:
         pairs = value
-    views = tuple((int(u), int(v)) for u, v in pairs)
+    views = tuple((_int(u), _int(v)) for u, v in pairs)
     if not views:
         raise ValueError("need at least one view")
     return views
 
 
 def _positive(value) -> int:
-    n = int(value)
+    n = _int(value)
     if n < 1:
         raise ValueError(f"expected a positive integer, got {value!r}")
     return n
+
+
+def _seed(value) -> int:
+    seed = _int(value)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {value!r}")
+    return seed
+
+
+def _paths(value) -> list[str]:
+    """A JSON list of file paths; a lone string would iterate by character."""
+    if not isinstance(value, list) or not value or not all(isinstance(p, str) for p in value):
+        raise ValueError(f"expected a non-empty list of paths, got {value!r}")
+    return value
 
 
 def _tolerance(value) -> float:
@@ -108,6 +129,7 @@ def _tolerance(value) -> float:
 
 
 _CONVERTERS = {
+    "images": _paths,
     "patch": _dims,
     "stride": _dims,
     "branching": _branching,
@@ -122,7 +144,7 @@ _CONVERTERS = {
     "threads": _positive,
     "factor": _positive,
     "mask_open": _positive,
-    "seed": int,
+    "seed": _seed,
     "tolerance": _tolerance,
     "dict_sizes": _dims,
 }
@@ -382,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patch", type=_dims, help="patch extents, e.g. 16,16")
     p.add_argument("--stride", type=_dims, help="sampling stride, e.g. 2,2")
     p.add_argument("--atoms", type=_positive, help="dictionary size m")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out", help="output dictionary file")
     p.add_argument("--config", help="JSON config file mirroring these flags")
     p.set_defaults(handler=_cmd_build_dict, subparser=p)
@@ -390,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("build-tree", help="build a shallow cluster tree over a dictionary")
     p.add_argument("--dict", help="dictionary file")
     p.add_argument("--branching", type=_branching, help="per-level fan-out, e.g. 100,10,10")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out", help="output tree file")
     p.add_argument("--config", help="JSON config file mirroring these flags")
     p.set_defaults(handler=_cmd_build_tree, subparser=p)
@@ -406,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patch", type=_dims, help="dictionary patch extents")
     p.add_argument("--stride", type=_dims, help="patch grid stride")
     p.add_argument("--branching", type=_branching)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--threads", type=_positive,
                    help="accepted and ignored: coding runs batched in one thread")
     p.add_argument("--tolerance", type=_tolerance, help="absolute residual stopping tolerance")
@@ -429,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fan-out per size, ';'-separated (one entry is shared)")
     p.add_argument("--alpha", dest="alphas", type=_alpha_list, help="comma-separated alphas")
     p.add_argument("--queries", type=_positive)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out", help="output CSV")
     p.add_argument("--config", help="JSON config file mirroring these flags")
     p.set_defaults(handler=_cmd_benchmark, subparser=p)

@@ -31,10 +31,15 @@ d = 0..L as float64 rows with float32 values.  Node j at depth d owns rows
 child ranges are one fancy index) of depth d+1, or of ``atoms``, the
 leaves' atom indices in preorder, when d = L.
 
-Tree file layout, v1 (little-endian):
+Tree file layout, v2 (little-endian):
 
-    magic "STMPTREE" | u32 version=1 | u64 dictionary fingerprint | u64 n |
+    magic "STMPTREE" | u32 version=2 | u64 dictionary fingerprint | u64 n |
     u32 L | L x u32 branching | preorder node records
+
+The fingerprint is ``Dictionary.fingerprint()``: the first 8 bytes of the
+SHA-256 of the dictionary's float32 atom payload.  Version 1 had the same
+layout with a 64-bit FNV-1a fingerprint and is not read; ``stmp build-tree``
+rebuilds such a tree.
 
 Node records: u8 is_leaf; leaves carry u64 atom_index, internal nodes carry
 n x float32 centroid and u32 child_count.  Leaf centroids are not stored;
@@ -58,12 +63,12 @@ from .dictionary import Dictionary, row_dots
 from .errors import FormatError, StaleTreeError, UnsupportedFormatError
 
 _TREE_MAGIC = b"STMPTREE"
-_TREE_VERSION = 1
+_TREE_VERSION = 2
 _DEGENERATE_NORM = 1e-12
 
 CENTROID_NORM_TOL = 1e-5
 
-# one leaf record of the v1 file: u8 tag (always 1) then u64 atom index
+# one leaf record of the file: u8 tag (always 1) then u64 atom index
 _LEAF_RECORD = np.dtype([("tag", "u1"), ("index", "<u8")])
 _U32 = struct.Struct("<I")
 
@@ -555,7 +560,10 @@ def _leaf_atoms(buf: np.ndarray, bottom: list, counts: list, record: int, levels
 
 
 def load_tree(path) -> ClusterTree:
-    """Read a v1 ``.tree`` file; raises FormatError naming the first bad offset.
+    """Read a v2 ``.tree`` file; raises FormatError naming the first bad offset.
+
+    Any other version, v1 included, raises UnsupportedFormatError at offset
+    8: a v1 tree carries the old fingerprint and must be rebuilt.
 
     One walk over the records finds every internal record and leaf run;
     each depth's centroids and all leaf records are then one gather from
@@ -568,7 +576,8 @@ def load_tree(path) -> ClusterTree:
     version = reader.u32("version")
     if version != _TREE_VERSION:
         raise UnsupportedFormatError(
-            f"{path}: unsupported tree format version {version} at offset 8"
+            f"{path}: unsupported tree format version {version} at offset 8; "
+            "rebuild the tree with stmp build-tree"
         )
     fingerprint = reader.u64("dictionary fingerprint")
     n = reader.u64("atom dimension")

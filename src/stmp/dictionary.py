@@ -8,9 +8,14 @@ name even though the in-memory layout is transposed.
 Dictionary file layout (little-endian):
 
     magic "STMPDICT" | u32 version=1 | u64 n | u64 m | m*n float32, atom-major
+
+A dictionary's fingerprint, which binds cluster trees to it, is the first
+8 bytes, read as a little-endian u64, of the SHA-256 digest of that float32
+payload: the bytes after the file's 28-byte header.
 """
 
 from dataclasses import dataclass, field
+import hashlib
 
 import numpy as np
 
@@ -48,6 +53,9 @@ def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def fnv1a64(data: bytes) -> int:
     """64-bit FNV-1a hash of a byte string: h <- (h ^ b) * P mod 2^64 per byte.
+
+    It no longer binds trees (``Dictionary.fingerprint`` is SHA-256), and no
+    package code calls it.
 
     The value is that of the byte loop, computed in a few vectorized passes
     per block of ``_FNV_BLOCK`` bytes; ``h`` carries from block to block.
@@ -181,9 +189,13 @@ class Dictionary:
         return _binio.f32_bytes(self.atoms)
 
     def fingerprint(self) -> int:
-        """FNV-1a hash of the atom payload; binds cluster trees to this dictionary."""
+        """SHA-256 of the atom payload, its first 8 bytes as a little-endian
+        u64; binds cluster trees to this dictionary.  Hashed from the atom
+        buffer itself, once per object."""
         if self._fingerprint is None:
-            self._fingerprint = fnv1a64(self.payload_bytes())
+            payload = np.ascontiguousarray(self.atoms, dtype="<f4")
+            digest = hashlib.sha256(payload).digest()
+            self._fingerprint = int.from_bytes(digest[:8], "little")
         return self._fingerprint
 
     def validate(self) -> None:

@@ -415,7 +415,7 @@ def _read_leaf_run(reader: _binio.Reader, count: int, levels: int, path) -> np.n
 
 
 def load_tree_reference(path) -> ClusterTree:
-    """Node-by-node reader of a v1 ``.tree``: each record's tag, centroid and
+    """Node-by-node reader of a v2 ``.tree``: each record's tag, centroid and
     child count through a sequential Reader, each leaf run as one block."""
     with open(path, "rb") as fh:
         reader = _binio.Reader(fh.read(), source=str(path))
@@ -423,7 +423,8 @@ def load_tree_reference(path) -> ClusterTree:
     version = reader.u32("version")
     if version != _TREE_VERSION:
         raise UnsupportedFormatError(
-            f"{path}: unsupported tree format version {version} at offset 8"
+            f"{path}: unsupported tree format version {version} at offset 8; "
+            "rebuild the tree with stmp build-tree"
         )
     fingerprint = reader.u64("dictionary fingerprint")
     n = reader.u64("atom dimension")

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,8 +64,10 @@ def test_public_surface():
     assert len(stmp.__all__) == len(set(stmp.__all__))
     for name in stmp.__all__:
         getattr(stmp, name)
-    modules = (stmp, stmp.clustering, stmp.operators, stmp.pipelines, stmp.pursuit, stmp.cli)
-    for name in ("reconstruct", "lift_code", "apply", "kmeans", "balanced_cluster", "BalancedPartition"):
+    modules = (stmp, stmp.clustering, stmp.dictionary, stmp.operators, stmp.pipelines,
+               stmp.pursuit, stmp.cli)
+    for name in ("reconstruct", "lift_code", "apply", "kmeans", "balanced_cluster",
+                 "BalancedPartition"):
         assert name not in stmp.__all__
         assert not any(hasattr(module, name) for module in modules), name
     assert not hasattr(stmp.CodeBatch, "of")
@@ -404,17 +408,20 @@ def test_run_projects_dictionary_once(tmp_path, monkeypatch, task, source):
         "tree": ["--selector", "stmp", "--tree", str(tmp_path / "d.tree")],
         "branching": ["--selector", "stmp", "--branching", "4,2"],
     }[source]
-    calls, hashed = [], []
+    calls = []
     real = stmp.operators.project_dictionary
     counting = lambda *args: calls.append(1) or real(*args)  # noqa: E731
     for module in (stmp.operators, stmp.pipelines, stmp.cli):
         monkeypatch.setattr(module, "project_dictionary", counting, raising=False)
-    fnv = stmp.dictionary.fnv1a64
-    monkeypatch.setattr(stmp.dictionary, "fnv1a64", lambda data: hashed.append(1) or fnv(data))
+    hashed, sha256 = [], hashlib.sha256
+    monkeypatch.setattr(stmp.dictionary, "hashlib", SimpleNamespace(
+        sha256=lambda data: hashed.append(memoryview(data).nbytes) or sha256(data)))
     assert main(flags + selector + ["--dict", str(tmp_path / "d.dict"),
                                     "--out", str(tmp_path / "out.tnsr")]) == 0
     assert len(calls) == 1
-    assert len(hashed) == (0 if source == "exact" else 1)
+    # one whole-payload hash of the projected atoms, none without a tree
+    payload = 4 * tree.n * d.m
+    assert hashed == ([] if source == "exact" else [payload])
 
 
 @pytest.mark.parametrize("selector", [["exact"], ["stmp", "--branching", "4,2", "--alpha", "0.5"]],
@@ -508,3 +515,100 @@ def test_config_unknown_key(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["build-dict", "--config", str(config_path)])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("atoms", 20.7), ("atoms", True), ("patch", [4.9, 4]), ("seed", 2.5), ("stride", [2, False])],
+)
+def test_config_rejects_non_integers(tmp_path, capsys, key, value):
+    # int() would truncate 20.7 to 20 and read true as 1
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({key: value}))
+    with pytest.raises(SystemExit) as err:
+        main(["build-dict", "--config", str(config_path)])
+    assert err.value.code == 2
+    assert f"key {key!r}: expected an integer" in capsys.readouterr().err
+
+
+def test_config_takes_numeric_strings_and_integral_numbers(tmp_path):
+    img = tmp_path / "a.pgm"
+    _write_image(img, 16)
+    config = {"images": [str(img)], "patch": ["6", 6.0], "stride": "3,3", "atoms": "20",
+              "seed": 4.0, "out": str(tmp_path / "d.dict")}
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["build-dict", "--config", str(config_path)]) == 0
+    assert load_dictionary(tmp_path / "d.dict").m == 20
+    manifest = json.loads((tmp_path / "d.dict.manifest.json").read_text())
+    assert manifest["parameters"]["patch"] == [6, 6] and manifest["parameters"]["seed"] == 4
+
+
+def test_config_images_must_be_a_list(tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"images": "a.tnsr"}))
+    with pytest.raises(SystemExit) as err:
+        main(["build-dict", "--config", str(config_path)])
+    assert err.value.code == 2
+    assert "key 'images': expected a non-empty list of paths" in capsys.readouterr().err
+
+
+def _image_dict_and_tree(tmp_path):
+    """A 16x16 image, a 30-atom 4x4 dictionary sampled from it and a (4,2) tree."""
+    img_path = tmp_path / "in.pgm"
+    _write_image(img_path, 8, shape=(16, 16))
+    dict_path, tree_path = tmp_path / "d.dict", tmp_path / "d.tree"
+    assert main(["build-dict", "--images", str(img_path), "--patch", "4,4", "--stride", "2,2",
+                 "--atoms", "30", "--out", str(dict_path)]) == 0
+    assert main(["build-tree", "--dict", str(dict_path), "--branching", "4,2",
+                 "--out", str(tree_path)]) == 0
+    return img_path, dict_path, tree_path
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["build-dict", "build-tree", "run-branching", "run-tree",
+                                     "benchmark"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command, source):
+    img_path, dict_path, tree_path = _image_dict_and_tree(tmp_path)
+    run = ["run", "--task", "denoise", "--in", str(img_path), "--dict", str(dict_path),
+           "--patch", "4,4", "--stride", "2,2", "--k", "2", "--out", str(tmp_path / "o.pgm")]
+    argv = {
+        "build-dict": ["build-dict", "--images", str(img_path), "--patch", "4,4",
+                       "--stride", "2,2", "--atoms", "30", "--out", str(tmp_path / "e.dict")],
+        "build-tree": ["build-tree", "--dict", str(dict_path), "--branching", "4,2",
+                       "--out", str(tmp_path / "e.tree")],
+        "run-branching": run + ["--branching", "4,2"],
+        "run-tree": run + ["--tree", str(tree_path)],
+        "benchmark": ["benchmark", "--dict-sizes", "40", "--dim", "8", "--branching", "4,2",
+                      "--queries", "5", "--out", str(tmp_path / "b.csv")],
+    }[command]
+    if source == "flag":
+        argv += ["--seed", "-5"]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": -5}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "seed" in err_text and "-5" in err_text
+    assert "Traceback" not in err_text
+
+
+def test_run_refuses_a_v1_tree(tmp_path, capsys):
+    # v1 trees carry the FNV-1a fingerprint; the run names the fix
+    img_path, dict_path, tree_path = _image_dict_and_tree(tmp_path)
+    raw = bytearray(tree_path.read_bytes())
+    assert raw[8:12] == b"\x02\x00\x00\x00"
+    raw[8:12] = b"\x01\x00\x00\x00"
+    tree_path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    rc = main(["run", "--task", "denoise", "--in", str(img_path), "--dict", str(dict_path),
+               "--tree", str(tree_path), "--patch", "4,4", "--stride", "2,2", "--k", "2",
+               "--out", str(tmp_path / "o.pgm")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unsupported tree format version 1 at offset 8" in err and "stmp build-tree" in err
+    assert "Traceback" not in err

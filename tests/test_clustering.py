@@ -9,6 +9,7 @@ from stmp import (
     ClusterTree,
     FormatError,
     StaleTreeError,
+    UnsupportedFormatError,
     build_tree,
     load_tree,
     normalize_columns,
@@ -348,8 +349,8 @@ def test_kmeanspp_draw_matches_rng_choice(count):
 # A hand-checked 3-atom tree, n = 2, branching (2,): the root splits into
 # node A (atoms 0 and 2) and node B (atom 1).
 _FINGERPRINT = 0x0123456789ABCDEF
-_V1_BYTES = (
-    b"STMPTREE" + struct.pack("<IQQII", 1, _FINGERPRINT, 2, 1, 2)  # header, 36 bytes
+_TREE_BYTES = (
+    b"STMPTREE" + struct.pack("<IQQII", 2, _FINGERPRINT, 2, 1, 2)  # header, 36 bytes
     + b"\x00" + struct.pack("<2fI", 1.0, 0.0, 2)  # root at 36
     + b"\x00" + struct.pack("<2fI", 0.6, 0.8, 2)  # A at 49
     + b"\x01" + struct.pack("<Q", 0) + b"\x01" + struct.pack("<Q", 2)  # A's leaf run at 62
@@ -372,11 +373,11 @@ def _hand_tree():
     )
 
 
-def test_tree_v1_bytes_pinned(tmp_path):
-    assert len(_V1_BYTES) == 102
+def test_tree_v2_bytes_pinned(tmp_path):
+    assert len(_TREE_BYTES) == 102
     path = tmp_path / "hand.tree"
     save_tree(_hand_tree(), path)
-    assert path.read_bytes() == _V1_BYTES
+    assert path.read_bytes() == _TREE_BYTES
     back = load_tree(path)
     want = _hand_tree()
     assert (back.branching, back.dictionary_fingerprint, back.n) == ((2,), _FINGERPRINT, 2)
@@ -386,8 +387,17 @@ def test_tree_v1_bytes_pinned(tmp_path):
     assert back.atoms.tolist() == [0, 2, 1] and back.atoms.dtype == np.int64
 
 
+def test_tree_v1_is_refused_at_offset_8(tmp_path):
+    # v1 had this layout with the FNV-1a fingerprint; it is rebuilt, not read
+    path = tmp_path / "old.tree"
+    path.write_bytes(_patched(8, struct.pack("<I", 1)))
+    message = "version 1 at offset 8; rebuild the tree with stmp build-tree"
+    with pytest.raises(UnsupportedFormatError, match=message):
+        load_tree(path)
+
+
 def _patched(at, new):
-    raw = bytearray(_V1_BYTES)
+    raw = bytearray(_TREE_BYTES)
     raw[at : at + len(new)] = new
     return bytes(raw)
 
@@ -401,10 +411,10 @@ def _patched(at, new):
         (_patched(71, b"\x00"), "internal node below level 1 at offset 71"),
         (_patched(93, b"\x05"), "bad node tag 5 at offset 93"),
         (_patched(58, struct.pack("<I", 0)), "internal node with no children at offset 49"),
-        (_V1_BYTES[:75], "leaf run of 2 atoms cut short after 1 at offset 71"),
-        (_V1_BYTES[:62], "leaf run of 2 atoms cut short after 0 at offset 62"),
+        (_TREE_BYTES[:75], "leaf run of 2 atoms cut short after 1 at offset 71"),
+        (_TREE_BYTES[:62], "leaf run of 2 atoms cut short after 0 at offset 62"),
         (_patched(63, struct.pack("<Q", 1 << 63)), "out of range at offset 62"),
-        (_V1_BYTES[:60], "truncated while reading child count at offset 58"),
+        (_TREE_BYTES[:60], "truncated while reading child count at offset 58"),
     ],
     ids=[
         "bad-tag", "shallow-leaf", "root-leaf", "internal-below-L", "bad-leaf-tag",

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -56,7 +58,19 @@ def test_fnv1a64_matches_loop_oracle_on_a_float32_payload():
     d = normalize_columns(np.random.default_rng(11).standard_normal((4000, 64)))
     data = d.payload_bytes()
     assert len(data) == 1_024_000
-    assert d.fingerprint() == fnv1a64_reference(data)
+    assert fnv1a64(data) == fnv1a64_reference(data)
+
+
+def test_fingerprint_is_sha256_of_the_saved_payload(tmp_path):
+    # the first 8 digest bytes, little-endian, of the bytes after the 28-byte header
+    d = normalize_columns(np.random.default_rng(11).standard_normal((4000, 64)))
+    path = tmp_path / "d.dict"
+    save_dictionary(d, path)
+    data = path.read_bytes()
+    assert len(data) == 28 + 1_024_000
+    want = int.from_bytes(hashlib.sha256(data[28:]).digest()[:8], "little")
+    assert d.fingerprint() == want
+    assert load_dictionary(path).fingerprint() == want
 
 
 def test_normalize_three_four_five():

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -257,12 +259,12 @@ def test_denoise_hashes_dictionary_once(monkeypatch):
     img = np.random.default_rng(17).random((12, 12)).astype(np.float32)
     atoms = _flat_field_dictionary(16, 20, seed=18).atoms
     tree = build_tree(Dictionary(atoms.copy()), (4, 2), seed=19)
-    calls = []
-    real = stmp.dictionary.fnv1a64
-    monkeypatch.setattr(stmp.dictionary, "fnv1a64", lambda data: calls.append(1) or real(data))
+    hashed, sha256 = [], hashlib.sha256
+    monkeypatch.setattr(stmp.dictionary, "hashlib", SimpleNamespace(
+        sha256=lambda data: hashed.append(memoryview(data).nbytes) or sha256(data)))
     cfg = TaskConfig(patch_shape=(4, 4), stride=(2, 2), K=2, selector="stmp")
     denoise(img, Dictionary(atoms.copy()), tree, cfg)
-    assert len(calls) == 1
+    assert hashed == [atoms.nbytes]  # one hash of the whole payload
 
 
 def test_tree_builder_gets_the_projection_and_is_not_timed():
