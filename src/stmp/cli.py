@@ -1,8 +1,10 @@
 """Command-line front end: dictionary and tree building, restoration runs,
 and selector benchmarks.
 
-Every command accepts an optional JSON config file whose keys mirror the
-long flag names (dashes as underscores); explicit flags override the file.
+Each parameter is declared once, by its add_argument: converter, choices,
+list-ness and default.  A command's optional JSON config is keyed by those
+dests; each value passes its flag's own checks and fails with the same
+reason, a null keeps the default, and explicit flags override the file.
 All randomness flows from --seed.  Each command writes a JSON manifest next
 to its main output recording the merged parameters, so a run can be
 reproduced from its artifacts alone; wall-clock time and the thread count
@@ -50,9 +52,12 @@ BENCH_HEADER = "m, alpha, exact_ip, stmp_ip, stmp_centroid_ip, agreement"
 
 def _int(value) -> int:
     """An int from a flag's text or a JSON number; booleans and fractions are refused."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    if not (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def _dims(value) -> tuple[int, ...]:
@@ -94,23 +99,22 @@ def _views(value) -> tuple[tuple[int, int], ...]:
         pairs = [part.split(",") for part in value.split(";") if part]
     else:
         pairs = value
-    views = tuple((_int(u), _int(v)) for u, v in pairs)
-    if not views:
-        raise ValueError("need at least one view")
-    return views
+    if not pairs or any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"expected one or more u,v view pairs, got {value!r}")
+    return tuple((_int(u), _int(v)) for u, v in pairs)
 
 
 def _positive(value) -> int:
     n = _int(value)
     if n < 1:
-        raise ValueError(f"expected a positive integer, got {value!r}")
+        raise ValueError(f"expected a positive integer, got {n}")
     return n
 
 
 def _seed(value) -> int:
     seed = _int(value)
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {value!r}")
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return seed
 
 
@@ -122,61 +126,63 @@ def _paths(value) -> list[str]:
 
 
 def _tolerance(value) -> float:
-    t = float(value)
+    try:
+        t = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a number, got {value!r}") from None
     if not t >= 0:
-        raise ValueError(f"tolerance must be non-negative, got {value!r}")
+        raise ValueError(f"tolerance must be non-negative, got {t}")
     return t
 
 
-_CONVERTERS = {
-    "images": _paths,
-    "patch": _dims,
-    "stride": _dims,
-    "branching": _branching,
-    "branchings": _branching_list,
-    "alpha": check_alpha,
-    "alphas": _alpha_list,
-    "views": _views,
-    "atoms": _positive,
-    "k": _positive,
-    "queries": _positive,
-    "dim": _positive,
-    "threads": _positive,
-    "factor": _positive,
-    "mask_open": _positive,
-    "seed": _seed,
-    "tolerance": _tolerance,
-    "dict_sizes": _dims,
-}
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
 
 
-def _merge(ns: argparse.Namespace, defaults: dict, sub: argparse.ArgumentParser) -> dict:
-    """Layer defaults, then JSON config, then explicit flags."""
-    values = dict(defaults)
-    config_path = getattr(ns, "config", None)
-    if config_path is not None:
-        with open(config_path) as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                sub.error(f"config {config_path}: {exc}")
-        if not isinstance(loaded, dict):
-            sub.error(f"config {config_path}: expected a JSON object")
-        for key, value in loaded.items():
-            key = key.replace("-", "_")
-            if key not in values:
-                sub.error(f"config {config_path}: unknown key {key!r}")
-            if key in _CONVERTERS:
-                try:
-                    value = _CONVERTERS[key](value)
-                except (ValueError, TypeError) as exc:
-                    sub.error(f"config {config_path}: key {key!r}: {exc}")
-            values[key] = value
-    for key in values:
-        flag = getattr(ns, key, None)
-        if flag is not None:
-            values[key] = flag
-    return values
+def _usage(convert):
+    """A converter as an argparse ``type=``: its ValueError or TypeError becomes
+    a usage error that prints the converter's reason."""
+    def check(value):
+        try:
+            return convert(value)
+        except (ValueError, TypeError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return check
+
+
+def _parameters(sub: argparse.ArgumentParser) -> dict:
+    """The command's parameters by dest: every flag but --help and --config."""
+    return {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+
+
+def _config_defaults(path: str, sub: argparse.ArgumentParser) -> dict:
+    """A JSON config's values, each through the checks of the flag it names;
+    a null keeps the flag's default, as an absent flag does."""
+    with open(path) as fh:
+        try:
+            loaded = json.load(fh)
+        except json.JSONDecodeError as exc:
+            sub.error(f"config {path}: {exc}")
+    if not isinstance(loaded, dict):
+        sub.error(f"config {path}: expected a JSON object")
+    parameters = _parameters(sub)
+    checked = {}
+    for key, value in loaded.items():
+        key = key.replace("-", "_")
+        if key not in parameters:
+            sub.error(f"config {path}: unknown key {key!r}")
+        if value is None:
+            continue
+        action = parameters[key]
+        convert = action.type or _usage(_paths if action.nargs == "+" else _string)
+        try:
+            checked[key] = convert(value)
+            sub._check_value(action, checked[key])
+        except (argparse.ArgumentTypeError, argparse.ArgumentError) as exc:
+            sub.error(f"config {path}: key {key!r}: {getattr(exc, 'message', exc)}")
+    return checked
 
 
 def _require(values: dict, keys, sub: argparse.ArgumentParser) -> None:
@@ -202,7 +208,7 @@ def _write_manifest(command: str, values: dict, outputs, path: str) -> None:
     parameters = {
         key: list(value) if isinstance(value, tuple) else value
         for key, value in values.items()
-        if key not in ("threads", "config")
+        if key != "threads"
     }
     manifest = {
         "command": command,
@@ -229,12 +235,7 @@ def _append_report(row: str, path: str | None) -> None:
         fh.write(row + "\n")
 
 
-def _cmd_build_dict(ns, sub) -> int:
-    defaults = {
-        "images": None, "patch": None, "stride": None,
-        "atoms": None, "seed": 0, "out": None,
-    }
-    values = _merge(ns, defaults, sub)
+def _cmd_build_dict(values, sub) -> int:
     _require(values, ("images", "patch", "stride", "atoms", "out"), sub)
     pool = []
     for path in values["images"]:
@@ -248,9 +249,7 @@ def _cmd_build_dict(ns, sub) -> int:
     return 0
 
 
-def _cmd_build_tree(ns, sub) -> int:
-    defaults = {"dict": None, "branching": None, "seed": 0, "out": None}
-    values = _merge(ns, defaults, sub)
+def _cmd_build_tree(values, sub) -> int:
     _require(values, ("dict", "branching", "out"), sub)
     d = load_dictionary(values["dict"])
     tree = build_tree(d, values["branching"], values["seed"])
@@ -272,15 +271,7 @@ def _tree_for(values, sub):
     return lambda projected: build_tree(projected, values["branching"], values["seed"])
 
 
-def _cmd_run(ns, sub) -> int:
-    defaults = {
-        "task": None, "input": None, "dict": None, "tree": None, "out": None,
-        "report": None, "reference": None, "selector": "stmp", "alpha": 0.1,
-        "k": None, "patch": None, "stride": None, "branching": None, "seed": 0,
-        "threads": 1, "tolerance": None, "factor": 4, "mask": None,
-        "mask_open": 3, "rows": None, "views": None,
-    }
-    values = _merge(ns, defaults, sub)
+def _cmd_run(values, sub) -> int:
     _require(values, ("task", "input", "dict", "out", "k", "patch"), sub)
     task = values["task"]
     patch = values["patch"]
@@ -316,20 +307,14 @@ def _cmd_run(ns, sub) -> int:
         else:
             mask = random_exposure_mask(patch[:-1], patch[-1], values["mask_open"], values["seed"])
         op = coded_exposure_operator(mask)
-        restored, report = compressive_recover(
-            observed, op, d, tree, cfg, reference=reference
-        )
-    elif task == "maskrecover":
+        restored, report = compressive_recover(observed, op, d, tree, cfg, reference=reference)
+    else:
         if values["rows"] is not None:
             rows = load_row_selection(values["rows"])
         else:
             rows = view_selection_rows(patch, values["views"])
         op = row_select_operator(d.n, rows)
-        restored, report = masked_recover(
-            observed, op, d, tree, cfg, reference=reference
-        )
-    else:
-        sub.error(f"unknown task {task!r}")
+        restored, report = masked_recover(observed, op, d, tree, cfg, reference=reference)
 
     _save_output(restored, values["out"])
     row = report.csv_row()
@@ -341,12 +326,7 @@ def _cmd_run(ns, sub) -> int:
     return 0
 
 
-def _cmd_benchmark(ns, sub) -> int:
-    defaults = {
-        "dict_sizes": None, "dim": 32, "branchings": None, "alphas": (1.0,),
-        "queries": 200, "seed": 0, "out": None,
-    }
-    values = _merge(ns, defaults, sub)
+def _cmd_benchmark(values, sub) -> int:
     _require(values, ("dict_sizes", "branchings", "out"), sub)
     sizes = values["dict_sizes"]
     branchings = values["branchings"]
@@ -398,23 +378,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
+    dims, positive, branching = _usage(_dims), _usage(_positive), _usage(_branching)
 
     p = commands.add_parser("build-dict", help="sample a patch dictionary from images")
     p.add_argument("--images", nargs="+", help="training images (.pgm) or tensors")
-    p.add_argument("--patch", type=_dims, help="patch extents, e.g. 16,16")
-    p.add_argument("--stride", type=_dims, help="sampling stride, e.g. 2,2")
-    p.add_argument("--atoms", type=_positive, help="dictionary size m")
-    p.add_argument("--seed", type=_seed)
+    p.add_argument("--patch", type=dims, help="patch extents, e.g. 16,16")
+    p.add_argument("--stride", type=dims, help="sampling stride, e.g. 2,2")
+    p.add_argument("--atoms", type=positive, help="dictionary size m")
     p.add_argument("--out", help="output dictionary file")
-    p.add_argument("--config", help="JSON config file mirroring these flags")
     p.set_defaults(handler=_cmd_build_dict, subparser=p)
 
     p = commands.add_parser("build-tree", help="build a shallow cluster tree over a dictionary")
     p.add_argument("--dict", help="dictionary file")
-    p.add_argument("--branching", type=_branching, help="per-level fan-out, e.g. 100,10,10")
-    p.add_argument("--seed", type=_seed)
+    p.add_argument("--branching", type=branching, help="per-level fan-out, e.g. 100,10,10")
     p.add_argument("--out", help="output tree file")
-    p.add_argument("--config", help="JSON config file mirroring these flags")
     p.set_defaults(handler=_cmd_build_tree, subparser=p)
 
     p = commands.add_parser("run", help="run a restoration task")
@@ -422,48 +399,57 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", help="input tensor or image")
     p.add_argument("--dict", help="dictionary file")
     p.add_argument("--tree", help="tree file (else built in place from --branching)")
-    p.add_argument("--selector", choices=("exact", "stmp"))
-    p.add_argument("--alpha", type=check_alpha, help="retention fraction in (0, 1]")
-    p.add_argument("--k", type=_positive, help="atoms per patch")
-    p.add_argument("--patch", type=_dims, help="dictionary patch extents")
-    p.add_argument("--stride", type=_dims, help="patch grid stride")
-    p.add_argument("--branching", type=_branching)
-    p.add_argument("--seed", type=_seed)
-    p.add_argument("--threads", type=_positive,
+    p.add_argument("--selector", choices=("exact", "stmp"), default="stmp")
+    p.add_argument("--alpha", type=_usage(check_alpha), default=0.1,
+                   help="retention fraction in (0, 1]")
+    p.add_argument("--k", type=positive, help="atoms per patch")
+    p.add_argument("--patch", type=dims, help="dictionary patch extents")
+    p.add_argument("--stride", type=dims, help="patch grid stride")
+    p.add_argument("--branching", type=branching)
+    p.add_argument("--threads", type=positive, default=1,
                    help="accepted and ignored: coding runs batched in one thread")
-    p.add_argument("--tolerance", type=_tolerance, help="absolute residual stopping tolerance")
-    p.add_argument("--factor", type=_positive, help="superres upscale factor per axis")
+    p.add_argument("--tolerance", type=_usage(_tolerance),
+                   help="absolute residual stopping tolerance")
+    p.add_argument("--factor", type=positive, default=4, help="superres upscale factor per axis")
     p.add_argument("--mask", help="csrecover: exposure mask tensor file (else generated from --seed)")
-    p.add_argument("--mask-open", dest="mask_open", type=_positive,
+    p.add_argument("--mask-open", dest="mask_open", type=positive, default=3,
                    help="csrecover: open frames per generated mask pixel")
     p.add_argument("--rows", help="maskrecover: row-selection file")
-    p.add_argument("--views", type=_views, help="maskrecover: kept views, e.g. 0,2;4,0;4,4")
+    p.add_argument("--views", type=_usage(_views),
+                   help="maskrecover: kept views, e.g. 0,2;4,0;4,4")
     p.add_argument("--reference", help="clean reference for PSNR/SNR")
     p.add_argument("--out", help="restored output tensor or image")
     p.add_argument("--report", help="CSV file to append the task report row to")
-    p.add_argument("--config", help="JSON config file mirroring these flags")
     p.set_defaults(handler=_cmd_run, subparser=p)
 
     p = commands.add_parser("benchmark", help="selector cost and agreement sweep")
-    p.add_argument("--dict-sizes", dest="dict_sizes", type=_dims, help="e.g. 1000,4000,16000")
-    p.add_argument("--dim", type=_positive, help="atom dimension for the synthetic dictionaries")
-    p.add_argument("--branching", dest="branchings", type=_branching_list,
+    p.add_argument("--dict-sizes", dest="dict_sizes", type=dims, help="e.g. 1000,4000,16000")
+    p.add_argument("--dim", type=positive, default=32,
+                   help="atom dimension for the synthetic dictionaries")
+    p.add_argument("--branching", dest="branchings", type=_usage(_branching_list),
                    help="fan-out per size, ';'-separated (one entry is shared)")
-    p.add_argument("--alpha", dest="alphas", type=_alpha_list, help="comma-separated alphas")
-    p.add_argument("--queries", type=_positive)
-    p.add_argument("--seed", type=_seed)
+    p.add_argument("--alpha", dest="alphas", type=_usage(_alpha_list), default=(1.0,),
+                   help="comma-separated alphas")
+    p.add_argument("--queries", type=positive, default=200)
     p.add_argument("--out", help="output CSV")
-    p.add_argument("--config", help="JSON config file mirroring these flags")
     p.set_defaults(handler=_cmd_benchmark, subparser=p)
 
+    for p in commands.choices.values():
+        p.add_argument("--seed", type=_usage(_seed), default=0)
+        p.add_argument("--config", help="JSON config file mirroring these flags")
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
+    sub = ns.subparser
     try:
-        return ns.handler(ns, ns.subparser)
+        if ns.config is not None:
+            # the config's values become the defaults, so a second parse lets flags win
+            sub.set_defaults(**_config_defaults(ns.config, sub))
+            ns = parser.parse_args(argv)
+        return ns.handler({dest: getattr(ns, dest) for dest in _parameters(sub)}, sub)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

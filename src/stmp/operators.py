@@ -40,7 +40,6 @@ class ObservationOperator:
     n_out: int
     row_indices: np.ndarray | None = None
     mask: np.ndarray | None = None
-    windows: int = 1
     in_shape: tuple[int, ...] | None = None
     factors: tuple[int, ...] | None = None
 
@@ -64,12 +63,11 @@ def row_select_operator(n_in: int, rows) -> ObservationOperator:
     return ObservationOperator(kind=ROW_SELECT, n_in=int(n_in), n_out=rows.size, row_indices=rows)
 
 
-def coded_exposure_operator(mask, windows: int = 1) -> ObservationOperator:
+def coded_exposure_operator(mask) -> ObservationOperator:
     """Integrate the patch's temporal axis through a binary per-pixel mask.
 
-    The mask covers one temporal window (spatial axes, then time); a patch
-    spans ``windows`` consecutive such windows, each integrated with the
-    same mask, so n_out = n_in / temporal_extent.
+    The mask's shape is the patch's (spatial axes, then time), and each
+    pixel's frames sum to one measurement, so n_out = n_in / temporal_extent.
     """
     mask = np.ascontiguousarray(mask, dtype=np.float32)
     if mask.ndim < 2:
@@ -78,18 +76,12 @@ def coded_exposure_operator(mask, windows: int = 1) -> ObservationOperator:
         raise ValueError("mask must be binary")
     if (mask.sum(axis=-1) < 1).any():
         raise ValueError("every pixel must be open in at least one frame")
-    if windows < 1:
-        raise ValueError(f"window count must be positive, got {windows}")
-    spatial = mask.shape[:-1]
-    frames = mask.shape[-1]
-    in_shape = spatial + (frames * windows,)
     return ObservationOperator(
         kind=CODED_EXPOSURE,
-        n_in=mask.size * windows,
-        n_out=math.prod(spatial) * windows,
+        n_in=mask.size,
+        n_out=math.prod(mask.shape[:-1]),
         mask=mask,
-        windows=int(windows),
-        in_shape=in_shape,
+        in_shape=mask.shape,
     )
 
 
@@ -125,11 +117,8 @@ def apply_batch(op: ObservationOperator, patches) -> np.ndarray:
     if op.kind == ROW_SELECT:
         return patches[:, op.row_indices]
     if op.kind == CODED_EXPOSURE:
-        spatial = op.mask.shape[:-1]
-        frames = op.mask.shape[-1]
-        cube = patches.reshape((count,) + spatial + (op.windows, frames))
-        meas = (cube * op.mask[np.newaxis, ..., np.newaxis, :]).sum(axis=-1)
-        return meas.reshape(count, op.n_out)
+        cube = patches.reshape((count,) + op.mask.shape)
+        return (cube * op.mask).sum(axis=-1).reshape(count, op.n_out)
     if op.kind == BLOCK_AVERAGE:
         shape = [count]
         reduce_axes = []

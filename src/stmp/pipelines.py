@@ -312,7 +312,7 @@ def compressive_recover(measurements, op: ObservationOperator, d: Dictionary,
         raise ValueError(f"patch shape {cfg.patch_shape} does not match operator input {op.in_shape}")
     spatial = op.mask.shape[:-1]
     frames = op.mask.shape[-1]
-    meas_patch = spatial + (op.windows,)
+    meas_patch = spatial + (1,)
     if measurements.ndim != len(meas_patch):
         raise ValueError(f"measurement rank {measurements.ndim} does not fit patch {meas_patch}")
     for axis, (extent, p) in enumerate(zip(measurements.shape, meas_patch)):

@@ -65,7 +65,10 @@ def _steps(count: int) -> np.ndarray:
 
 def check_alpha(alpha) -> float:
     """The retention fraction as a float; ValueError unless it lies in (0, 1]."""
-    alpha = float(alpha)
+    try:
+        alpha = float(alpha)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a number, got {alpha!r}") from None
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     return alpha

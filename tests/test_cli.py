@@ -186,17 +186,24 @@ _RUN_FLAGS = ["run", "--task", "denoise", "--in", "x", "--dict", "y", "--patch",
               "--stride", "2,2", "--k", "2", "--selector", "exact", "--out", "z"]
 
 
-def test_run_alpha_usage_error():
-    with pytest.raises(SystemExit) as err:
-        main(_RUN_FLAGS + ["--alpha", "0"])
-    assert err.value.code == 2
+def test_run_alpha_usage_error(capsys):
+    for alpha, reason in [("0", "alpha must lie in (0, 1], got 0.0"),
+                          ("abc", "expected a number, got 'abc'")]:
+        with pytest.raises(SystemExit) as err:
+            main(_RUN_FLAGS + ["--alpha", alpha])
+        assert err.value.code == 2
+        assert f"argument --alpha: {reason}\n" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tolerance", ["-1", "nan"])
-def test_run_tolerance_usage_error(tolerance):
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "abc"])
+def test_run_tolerance_usage_error(capsys, tolerance):
     with pytest.raises(SystemExit) as err:
         main(_RUN_FLAGS + ["--tolerance", tolerance])
     assert err.value.code == 2
+    reason = {"-1": "tolerance must be non-negative, got -1.0",
+              "nan": "tolerance must be non-negative, got nan",
+              "abc": "expected a number, got 'abc'"}[tolerance]
+    assert f"argument --tolerance: {reason}\n" in capsys.readouterr().err
 
 
 def test_run_stmp_needs_tree_or_branching(tmp_path):
@@ -519,7 +526,8 @@ def test_config_unknown_key(tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("atoms", 20.7), ("atoms", True), ("patch", [4.9, 4]), ("seed", 2.5), ("stride", [2, False])],
+    [("atoms", 20.7), ("atoms", True), ("patch", [4.9, 4]), ("seed", 2.5), ("stride", [2, False]),
+     ("patch", "4,x")],
 )
 def test_config_rejects_non_integers(tmp_path, capsys, key, value):
     # int() would truncate 20.7 to 20 and read true as 1
@@ -612,3 +620,75 @@ def test_run_refuses_a_v1_tree(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "unsupported tree format version 1 at offset 8" in err and "stmp build-tree" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("build-dict", "seed", -5), ("build-dict", "atoms", 0), ("build-dict", "patch", "4,x"),
+    ("run", "alpha", 0), ("run", "tolerance", -1), ("run", "selector", "foo"), ("run", "task", "x"),
+])
+def test_flag_and_config_give_the_same_reason(tmp_path, capsys, command, key, value):
+    base = _RUN_FLAGS if command == "run" else [command]
+    reasons = []
+    for argv, marker in [(base + [f"--{key}", str(value)], f"argument --{key}: "),
+                         (base + ["--config", str(tmp_path / "cfg.json")], f"key {key!r}: ")]:
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert marker in err_text, err_text
+        reasons.append(err_text.split(marker, 1)[1])
+    assert reasons[0] == reasons[1]
+
+
+@pytest.mark.parametrize("key", ["out", "dict", "report"])
+def test_config_path_values_must_be_strings(tmp_path, capsys, key):
+    # a number would reach open() as a file descriptor
+    paths = {"in": tmp_path / "in.pgm", "dict": tmp_path / "d.dict", "out": tmp_path / "o.pgm",
+             "report": tmp_path / "r.csv"}
+    argv = ["run", "--task", "denoise", "--patch", "4,4", "--stride", "2,2", "--k", "2",
+            "--selector", "exact", "--config", str(tmp_path / "cfg.json")]
+    for flag, path in paths.items():
+        if flag != key:
+            argv += [f"--{flag}", str(path)]
+    (tmp_path / "cfg.json").write_text(json.dumps({key: 1}))
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"key {key!r}: expected a string, got 1" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_config_null_keeps_the_default(tmp_path, capsys):
+    img_path, dict_path, _ = _image_dict_and_tree(tmp_path)
+    argv = ["run", "--task", "denoise", "--in", str(img_path), "--dict", str(dict_path),
+            "--patch", "4,4", "--stride", "2,2", "--selector", "exact",
+            "--out", str(tmp_path / "o.pgm"), "--config", str(tmp_path / "cfg.json")]
+    nulls = {"tolerance": None, "alpha": None, "k": None, "tree": None, "seed": None}
+    (tmp_path / "cfg.json").write_text(json.dumps(nulls))
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "missing --k" in capsys.readouterr().err
+    assert main(argv + ["--k", "2"]) == 0
+    parameters = json.loads((tmp_path / "o.pgm.manifest.json").read_text())["parameters"]
+    assert parameters["alpha"] == 0.1 and parameters["seed"] == 0 and parameters["k"] == 2
+    assert parameters["tolerance"] is None and parameters["tree"] is None
+
+
+def test_run_from_config_matches_flags(tmp_path):
+    img_path, dict_path, tree_path = _image_dict_and_tree(tmp_path)
+    out = tmp_path / "o.pgm"
+    manifest = tmp_path / "o.pgm.manifest.json"
+    assert main(["run", "--task", "denoise", "--in", str(img_path), "--dict", str(dict_path),
+                 "--tree", str(tree_path), "--patch", "4,4", "--stride", "2,2", "--k", "3",
+                 "--alpha", "0.5", "--tolerance", "0.01", "--seed", "3", "--out", str(out)]) == 0
+    from_flags = out.read_bytes(), manifest.read_bytes()
+    out.unlink()
+    manifest.unlink()
+    config = {"task": "denoise", "input": str(img_path), "dict": str(dict_path),
+              "tree": str(tree_path), "patch": [4, 4], "stride": "2,2", "k": 3, "alpha": 0.5,
+              "tolerance": "0.01", "seed": 3.0, "selector": "stmp", "out": str(out)}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+    assert (out.read_bytes(), manifest.read_bytes()) == from_flags
