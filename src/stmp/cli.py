@@ -60,9 +60,19 @@ def _int(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def _parts(value, sep: str, form: str):
+    """A flag's text split on ``sep``, or a config's JSON list as it is; any
+    other value is refused, naming the expected ``form``."""
+    if isinstance(value, str):
+        return value.split(sep)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected {form}, got {value!r}")
+    return value
+
+
 def _dims(value) -> tuple[int, ...]:
     """'16,16' or a JSON list -> tuple of positive ints."""
-    parts = value.split(",") if isinstance(value, str) else value
+    parts = _parts(value, ",", "an integer list or comma-separated integers")
     dims = tuple(_int(p) for p in parts)
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"expected positive comma-separated dimensions, got {value!r}")
@@ -78,15 +88,14 @@ def _branching(value) -> tuple[int, ...]:
 
 def _branching_list(value) -> tuple[tuple[int, ...], ...]:
     """Semicolon-separated branchings, one per dictionary size (or one shared)."""
-    if isinstance(value, str):
-        return tuple(_branching(part) for part in value.split(";"))
-    if value and isinstance(value[0], (list, tuple)):
-        return tuple(_branching(part) for part in value)
-    return (_branching(value),)
+    parts = _parts(value, ";", "a list of branchings or semicolon-separated branchings")
+    if isinstance(value, str) or parts and isinstance(parts[0], (list, tuple)):
+        return tuple(_branching(part) for part in parts)
+    return (_branching(parts),)
 
 
 def _alpha_list(value) -> tuple[float, ...]:
-    parts = value.split(",") if isinstance(value, str) else value
+    parts = _parts(value, ",", "a list of numbers or comma-separated numbers")
     alphas = tuple(check_alpha(p) for p in parts)
     if not alphas:
         raise ValueError("need at least one alpha")
@@ -99,7 +108,8 @@ def _views(value) -> tuple[tuple[int, int], ...]:
         pairs = [part.split(",") for part in value.split(";") if part]
     else:
         pairs = value
-    if not pairs or any(len(pair) != 2 for pair in pairs):
+    if not isinstance(pairs, (list, tuple)) or not pairs or any(
+            not isinstance(pair, (list, tuple)) or len(pair) != 2 for pair in pairs):
         raise ValueError(f"expected one or more u,v view pairs, got {value!r}")
     return tuple((_int(u), _int(v)) for u, v in pairs)
 
@@ -127,6 +137,8 @@ def _paths(value) -> list[str]:
 
 def _tolerance(value) -> float:
     try:
+        if isinstance(value, bool):  # float() would read a JSON false as 0.0
+            raise TypeError
         t = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"expected a number, got {value!r}") from None

@@ -51,7 +51,7 @@ then one gather from the file bytes, and the leaf tags and indices are
 checked in one vectorized pass.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import itertools
 import struct
 
@@ -317,6 +317,7 @@ class ClusterTree:
     centroids: list[np.ndarray]
     offsets: list[np.ndarray]
     atoms: np.ndarray
+    _blocks: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.offsets = [np.asarray(b, dtype=np.int64) for b in self.offsets]
@@ -324,6 +325,29 @@ class ClusterTree:
     @property
     def levels(self) -> int:
         return len(self.branching)
+
+    @property
+    def child_blocks(self) -> list:
+        """Per depth d, (block, counts): node j's children are ``block[j]``,
+        the (nodes, width, n) centroid rows of depth d+1, or at d = L the
+        (nodes, width) atom ids.  ``width`` is the depth's largest child
+        count.  Where every node has that many, the block is a view of
+        ``centroids[d+1]`` (or ``atoms``) and counts is None; otherwise it is
+        a zero-padded copy and counts holds each node's child count."""
+        if self._blocks is None:
+            self._blocks = [_child_block(rows, bounds)
+                            for rows, bounds in zip(self.centroids[1:] + [self.atoms], self.offsets)]
+        return self._blocks
+
+
+def _child_block(rows: np.ndarray, bounds: np.ndarray):
+    counts = np.diff(bounds)
+    width = int(counts.max())
+    if (counts == width).all():
+        return rows.reshape(counts.size, width, *rows.shape[1:]), None
+    block = np.zeros((counts.size, width) + rows.shape[1:], dtype=rows.dtype)
+    block[np.arange(width) < counts[:, None]] = rows
+    return block, counts
 
 
 @dataclass

@@ -16,6 +16,7 @@ payload: the bytes after the file's 28-byte header.
 
 from dataclasses import dataclass, field
 import hashlib
+import math
 
 import numpy as np
 
@@ -199,15 +200,42 @@ class Dictionary:
         return self._fingerprint
 
     def validate(self) -> None:
-        """Raise ValueError on the first invariant violation."""
+        """Raise ValueError on the first invariant violation.
+
+        Each atom's norm is decided, and reported, in float64.  The float32
+        norms only filter: only atoms whose float32 norm lies within its
+        rounding band of 1 +- ``UNIT_NORM_TOL`` are taken again in float64.
+        """
         if not np.isfinite(self.atoms).all():
             raise ValueError("dictionary contains NaN or Inf")
-        w = self.atoms.astype(np.float64)
+        with np.errstate(over="ignore"):  # a large finite atom's r.r may overflow float32
+            fast = np.sqrt(row_dots(self.atoms, self.atoms))
+        unsure = np.flatnonzero(~(np.abs(fast - 1.0) < UNIT_NORM_TOL - _norm_band(self.n)))
+        w = self.atoms.take(unsure, axis=0).astype(np.float64)
         norms = np.sqrt(row_dots(w, w))
         bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
         if bad.size:
             i = int(bad[0])
-            raise ValueError(f"atom {i} has norm {norms[i]:.8f}, expected 1 within {UNIT_NORM_TOL}")
+            raise ValueError(f"atom {int(unsure[i])} has norm {norms[i]:.8f}, "
+                             f"expected 1 within {UNIT_NORM_TOL}")
+
+
+def _norm_band(n: int) -> float:
+    """How far the float32 norm of an n-vector of norm at most 2 can lie from
+    its float64 norm, plus a u32 for rounding the threshold to float32.
+
+    A sum of n squares errs by at most gamma_n |x|^2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1), so its sqrt by gamma_n |x|, and
+    the sqrt itself by a unit roundoff: the band is twice gamma_n(u32) +
+    gamma_n(u64) + 2 u32 + u64, plus a floor for squares that underflow
+    float32.  From n of about 80 up it exceeds ``UNIT_NORM_TOL``, and every
+    atom is taken in float64.
+    """
+    u32, u64 = 2.0**-24, 2.0**-53
+    if n * u32 >= 0.5:
+        return math.inf
+    gamma = n * u32 / (1 - n * u32) + n * u64 / (1 - n * u64)
+    return 2 * (gamma + 2 * u32 + u64) + n * 2.0**-126
 
 
 def normalize_columns(raw_atoms) -> Dictionary:

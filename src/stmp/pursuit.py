@@ -30,7 +30,10 @@ every node's children are one row range; a level groups its (row, node)
 pairs by node and scores each visited node's children against all the
 rows that kept it in one GEMM.  A lone query walks the tree instead and
 scores its few dozen children per level canonically: checking a filter's
-band would take more numpy calls than a cheaper product saves.
+band would take more numpy calls than a cheaper product saves.  Its walk
+reads the tree's per-depth child blocks (``ClusterTree.child_blocks``), so a
+level is one gather of the frontier's blocks, one ``row_dots`` and index
+arithmetic, whatever the number of frontier nodes.
 """
 
 from dataclasses import dataclass, field
@@ -66,6 +69,8 @@ def _steps(count: int) -> np.ndarray:
 def check_alpha(alpha) -> float:
     """The retention fraction as a float; ValueError unless it lies in (0, 1]."""
     try:
+        if isinstance(alpha, bool):  # float() would read a JSON true as 1.0
+            raise TypeError
         alpha = float(alpha)
     except (TypeError, ValueError):
         raise ValueError(f"expected a number, got {alpha!r}") from None
@@ -341,28 +346,30 @@ def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: Score
 
 
 def _walk(t: ClusterTree, d: Dictionary, r: np.ndarray, keeps, counter: ScoreCounter | None):
-    """One query's descent, every child of the frontier scored canonically
-    (row j of ``ids`` holds frontier node j's children), with the result
-    ``_descend`` gives a batch of one."""
-    nodes = first = _steps(1)  # the root
-    ids, valid = _steps(int(t.offsets[0][1]))[None], None  # the root's children: all of depth 1
-    for depth, keep in enumerate(keeps + (1,)):
-        if depth:
-            first, count, _, ids, valid = _children(t.offsets[depth], nodes, None)
+    """One query's descent, with the result ``_descend`` gives a batch of
+    one.  Each level gathers the frontier's blocks of ``t.child_blocks`` and
+    scores every child canonically in one ``row_dots``; padded slots are
+    dead, and neither counted nor kept."""
+    nodes = _steps(1)  # the root
+    for depth, (block, counts) in enumerate(t.child_blocks):
+        children = block.take(nodes, axis=0)
+        live = None
+        if counts is not None:
+            counts = counts.take(nodes)
+            live = _steps(block.shape[1]) < counts[:, None]
         leaf = depth == t.levels
         if counter is not None:
-            scored = ids.size if valid is None else np.count_nonzero(valid)
+            scored = nodes.size * block.shape[1] if live is None else counts.sum()
             (counter.count_atoms if leaf else counter.count_centroids)(scored)
         if leaf:
-            keys = t.atoms.take(ids.reshape(1, -1))
+            keys = children.reshape(1, -1)
             scores = row_dots(d.scoring_atoms.take(keys[0], axis=0), r)
-            return _best(scores[None], keys, None if valid is None else valid.reshape(1, -1))
-        source = t.centroids[depth + 1]
-        scores = row_dots(source.take(ids.ravel(), axis=0) if depth else source, r)
-        position = _top(scores.reshape(ids.shape), valid, keep)
+            return _best(scores[None], keys, None if live is None else live.reshape(1, -1))
+        position = _top(row_dots(children, r), live, keeps[depth])
+        first = t.offsets[depth].take(nodes)
         nodes = (first[:, None] + position).ravel()
-        if valid is not None:
-            nodes = nodes[(position < count[:, None]).ravel()]
+        if live is not None:
+            nodes = nodes[(position < counts[:, None]).ravel()]
 
 
 def _top(scores: np.ndarray, cand, keep: int) -> np.ndarray:

@@ -527,7 +527,7 @@ def test_config_unknown_key(tmp_path):
 @pytest.mark.parametrize(
     "key, value",
     [("atoms", 20.7), ("atoms", True), ("patch", [4.9, 4]), ("seed", 2.5), ("stride", [2, False]),
-     ("patch", "4,x")],
+     ("patch", "4,x"), ("patch", 5), ("stride", True)],
 )
 def test_config_rejects_non_integers(tmp_path, capsys, key, value):
     # int() would truncate 20.7 to 20 and read true as 1
@@ -622,15 +622,33 @@ def test_run_refuses_a_v1_tree(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# No flag spells a boolean, or a lone value where a list goes: only a config gives
+# them, and it is refused with this reason.
+_CONFIG_ONLY_REASONS = {
+    ("run", "alpha", "true"): "expected a number, got True",
+    ("run", "tolerance", "false"): "expected a number, got False",
+    ("run", "patch", "5"): "expected an integer list or comma-separated integers, got 5",
+    ("run", "views", "5"): "expected one or more u,v view pairs, got 5",
+    ("run", "views", "[0, 2]"): "expected one or more u,v view pairs, got [0, 2]",
+    ("benchmark", "alphas", "0.5"): "expected a list of numbers or comma-separated numbers, got 0.5",
+    ("benchmark", "branchings", "5"):
+        "expected a list of branchings or semicolon-separated branchings, got 5",
+}
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("build-dict", "seed", -5), ("build-dict", "atoms", 0), ("build-dict", "patch", "4,x"),
     ("run", "alpha", 0), ("run", "tolerance", -1), ("run", "selector", "foo"), ("run", "task", "x"),
+    *((command, key, json.loads(text)) for command, key, text in _CONFIG_ONLY_REASONS),
 ])
 def test_flag_and_config_give_the_same_reason(tmp_path, capsys, command, key, value):
     base = _RUN_FLAGS if command == "run" else [command]
-    reasons = []
-    for argv, marker in [(base + [f"--{key}", str(value)], f"argument --{key}: "),
-                         (base + ["--config", str(tmp_path / "cfg.json")], f"key {key!r}: ")]:
+    runs = [(base + ["--config", str(tmp_path / "cfg.json")], f"key {key!r}: ")]
+    reason = _CONFIG_ONLY_REASONS.get((command, key, json.dumps(value)))
+    if reason is None:
+        runs.insert(0, (base + [f"--{key}", str(value)], f"argument --{key}: "))
+    reasons = [] if reason is None else [reason + "\n"]
+    for argv, marker in runs:
         (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
         with pytest.raises(SystemExit) as err:
             main(argv)

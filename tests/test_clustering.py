@@ -214,6 +214,22 @@ def test_tree_round_trip(tmp_path):
     assert report.ok, report.violation
 
 
+def test_full_depths_give_child_blocks_that_are_views(tmp_path):
+    # m divides the branching product, so every node has all its children: the
+    # lone query's blocks reshape the tree's own arrays, built or loaded, and copy none
+    d = _random_dictionary(120, 6, seed=16)
+    built = build_tree(d, (4, 3, 2), seed=8)
+    save_tree(built, tmp_path / "t.tree")
+    for tree in (built, load_tree(tmp_path / "t.tree")):
+        blocks = tree.child_blocks
+        for depth, (block, counts) in enumerate(blocks[:-1]):
+            assert counts is None and block.shape == (math.prod(tree.branching[:depth]),
+                                                      tree.branching[depth], 6)
+            assert np.shares_memory(block, tree.centroids[depth + 1])
+        block, counts = blocks[-1]
+        assert counts is None and block.shape == (24, 5) and np.shares_memory(block, tree.atoms)
+
+
 def test_tree_file_corruption(tmp_path):
     d = _random_dictionary(30, 4, seed=16)
     tree = build_tree(d, (3, 2), seed=8)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -269,3 +270,29 @@ def test_fingerprint_tracks_payload():
     assert a.fingerprint() == b.fingerprint()
     c = normalize_columns(np.eye(4)[::-1].copy())
     assert a.fingerprint() != c.fingerprint()
+
+
+@pytest.mark.parametrize("n", [4, 64, 100])
+def test_validate_decides_at_the_tolerance_in_float64(n):
+    # atoms scaled to just inside and just outside 1 +- tol: float32 norms only
+    # filter, so each accept or reject, and the first rejected atom's message,
+    # is the one float64 norms give
+    rng = np.random.default_rng(n)
+    base = rng.standard_normal((2001, n))
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    edge = stmp.dictionary.UNIT_NORM_TOL + np.linspace(-3e-7, 3e-7, 2001)
+    for sign in (1.0, -1.0):
+        atoms = (base * (1.0 + sign * edge)[:, None]).astype(np.float32)
+        wide = atoms.astype(np.float64)
+        norms = np.sqrt(np.array([row.dot(row) for row in wide]))
+        outside = np.abs(norms - 1.0) > stmp.dictionary.UNIT_NORM_TOL
+        assert 0 < np.count_nonzero(outside) < outside.size
+        for i, row in enumerate(atoms):
+            if outside[i]:
+                with pytest.raises(ValueError, match=re.escape(f"atom 0 has norm {norms[i]:.8f},")):
+                    Dictionary(row[None]).validate()
+            else:
+                Dictionary(row[None]).validate()
+        first = int(np.flatnonzero(outside)[0])
+        with pytest.raises(ValueError, match="^" + re.escape(f"atom {first} has norm {norms[first]:.8f},")):
+            Dictionary(atoms).validate()

@@ -165,9 +165,11 @@ def test_stmp_alpha_validation():
     alpha=st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.35, 0.5, 0.75, 1.0]),
     seed=st.integers(0, 2**16),
 )
+@example(m=48, n=3, branching=[4, 3], distinct=48, alpha=0.35, seed=5)  # every depth full
 def test_stmp_select_matches_per_node_reference(m, n, branching, distinct, alpha, seed):
-    # m rarely divides the branching, so last clusters come out short; drawing
-    # atoms from fewer distinct rows than m duplicates some of them (exact ties)
+    # m rarely divides the branching, so last clusters come out short and the
+    # lone query's child blocks are padded; drawing atoms from fewer distinct
+    # rows than m duplicates some of them (exact ties)
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((min(distinct, m), n))
     d = normalize_columns(base[rng.integers(0, base.shape[0], size=m)])
@@ -175,11 +177,12 @@ def test_stmp_select_matches_per_node_reference(m, n, branching, distinct, alpha
     queries = np.vstack([rng.standard_normal((4, n)), d.atoms[rng.integers(0, m)]])
     for q in queries:
         counter = ScoreCounter()
-        index, _ = stmp_select(tree, d, q, alpha, counter)
-        ref_index, _, ref_centroids, ref_atoms = tree_select_reference(
+        index, score = stmp_select(tree, d, q, alpha, counter)
+        ref_index, ref_score, ref_centroids, ref_atoms = tree_select_reference(
             tree, d.scoring_atoms, q, alpha
         )
         assert index == ref_index
+        assert np.float64(score).tobytes() == np.float64(ref_score).tobytes()
         assert counter.centroid_inner_products == ref_centroids
         assert counter.inner_products - counter.centroid_inner_products == ref_atoms
 
