@@ -3,12 +3,18 @@
 Builds one over-complete dictionary and its two-level tree, then answers
 the same queries exhaustively and through the tree at several retention
 fractions, printing measured costs next to the closed-form prediction.
+Last, it times a tree pick per row: lone ``stmp_select`` calls, and
+``TreeSelector.pick`` on batches of 1, 7, 64 and 1024 rows.
 """
+
+import math
+import time
 
 import numpy as np
 
 from stmp import (
     ScoreCounter,
+    TreeSelector,
     build_tree,
     exact_select,
     normalize_columns,
@@ -44,6 +50,27 @@ def main():
 
     print("\ncentroid comparisons match the prediction at every alpha;")
     print("the total adds the atoms scored inside surviving leaves.")
+
+    alpha = 0.1
+    rows = rng.standard_normal((1024, n))
+    selector = TreeSelector(tree, d, alpha)
+    print(f"\nwall time per tree pick at alpha {alpha}, best of 3 runs, in microseconds:")
+    lone = _us_per_row(lambda: [stmp_select(tree, d, q, alpha) for q in rows[:200]], 200)
+    print(f"  lone stmp_select      {lone:8.1f}")
+    for size in (1, 7, 64, 1024):
+        batched = _us_per_row(lambda: [selector.pick(rows[start:start + size])
+                                       for start in range(0, len(rows), size)], len(rows))
+        print(f"  pick, batch of {size:4d}  {batched:8.1f}")
+
+
+def _us_per_row(call, count: int) -> float:
+    """The fastest of 3 timed runs of ``call()``, in microseconds per row."""
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return 1e6 * best / count
 
 
 if __name__ == "__main__":

@@ -205,18 +205,23 @@ class Dictionary:
         Each atom's norm is decided, and reported, in float64.  The float32
         norms only filter: only atoms whose float32 norm lies within its
         rounding band of 1 +- ``UNIT_NORM_TOL`` are taken again in float64.
+        Where that band is as wide as the tolerance, every atom is, so the
+        float32 pass is skipped.
         """
         if not np.isfinite(self.atoms).all():
             raise ValueError("dictionary contains NaN or Inf")
-        with np.errstate(over="ignore"):  # a large finite atom's r.r may overflow float32
-            fast = np.sqrt(row_dots(self.atoms, self.atoms))
-        unsure = np.flatnonzero(~(np.abs(fast - 1.0) < UNIT_NORM_TOL - _norm_band(self.n)))
-        w = self.atoms.take(unsure, axis=0).astype(np.float64)
+        band = _norm_band(self.n)
+        unsure = None  # every atom
+        if band < UNIT_NORM_TOL:
+            with np.errstate(over="ignore"):  # a large finite atom's r.r may overflow float32
+                fast = np.sqrt(row_dots(self.atoms, self.atoms))
+            unsure = np.flatnonzero(~(np.abs(fast - 1.0) < UNIT_NORM_TOL - band))
+        w = (self.atoms if unsure is None else self.atoms.take(unsure, axis=0)).astype(np.float64)
         norms = np.sqrt(row_dots(w, w))
         bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
         if bad.size:
             i = int(bad[0])
-            raise ValueError(f"atom {int(unsure[i])} has norm {norms[i]:.8f}, "
+            raise ValueError(f"atom {i if unsure is None else int(unsure[i])} has norm {norms[i]:.8f}, "
                              f"expected 1 within {UNIT_NORM_TOL}")
 
 
@@ -228,8 +233,8 @@ def _norm_band(n: int) -> float:
     Stability of Numerical Algorithms, 3.1), so its sqrt by gamma_n |x|, and
     the sqrt itself by a unit roundoff: the band is twice gamma_n(u32) +
     gamma_n(u64) + 2 u32 + u64, plus a floor for squares that underflow
-    float32.  From n of about 80 up it exceeds ``UNIT_NORM_TOL``, and every
-    atom is taken in float64.
+    float32.  From n of about 80 up it exceeds ``UNIT_NORM_TOL``, and
+    ``Dictionary.validate`` takes every atom in float64 alone.
     """
     u32, u64 = 2.0**-24, 2.0**-53
     if n * u32 >= 0.5:

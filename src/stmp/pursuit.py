@@ -26,14 +26,23 @@ unscored.  A row the filter cannot bound has every entry in its band.
 The scan scores a block of rows against every atom, a (rows x m) product,
 so callers keep its blocks small.  ``TreeSelector`` descends a batch
 node-major, as an IVF index does: it lays the atoms out in leaf order, so
-every node's children are one row range; a level groups its (row, node)
-pairs by node and scores each visited node's children against all the
-rows that kept it in one GEMM.  A lone query walks the tree instead and
-scores its few dozen children per level canonically: checking a filter's
-band would take more numpy calls than a cheaper product saves.  Its walk
-reads the tree's per-depth child blocks (``ClusterTree.child_blocks``), so a
-level is one gather of the frontier's blocks, one ``row_dots`` and index
-arithmetic, whatever the number of frontier nodes.
+every node's children are one row range, and ends each depth's table in
+``width`` zero rows (the depth's largest child count); a level groups its
+(row, node) pairs by node and scores each visited node's children against
+all the rows that kept it in one ``np.dot`` of ``width`` table rows into a
+contiguous block.  The filter's per-group steps then run across groups,
+since numpy reduces a block of short rows one row at a time: the keep-1
+cut reduces the transposed block, whose rows are whole columns, and one
+``flatnonzero`` gives every group's candidates in order, their counts (a
+``bincount``) and the places of an uncrowded parent's candidates, with dead
+slots after them.  A lone query walks the tree instead
+and scores its few dozen children per level canonically: checking a
+filter's band would take more numpy calls than a cheaper product saves.
+Its walk reads the tree's per-depth child blocks
+(``ClusterTree.child_blocks``), so a level is one gather of the frontier's
+blocks, one ``row_dots`` and index arithmetic, whatever the number of
+frontier nodes; it keeps numpy's one-row forms, which beat the across-group
+ones on a single row.
 """
 
 from dataclasses import dataclass, field
@@ -280,7 +289,9 @@ def _node_major(table, bounds, nodes, live, width: int, Q: np.ndarray) -> np.nda
     """Fast |scores| of every frontier entry's child slots, (P*F, width)
     float32: each visited node's children, rows bounds[j]:bounds[j+1] of
     ``table``, are scored against all the rows of Q that kept it in one
-    GEMM.  Slots past a node's children and dead entries hold garbage."""
+    ``np.dot`` into a contiguous block, ``width`` table rows at a time (the
+    table ends in zero rows, so no node runs off it).  Slots past a node's
+    children and dead entries hold garbage."""
     P, F = nodes.shape
     flat = nodes.ravel()
     order = flat.argsort()  # in any order: the band covers every block's rounding
@@ -291,12 +302,27 @@ def _node_major(table, bounds, nodes, live, width: int, Q: np.ndarray) -> np.nda
     starts, visited = [0] + edges, grouped.take([0] + edges)
     rows = Q.take(order // F, axis=0)
     part = np.empty((order.size, width), dtype=np.float32)
-    for a, b, lo, hi in zip(starts, edges + [order.size],
-                            bounds.take(visited).tolist(), bounds.take(visited + 1).tolist()):
-        np.matmul(rows[a:b], table[lo:hi].T, out=part[a:b, :hi - lo])
+    for a, b, lo in zip(starts, edges + [order.size], bounds.take(visited).tolist()):
+        np.dot(rows[a:b], table[lo:lo + width].T, out=part[a:b])
     at = np.zeros(P * F, dtype=np.int64)  # dead entries read row 0
     at[order] = _steps(order.size)
     return np.abs(part, out=part).take(at, axis=0)
+
+
+def _across_max(block: np.ndarray) -> np.ndarray:
+    """``block.max(axis=1)``, taken across the rows of the transposed block:
+    numpy reduces a (groups, width) block one short row at a time, several
+    times slower than it reduces whole columns."""
+    return np.ascontiguousarray(block.T).max(axis=0)
+
+
+def _candidates(cand: np.ndarray):
+    """A (groups, width) mask's entries, by group and in order within one, as
+    flat positions and groups, and each group's count: ``cand.nonzero()``
+    and ``np.count_nonzero(cand, axis=1)`` without numpy's per-row work."""
+    at = np.flatnonzero(cand)
+    g = at // cand.shape[1]
+    return at, g, np.bincount(g, minlength=cand.shape[0])
 
 
 def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: ScoreCounter | None,
@@ -305,7 +331,8 @@ def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: Score
 
     Each row keeps a frontier of nodes; parents with fewer children than the
     widest leave empty slots, which ``live`` masks.  A node-major GEMM
-    against ``TreeSelector``'s ``tables`` filters each level.
+    against ``TreeSelector``'s ``tables`` filters each level, and the
+    filter's per-group steps run across groups, not along their short rows.
     """
     P = R.shape[0]
     Q = _unit32(R, rr)
@@ -325,19 +352,24 @@ def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: Score
         cand = None if valid is None else valid.reshape(groups, -1)
         if cand is not None:
             fast[~cand] = -1.0
-        cut = fast.max(axis=1) if keep == 1 else -np.partition(-fast, keep - 1, axis=1)[:, keep - 1]
+        cut = _across_max(fast) if keep == 1 else -np.partition(-fast, keep - 1, axis=1)[:, keep - 1]
         hit = fast >= (cut - band)[:, None]
         cand = hit if cand is None else hit & cand
         # a parent with no more candidates than it keeps keeps them, unscored
-        crowded = (np.count_nonzero(cand, axis=1) > keep) | leaf
-        g, e = (cand & crowded[:, None]).nonzero()
+        at, g, counts = _candidates(cand)
+        crowded = (counts > keep) | leaf
+        if not leaf:  # an uncrowded parent's candidates in order; one short of keep has all its
+            # children among them, fewer than width, so slot width - 1 fills the rest dead
+            free = ~crowded.take(g)
+            rank = _steps(at.size) - (np.cumsum(counts) - counts).take(g)
+            position = np.full((groups, keep), width - 1)
+            position[g[free], rank[free]] = (at - g * cand.shape[1])[free]
+            at, g = at[~free], g[~free]
         scores = np.zeros(fast.shape)
-        scores[g, e] = row_dots(source.take(keys.reshape(groups, -1)[g, e], axis=0),
-                                R.take(g * P // groups, axis=0))
+        scores.put(at, row_dots(source.take(keys.take(at), axis=0), R.take(g * P // groups, axis=0)))
         if leaf:
             return _best(scores, keys, cand)
-        # a parent keeps its candidates, a crowded one its best by canonical |score|
-        position = _top(cand.view(np.int8), None, keep)
+        # a crowded parent keeps its best by canonical |score|
         position[crowded] = _top(scores[crowded], cand[crowded], keep)
         nodes = (first.reshape(-1, 1) + position).reshape(P, -1)
         if valid is not None:
@@ -361,10 +393,17 @@ def _walk(t: ClusterTree, d: Dictionary, r: np.ndarray, keeps, counter: ScoreCou
         if counter is not None:
             scored = nodes.size * block.shape[1] if live is None else counts.sum()
             (counter.count_atoms if leaf else counter.count_centroids)(scored)
-        if leaf:
-            keys = children.reshape(1, -1)
-            scores = row_dots(d.scoring_atoms.take(keys[0], axis=0), r)
-            return _best(scores[None], keys, None if live is None else live.reshape(1, -1))
+        if leaf:  # the first maximum; on a tie, the lowest atom id among them
+            keys = children.ravel()
+            scores = row_dots(d.scoring_atoms.take(keys, axis=0), r)
+            magnitudes = np.abs(scores)
+            if live is not None:
+                magnitudes[~live.ravel()] = -1.0
+            at = magnitudes.argmax()
+            tied = magnitudes == magnitudes[at]
+            if np.count_nonzero(tied) > 1:
+                at = np.where(tied, keys, _NO_ATOM).argmin()
+            return keys[at:at + 1], scores[at:at + 1]
         position = _top(row_dots(children, r), live, keeps[depth])
         first = t.offsets[depth].take(nodes)
         nodes = (first[:, None] + position).ravel()
@@ -437,11 +476,15 @@ class TreeSelector:
         self.dictionary = dictionary
         self.alpha = alpha
         self._keeps = _keeps(alpha, tree.branching)
-        # the filter's rows per depth, atoms in leaf order: each node's children are a row range;
-        # the band covers rounding float64 centroids to float32
+        # the filter's rows per depth, atoms in leaf order: each node's children are a row range,
+        # and a table ends in as many zero rows as its depth's widest node has children, so any
+        # node's children are one fixed-width block; the band covers rounding float64 centroids
+        # to float32
         rows = [c.astype(np.float32) for c in tree.centroids[1:]] + [dictionary.atoms.take(tree.atoms, 0)]
+        pads = [np.zeros((np.diff(b).max(), tree.n), dtype=np.float32) for b in tree.offsets]
         norms = [np.sqrt(row_dots(c, c).max()) for c in tree.centroids[1:]] + [dictionary.max_norm]
-        self._tables = [(r, np.float32(_band_for(tree.n, a))) for r, a in zip(rows, norms)]
+        self._tables = [(np.concatenate([r, z]), np.float32(_band_for(tree.n, a)))
+                        for r, z, a in zip(rows, pads, norms)]
 
     def pick(self, R: np.ndarray, counter: ScoreCounter | None = None, rr=None):
         """Picks and canonical scores for every row of a finite float64 (P, n)

@@ -296,3 +296,26 @@ def test_validate_decides_at_the_tolerance_in_float64(n):
         first = int(np.flatnonzero(outside)[0])
         with pytest.raises(ValueError, match="^" + re.escape(f"atom {first} has norm {norms[first]:.8f},")):
             Dictionary(atoms).validate()
+
+
+@pytest.mark.parametrize("n", [100, 256])
+def test_validate_skips_float32_norms_where_their_band_spans_the_tolerance(n, monkeypatch):
+    # From n = 82 up the float32 rounding band is as wide as
+    # UNIT_NORM_TOL, so every atom would be taken again in float64: validate
+    # takes them in float64 alone, with the same message.
+    assert stmp.dictionary._norm_band(n) >= stmp.dictionary.UNIT_NORM_TOL
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((3, n))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows[1] *= 1.0 + 2e-5
+    atoms = rows.astype(np.float32)
+    wide = atoms[1].astype(np.float64)
+    message = (f"atom 1 has norm {np.sqrt(wide.dot(wide)):.8f}, "
+               f"expected 1 within {stmp.dictionary.UNIT_NORM_TOL}")
+    seen = []
+    row_dots = stmp.dictionary.row_dots
+    monkeypatch.setattr(stmp.dictionary, "row_dots", lambda A, B: seen.append(A.dtype) or row_dots(A, B))
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        Dictionary(atoms).validate()
+    Dictionary(atoms[[0, 2]]).validate()
+    assert seen == [np.float64, np.float64]

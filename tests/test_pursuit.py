@@ -530,6 +530,63 @@ def test_descent_over_float64_centroids_matches_the_reference():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(3, 80),
+    n=st.integers(1, 12),
+    branching=st.lists(st.integers(2, 7), min_size=1, max_size=3),
+    alpha=st.sampled_from([0.1, 0.35, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+@example(m=74, n=7, branching=[7, 6], alpha=1.0, seed=41436)  # a node of 4 children keeps 6
+@example(m=77, n=8, branching=[6, 6, 4], alpha=0.35, seed=57354)  # nodes of 1 child keep 2
+def test_batched_descent_fills_short_parents_with_dead_slots(m, n, branching, alpha, seed):
+    # m rarely divides the branching, so some nodes have fewer children than
+    # their level keeps: such a parent keeps them all, unscored, and its other
+    # kept slots must stay dead.  Rows at 1e200 (r.r overflows) and 1e-160
+    # (r.r underflows) have every entry in the filter's band.
+    rng = np.random.default_rng(seed)
+    d = _random_dictionary(m, n, seed)
+    tree = build_tree(d, branching, seed=seed)
+    Q = np.vstack([rng.standard_normal((120, n)), d.scoring_atoms[rng.integers(0, m, size=20)]])
+    Q[rng.integers(0, len(Q), size=12)] *= 1e200
+    Q[rng.integers(0, len(Q), size=12)] *= 1e-160
+    want = [tree_select_reference(tree, d.scoring_atoms, q, alpha) for q in Q]
+    selector = TreeSelector(tree, d, alpha)
+    for size in (2, 7, 130):  # 140 rows: no batch of one, which would walk the tree
+        counter = ScoreCounter()
+        parts = [selector.pick(Q[start:start + size], counter) for start in range(0, len(Q), size)]
+        picks, scores = (np.concatenate(part) for part in zip(*parts))
+        assert picks.tolist() == [w[0] for w in want]
+        assert scores.tobytes() == np.array([w[1] for w in want]).tobytes()
+        assert counter.centroid_inner_products == sum(w[2] for w in want)
+        assert counter.inner_products == sum(w[2] + w[3] for w in want)
+
+
+def test_across_group_helpers_match_numpy_row_reductions():
+    # Filter blocks hold |scores| >= 0 with exact ties, -1.0 in masked slots,
+    # whole rows of zeros and whole masked rows.
+    rng = np.random.default_rng(61)
+    for width in range(1, 65):
+        for groups in (1, 2, 7, 300):
+            block = (np.floor(rng.random((groups, width)) * 8) / 8).astype(np.float32)
+            block[rng.random(block.shape) < 0.2] = -1.0
+            block[rng.random(groups) < 0.1] = 0.0
+            block[rng.random(groups) < 0.1] = -1.0
+            top = stmp.pursuit._across_max(block)
+            want = block.max(axis=1)
+            assert (top.dtype, top.tobytes()) == (want.dtype, want.tobytes())
+            mask = block >= (top - np.float32(0.2))[:, None]
+            mask[rng.random(groups) < 0.1] = False
+            at, g, count = stmp.pursuit._candidates(mask)
+            want = np.count_nonzero(mask, axis=1)
+            assert (count.dtype, count.tobytes()) == (want.dtype, want.tobytes())
+            rows, entries = mask.nonzero()
+            assert g.tolist() == rows.tolist()
+            assert at.tolist() == (rows * width + entries).tolist()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_query_rejected_by_every_selector(bad):
     d = _random_dictionary(40, 5, seed=30)
