@@ -4,7 +4,8 @@ Builds one over-complete dictionary and its two-level tree, then answers
 the same queries exhaustively and through the tree at several retention
 fractions, printing measured costs next to the closed-form prediction.
 Last, it times a tree pick per row: lone ``stmp_select`` calls, and
-``TreeSelector.pick`` on batches of 1, 7, 64 and 1024 rows.
+``TreeSelector.pick`` on batches of 1, 7, 64 and 1024 rows, on that tree
+and on one of the same shape over 5003 atoms, whose leaves are uneven.
 """
 
 import math
@@ -53,14 +54,21 @@ def main():
 
     alpha = 0.1
     rows = rng.standard_normal((1024, n))
-    selector = TreeSelector(tree, d, alpha)
+    # 5003 atoms do not divide into 50 x 10 leaves of equal size, so nodes of
+    # one depth have unequal child counts and the search reads padded blocks
+    d_uneven = normalize_columns(rng.standard_normal((m + 3, n)))
+    cases = [(tree, d), (build_tree(d_uneven, branching, seed=8), d_uneven)]
     print(f"\nwall time per tree pick at alpha {alpha}, best of 3 runs, in microseconds:")
-    lone = _us_per_row(lambda: [stmp_select(tree, d, q, alpha) for q in rows[:200]], 200)
-    print(f"  lone stmp_select      {lone:8.1f}")
+    print(f"                        m={m:<6d} m={m + 3}")
+    lone = [_us_per_row(lambda: [stmp_select(t, dd, q, alpha) for q in rows[:200]], 200)
+            for t, dd in cases]
+    print("  lone stmp_select    " + "".join(f"{us:9.1f}" for us in lone))
+    selectors = [TreeSelector(t, dd, alpha) for t, dd in cases]
     for size in (1, 7, 64, 1024):
-        batched = _us_per_row(lambda: [selector.pick(rows[start:start + size])
-                                       for start in range(0, len(rows), size)], len(rows))
-        print(f"  pick, batch of {size:4d}  {batched:8.1f}")
+        batched = [_us_per_row(lambda: [s.pick(rows[start:start + size])
+                                        for start in range(0, len(rows), size)], len(rows))
+                   for s in selectors]
+        print(f"  pick, batch of {size:4d}" + "".join(f"{us:9.1f}" for us in batched))
 
 
 def _us_per_row(call, count: int) -> float:

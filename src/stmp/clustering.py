@@ -333,7 +333,9 @@ class ClusterTree:
         (nodes, width) atom ids.  ``width`` is the depth's largest child
         count.  Where every node has that many, the block is a view of
         ``centroids[d+1]`` (or ``atoms``) and counts is None; otherwise it is
-        a zero-padded copy and counts holds each node's child count."""
+        a zero-padded copy and counts holds each node's child count.  Both
+        tree searches read their children from here; ``TreeSelector`` keeps
+        the blocks' float32 image for its filter."""
         if self._blocks is None:
             self._blocks = [_child_block(rows, bounds)
                             for rows, bounds in zip(self.centroids[1:] + [self.atoms], self.offsets)]

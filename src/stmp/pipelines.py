@@ -78,7 +78,7 @@ class TaskConfig:
                 f"patch shape {self.patch_shape} and stride {self.stride} have different ranks"
             )
         self.search_params()  # checks K and the tolerance
-        check_alpha(self.alpha)
+        self.alpha = check_alpha(self.alpha)
         if self.selector not in (EXACT, STMP):
             raise ValueError(f"selector must be '{EXACT}' or '{STMP}', got {self.selector!r}")
 

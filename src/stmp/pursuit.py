@@ -24,25 +24,24 @@ canonically, and a parent with no more of them than it keeps keeps them
 unscored.  A row the filter cannot bound has every entry in its band.
 
 The scan scores a block of rows against every atom, a (rows x m) product,
-so callers keep its blocks small.  ``TreeSelector`` descends a batch
-node-major, as an IVF index does: it lays the atoms out in leaf order, so
-every node's children are one row range, and ends each depth's table in
-``width`` zero rows (the depth's largest child count); a level groups its
-(row, node) pairs by node and scores each visited node's children against
-all the rows that kept it in one ``np.dot`` of ``width`` table rows into a
-contiguous block.  The filter's per-group steps then run across groups,
-since numpy reduces a block of short rows one row at a time: the keep-1
-cut reduces the transposed block, whose rows are whole columns, and one
-``flatnonzero`` gives every group's candidates in order, their counts (a
-``bincount``) and the places of an uncrowded parent's candidates, with dead
-slots after them.  A lone query walks the tree instead
-and scores its few dozen children per level canonically: checking a
-filter's band would take more numpy calls than a cheaper product saves.
-Its walk reads the tree's per-depth child blocks
-(``ClusterTree.child_blocks``), so a level is one gather of the frontier's
-blocks, one ``row_dots`` and index arithmetic, whatever the number of
-frontier nodes; it keeps numpy's one-row forms, which beat the across-group
-ones on a single row.
+so callers keep its blocks small.  Both tree searches read a node's
+children from its row of the depth's ``ClusterTree.child_blocks``: the
+(width, n) centroids below it, or at the leaf its atom ids, zero-padded to
+the depth's largest child count where nodes differ.  ``TreeSelector``
+descends a batch node-major, as an IVF index does: it keeps the float32
+image of every block, groups a level's (row, node) pairs by node, and
+scores each visited node's block against all the rows that kept it in one
+``np.dot`` into a contiguous block.  The filter's per-group steps then run
+across groups, since numpy reduces a block of short rows one row at a time:
+the keep-1 cut reduces the transposed block, whose rows are whole columns,
+and one ``flatnonzero`` gives every group's candidates in order, their
+counts (a ``bincount``) and the places of an uncrowded parent's candidates,
+with dead slots after them.  A lone query walks the tree instead and
+scores its few dozen children per level canonically: checking a filter's
+band would take more numpy calls than a cheaper product saves.  A level of
+its walk is one gather of the frontier's blocks, one ``row_dots`` and index
+arithmetic, whatever the number of frontier nodes; it keeps numpy's one-row
+forms, which beat the across-group ones on a single row.
 """
 
 from dataclasses import dataclass, field
@@ -180,30 +179,6 @@ def _check_finite(flat: np.ndarray) -> float:
     return rr
 
 
-def _children(bounds: np.ndarray, nodes: np.ndarray, live):
-    """The child slots of every frontier node, as (P, F*width) ids and a mask.
-
-    Node j owns slots bounds[j]:bounds[j+1] of the depth below; ``live``
-    marks the frontier entries that hold a node (None: all).  Slots are
-    padded to the widest node's ``width``; the mask of the real ones is None
-    if there is no padding.  Returns (first slots, counts, width, ids, mask).
-    """
-    first = bounds.take(nodes)
-    count = bounds[1:].take(nodes)
-    count -= first
-    if live is not None:
-        count *= live
-    if count.size < 64:  # Python's max and min are cheaper on a few entries
-        width, least = max(counts := count.ravel().tolist()), min(counts)
-    else:
-        width, least = int(count.max()), int(count.min())
-    ids = (first[..., None] + _steps(width)).reshape(nodes.shape[0], -1)
-    if live is None and least == width:
-        return first, count, width, ids, None
-    valid = (_steps(width) < count[..., None]).reshape(nodes.shape[0], -1)
-    return first, count, width, np.where(valid, ids, 0), valid
-
-
 def _best(scores, ids, valid):
     """Per row, the entry with maximal |score|, ties to the lowest atom id
     (``ids`` None: entry j is atom j), as (atom ids, scores)."""
@@ -285,13 +260,12 @@ def _scan(d: Dictionary, R: np.ndarray, counter: ScoreCounter | None, rr=None):
     return picks, scores
 
 
-def _node_major(table, bounds, nodes, live, width: int, Q: np.ndarray) -> np.ndarray:
+def _node_major(table, nodes, live, Q: np.ndarray) -> np.ndarray:
     """Fast |scores| of every frontier entry's child slots, (P*F, width)
-    float32: each visited node's children, rows bounds[j]:bounds[j+1] of
-    ``table``, are scored against all the rows of Q that kept it in one
-    ``np.dot`` into a contiguous block, ``width`` table rows at a time (the
-    table ends in zero rows, so no node runs off it).  Slots past a node's
-    children and dead entries hold garbage."""
+    float32: each visited node j's children, the (width, n) block
+    ``table[j]``, are scored against all the rows of Q that kept it in one
+    ``np.dot`` into a contiguous block.  Slots past a node's children and
+    dead entries hold garbage."""
     P, F = nodes.shape
     flat = nodes.ravel()
     order = flat.argsort()  # in any order: the band covers every block's rounding
@@ -301,9 +275,9 @@ def _node_major(table, bounds, nodes, live, width: int, Q: np.ndarray) -> np.nda
     edges = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
     starts, visited = [0] + edges, grouped.take([0] + edges)
     rows = Q.take(order // F, axis=0)
-    part = np.empty((order.size, width), dtype=np.float32)
-    for a, b, lo in zip(starts, edges + [order.size], bounds.take(visited).tolist()):
-        np.dot(rows[a:b], table[lo:lo + width].T, out=part[a:b])
+    part = np.empty((order.size, table.shape[1]), dtype=np.float32)
+    for a, b, j in zip(starts, edges + [order.size], visited.tolist()):
+        np.dot(rows[a:b], table[j].T, out=part[a:b])
     at = np.zeros(P * F, dtype=np.int64)  # dead entries read row 0
     at[order] = _steps(order.size)
     return np.abs(part, out=part).take(at, axis=0)
@@ -329,27 +303,33 @@ def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: Score
              tables, rr=None):
     """Tree picks for every row of R, all rows descending together.
 
-    Each row keeps a frontier of nodes; parents with fewer children than the
-    widest leave empty slots, which ``live`` masks.  A node-major GEMM
-    against ``TreeSelector``'s ``tables`` filters each level, and the
-    filter's per-group steps run across groups, not along their short rows.
+    Each row keeps a frontier of nodes, and each node's children are its
+    row of the depth's ``t.child_blocks``; parents with fewer children than
+    the depth's widest leave empty slots, and frontier entries past a
+    parent's children are dead, which ``live`` masks.  A node-major GEMM
+    against ``TreeSelector``'s ``tables``, the float32 image of the blocks,
+    filters each level, and the filter's per-group steps run across groups,
+    not along their short rows.
     """
     P = R.shape[0]
     Q = _unit32(R, rr)
     nodes, live = np.zeros((P, 1), dtype=np.int64), None
     for depth, keep in enumerate(keeps + (1,)):
-        first, count, width, ids, valid = _children(t.offsets[depth], nodes, live)
+        block, sizes = t.child_blocks[depth]
+        width = block.shape[1]
+        count = None if sizes is None else sizes.take(nodes)  # children per frontier entry
+        if live is not None:
+            count = live * (width if count is None else count)
         leaf = depth == t.levels
         if counter is not None:
-            scored = ids.size if valid is None else np.count_nonzero(valid)
+            scored = nodes.size * width if count is None else count.sum()
             (counter.count_atoms if leaf else counter.count_centroids)(scored)
         # one choice per group: a parent's children, or at the leaf a row's atoms
         groups = P if leaf else nodes.size
-        source, keys = (d.scoring_atoms, t.atoms.take(ids)) if leaf else (t.centroids[depth + 1], ids)
         table, band = tables[depth]
         keep = min(keep, width)
-        fast = _node_major(table, t.offsets[depth], nodes, live, width, Q).reshape(groups, -1)
-        cand = None if valid is None else valid.reshape(groups, -1)
+        fast = _node_major(table, nodes, live, Q).reshape(groups, -1)
+        cand = None if count is None else (_steps(width) < count[..., None]).reshape(groups, -1)
         if cand is not None:
             fast[~cand] = -1.0
         cut = _across_max(fast) if keep == 1 else -np.partition(-fast, keep - 1, axis=1)[:, keep - 1]
@@ -358,21 +338,26 @@ def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: Score
         # a parent with no more candidates than it keeps keeps them, unscored
         at, g, counts = _candidates(cand)
         crowded = (counts > keep) | leaf
-        if not leaf:  # an uncrowded parent's candidates in order; one short of keep has all its
-            # children among them, fewer than width, so slot width - 1 fills the rest dead
-            free = ~crowded.take(g)
-            rank = _steps(at.size) - (np.cumsum(counts) - counts).take(g)
-            position = np.full((groups, keep), width - 1)
-            position[g[free], rank[free]] = (at - g * cand.shape[1])[free]
-            at, g = at[~free], g[~free]
         scores = np.zeros(fast.shape)
-        scores.put(at, row_dots(source.take(keys.take(at), axis=0), R.take(g * P // groups, axis=0)))
         if leaf:
+            keys = block.take(nodes, axis=0).reshape(P, -1)
+            scores.put(at, row_dots(d.scoring_atoms.take(keys.take(at), axis=0), R.take(g, axis=0)))
             return _best(scores, keys, cand)
+        # an uncrowded parent's candidates in order; one short of keep has all its children
+        # among them, fewer than width, so slot width - 1 fills the rest dead
+        free = ~crowded.take(g)
+        rank = _steps(at.size) - (np.cumsum(counts) - counts).take(g)
+        position = np.full((groups, keep), width - 1)
+        position[g[free], rank[free]] = (at - g * width)[free]
+        at, g = at[~free], g[~free]
+        first = t.offsets[depth].take(nodes).reshape(-1, 1)  # node j's children start here
+        keys = first.take(g) + at - g * width
+        rows = R.take(g // nodes.shape[1], axis=0)  # a parent's row
+        scores.put(at, row_dots(t.centroids[depth + 1].take(keys, axis=0), rows))
         # a crowded parent keeps its best by canonical |score|
         position[crowded] = _top(scores[crowded], cand[crowded], keep)
-        nodes = (first.reshape(-1, 1) + position).reshape(P, -1)
-        if valid is not None:
+        nodes = (first + position).reshape(P, -1)
+        if count is not None:
             live = (position < count.reshape(-1, 1)).reshape(P, -1)
             nodes *= live
 
@@ -470,26 +455,24 @@ class TreeSelector:
     """Tree-accelerated selection at a fixed retention fraction alpha."""
 
     def __init__(self, tree: ClusterTree, dictionary: Dictionary, alpha: float):
-        check_alpha(alpha)
+        self.alpha = check_alpha(alpha)
         check_fingerprint(tree, dictionary)
         self.tree = tree
         self.dictionary = dictionary
-        self.alpha = alpha
-        self._keeps = _keeps(alpha, tree.branching)
-        # the filter's rows per depth, atoms in leaf order: each node's children are a row range,
-        # and a table ends in as many zero rows as its depth's widest node has children, so any
-        # node's children are one fixed-width block; the band covers rounding float64 centroids
-        # to float32
-        rows = [c.astype(np.float32) for c in tree.centroids[1:]] + [dictionary.atoms.take(tree.atoms, 0)]
-        pads = [np.zeros((np.diff(b).max(), tree.n), dtype=np.float32) for b in tree.offsets]
+        self._keeps = _keeps(self.alpha, tree.branching)
+        # the filter's float32 image of the tree's child blocks, padded slots and all (at the
+        # leaf they read atom 0); the band covers rounding float64 centroids to float32
+        blocks = [block for block, _ in tree.child_blocks]
+        images = [b.astype(np.float32) for b in blocks[:-1]] + [dictionary.atoms.take(blocks[-1], axis=0)]
         norms = [np.sqrt(row_dots(c, c).max()) for c in tree.centroids[1:]] + [dictionary.max_norm]
-        self._tables = [(np.concatenate([r, z]), np.float32(_band_for(tree.n, a)))
-                        for r, z, a in zip(rows, pads, norms)]
+        self._tables = [(image, np.float32(_band_for(tree.n, a))) for image, a in zip(images, norms)]
 
     def pick(self, R: np.ndarray, counter: ScoreCounter | None = None, rr=None):
         """Picks and canonical scores for every row of a finite float64 (P, n)
         matrix (``rr``, if given, holds ``row_dots(R, R)``); a lone row walks
-        the tree as ``stmp_select`` does."""
+        the tree as ``stmp_select`` does, and an empty one picks nothing."""
+        if not R.shape[0]:
+            return np.empty(0, dtype=np.int64), np.empty(0)
         if R.shape[0] == 1:
             return _walk(self.tree, self.dictionary, R[0], self._keeps, counter)
         return _descend(self.tree, self.dictionary, R, self._keeps, counter, self._tables, rr)

@@ -230,6 +230,31 @@ def test_full_depths_give_child_blocks_that_are_views(tmp_path):
         assert counts is None and block.shape == (24, 5) and np.shares_memory(block, tree.atoms)
 
 
+@pytest.mark.parametrize("branching", [(6, 4), (6, 4, 8)])
+def test_uneven_depths_give_zero_padded_child_blocks(tmp_path, branching):
+    # m = 203 divides neither shape: (6, 4) pads the leaf, (6, 4, 8) a centroid depth too
+    d = _random_dictionary(203, 6, seed=16)
+    built = build_tree(d, branching, seed=8)
+    save_tree(built, tmp_path / "t.tree")
+    for tree in (built, load_tree(tmp_path / "t.tree")):
+        padded = 0
+        for depth, (block, counts) in enumerate(tree.child_blocks):
+            rows = tree.atoms if depth == tree.levels else tree.centroids[depth + 1]
+            bounds = tree.offsets[depth]
+            sizes = np.diff(bounds)
+            width = block.shape[1]
+            assert block.shape == (sizes.size, width) + rows.shape[1:] and width == sizes.max()
+            if counts is None:
+                assert (sizes == width).all()
+            else:
+                padded += 1
+                np.testing.assert_array_equal(counts, sizes)
+            for j, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+                np.testing.assert_array_equal(block[j, :hi - lo], rows[lo:hi])
+                assert not block[j, hi - lo:].any()
+        assert padded == len(branching) - 1
+
+
 def test_tree_file_corruption(tmp_path):
     d = _random_dictionary(30, 4, seed=16)
     tree = build_tree(d, (3, 2), seed=8)

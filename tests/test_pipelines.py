@@ -13,6 +13,7 @@ from stmp import (
     Dictionary,
     ScoreCounter,
     TaskConfig,
+    TreeSelector,
     add_noise_to_snr,
     block_average_operator,
     build_from_patches,
@@ -306,6 +307,18 @@ def test_csv_row_shape():
     _, blind = denoise(img, d, None, cfg)
     fields = [f.strip() for f in blind.csv_row().split(",")]
     assert fields[6] == "" and fields[7] == ""
+
+
+def test_alpha_given_as_text_is_kept_as_a_float():
+    rng = np.random.default_rng(16)
+    img = rng.random((8, 8)).astype(np.float32)
+    d = _flat_field_dictionary(16, 30, seed=17)
+    tree = build_tree(d, (3, 2), seed=18)
+    cfg = TaskConfig(patch_shape=(4, 4), stride=(2, 2), K=2, alpha="0.5")
+    assert cfg.alpha == 0.5 and type(cfg.alpha) is float
+    assert type(TreeSelector(tree, d, "0.5").alpha) is float
+    _, report = denoise(img, d, tree, cfg)
+    assert [f.strip() for f in report.csv_row().split(",")][4] == "0.5"
 
 
 def test_super_resolve_shape_contract():

@@ -586,6 +586,17 @@ def test_across_group_helpers_match_numpy_row_reductions():
             assert at.tolist() == (rows * width + entries).tolist()
 
 
+def test_selectors_pick_nothing_from_an_empty_batch():
+    d = _random_dictionary(40, 5, seed=30)
+    tree = build_tree(d, (4, 3), seed=31)
+    for selector in (ExactSelector(d), TreeSelector(tree, d, 0.5)):
+        counter = ScoreCounter()
+        picks, scores = selector.pick(np.empty((0, 5)), counter)
+        assert picks.shape == scores.shape == (0,)
+        assert picks.dtype == np.int64 and scores.dtype == np.float64
+        assert counter.inner_products == counter.centroid_inner_products == 0
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_query_rejected_by_every_selector(bad):
