@@ -19,13 +19,12 @@ def main():
         d = normalize_columns(rng.standard_normal((m, dim)))
         tree = build_tree(d, branching, seed=2000 + i)
         batch = rng.standard_normal((queries, dim))
+        exact_counter = ScoreCounter()
+        exact = [exact_select(d, q, exact_counter)[0] for q in batch]
         for alpha in (0.05, 0.2, 1.0):
-            exact_counter, tree_counter = ScoreCounter(), ScoreCounter()
-            agree = 0
-            for q in batch:
-                best, _ = exact_select(d, q, exact_counter)
-                found, _ = stmp_select(tree, d, q, alpha, tree_counter)
-                agree += int(found == best)
+            tree_counter = ScoreCounter()
+            agree = sum(stmp_select(tree, d, q, alpha, tree_counter)[0] == best
+                        for q, best in zip(batch, exact))
             print(f"{m:7d}  {str(branching):>10s}  {alpha:5.2f}  "
                   f"{exact_counter.inner_products // queries:8d}  "
                   f"{tree_counter.inner_products // queries:8d}  "

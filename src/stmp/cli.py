@@ -356,24 +356,17 @@ def _cmd_benchmark(values, sub) -> int:
         tree = build_tree(d, branching, _derived_seed(values["seed"], i, 1))
         rng = np.random.default_rng(_seed_sequence(values["seed"], i, 2))
         queries = rng.standard_normal((values["queries"], values["dim"]))
+        count = len(queries)
+        exact_counter = ScoreCounter()
+        exact = [exact_select(d, q, exact_counter)[0] for q in queries]
         for alpha in values["alphas"]:
-            exact_total = 0
-            stmp_total = 0
-            stmp_centroid = 0
-            agree = 0
-            for q in queries:
-                exact_counter = ScoreCounter()
-                exact_index, _ = exact_select(d, q, exact_counter)
-                tree_counter = ScoreCounter()
-                tree_index, _ = stmp_select(tree, d, q, alpha, tree_counter)
-                exact_total += exact_counter.inner_products
-                stmp_total += tree_counter.inner_products
-                stmp_centroid += tree_counter.centroid_inner_products
-                agree += int(exact_index == tree_index)
-            count = len(queries)
+            tree_counter = ScoreCounter()
+            agree = sum(stmp_select(tree, d, q, alpha, tree_counter)[0] == best
+                        for q, best in zip(queries, exact))
             lines.append(
-                f"{m}, {alpha:g}, {exact_total / count:.3f}, {stmp_total / count:.3f}, "
-                f"{stmp_centroid / count:.3f}, {agree / count:.4f}"
+                f"{m}, {alpha:g}, {exact_counter.inner_products / count:.3f}, "
+                f"{tree_counter.inner_products / count:.3f}, "
+                f"{tree_counter.centroid_inner_products / count:.3f}, {agree / count:.4f}"
             )
     with open(values["out"], "w") as fh:
         fh.write("\n".join(lines) + "\n")

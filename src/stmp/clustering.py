@@ -51,7 +51,8 @@ then one gather from the file bytes, and the leaf tags and indices are
 checked in one vectorized pass.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 import itertools
 import struct
 
@@ -317,7 +318,6 @@ class ClusterTree:
     centroids: list[np.ndarray]
     offsets: list[np.ndarray]
     atoms: np.ndarray
-    _blocks: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.offsets = [np.asarray(b, dtype=np.int64) for b in self.offsets]
@@ -326,7 +326,7 @@ class ClusterTree:
     def levels(self) -> int:
         return len(self.branching)
 
-    @property
+    @cached_property
     def child_blocks(self) -> list:
         """Per depth d, (block, counts): node j's children are ``block[j]``,
         the (nodes, width, n) centroid rows of depth d+1, or at d = L the
@@ -336,10 +336,8 @@ class ClusterTree:
         a zero-padded copy and counts holds each node's child count.  Both
         tree searches read their children from here; ``TreeSelector`` keeps
         the blocks' float32 image for its filter."""
-        if self._blocks is None:
-            self._blocks = [_child_block(rows, bounds)
-                            for rows, bounds in zip(self.centroids[1:] + [self.atoms], self.offsets)]
-        return self._blocks
+        return [_child_block(rows, bounds)
+                for rows, bounds in zip(self.centroids[1:] + [self.atoms], self.offsets)]
 
 
 def _child_block(rows: np.ndarray, bounds: np.ndarray):

@@ -14,7 +14,8 @@ A dictionary's fingerprint, which binds cluster trees to it, is the first
 payload: the bytes after the file's 28-byte header.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 import hashlib
 import math
 
@@ -33,10 +34,6 @@ _ZERO_VARIANCE_TOL = 1e-6
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
-# bytes hashed per block; bounds the temporaries to about 1.5 MB
-_FNV_BLOCK = 1 << 16
-# one in the low bit of each byte of a 64-bit word
-_BYTE_ONES = np.uint64(0x0101010101010101)
 _VECDOT = getattr(np, "vecdot", None)  # numpy >= 2
 
 
@@ -55,57 +52,12 @@ def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def fnv1a64(data: bytes) -> int:
     """64-bit FNV-1a hash of a byte string: h <- (h ^ b) * P mod 2^64 per byte.
 
-    It no longer binds trees (``Dictionary.fingerprint`` is SHA-256), and no
-    package code calls it.
-
-    The value is that of the byte loop, computed in a few vectorized passes
-    per block of ``_FNV_BLOCK`` bytes; ``h`` carries from block to block.
-
-    *Low byte.*  With l_i = h_i mod 256, l_{i+1} = ((l_i ^ b_i) * 0xB3) mod
-    256, since P mod 256 = 0xB3.  P is odd, so bit k of x * P is bit k of x
-    XOR bit k of (x mod 2^k) * P.  Hence bit k of l_{i+1} is bit k of l_i
-    XOR t_i, where t_i = bit k of b_i ^ ((l_i ^ b_i) mod 2^k) * 0xB3 needs
-    only the bits below k.  Bit k of the whole l sequence is then an
-    exclusive prefix XOR of t (Blelloch, Prefix Sums and Their Applications,
-    CMU-CS-90-190), found after the bits below it: eight passes.  A pass
-    XORs bytes that hold t in bit k: within each 64-bit word by three
-    shift-and-XORs, across words by one ``bitwise_xor.accumulate``.
-
-    *Whole word.*  b_i touches only the low byte, so h_i ^ b_i = h_i + e_i
-    with e_i = (l_i ^ b_i) - l_i in [-255, 255].  Then after N bytes
-    h_N = P^N * h_0 + sum_i P^(N-i) * e_i mod 2^64: one dot product against
-    the powers of P.  numpy's uint64 array arithmetic wraps mod 2^64 without
-    a warning; the running h is a Python int.
+    It binds nothing: trees bind by ``Dictionary.fingerprint`` (SHA-256),
+    and no package code calls it.
     """
-    stream = np.frombuffer(data, dtype=np.uint8)
     h = _FNV_OFFSET
-    if not stream.size:
-        return h
-    top = min(stream.size, _FNV_BLOCK)
-    # P^top, ..., P^2, P^1; a block of length L uses the last L entries
-    powers = np.multiply.accumulate(np.full(top, _FNV_PRIME, dtype=np.uint64))[::-1].copy()
-    for start in range(0, stream.size, _FNV_BLOCK):
-        b = stream[start:start + _FNV_BLOCK]
-        L = b.size
-        z = b.copy()  # l ^ b, with the bits of l found so far
-        # t[i + 1] holds t_i in bit k, t[0] bit k of l_0; padded to whole words
-        t = np.zeros(-(-(L + 1) // 8) * 8, dtype=np.uint8)
-        words = t.view("<u8")
-        for k in range(8):
-            bit = 1 << k
-            low = (z & (bit - 1)) * np.uint8(0xB3)
-            np.bitwise_xor(low, z, out=t[1:L + 1])
-            t[1:L + 1] &= bit
-            t[0] = h & bit
-            for shift in (8, 16, 32):
-                words ^= words << shift
-            carry = np.bitwise_xor.accumulate(words >> 56)
-            words[1:] ^= carry[:-1] * _BYTE_ONES
-            z ^= t[:L]  # t[i] is now bit k of l_i
-        e = z.astype(np.int64)
-        e -= z ^ b
-        tail = powers[top - L:]
-        h = (h * int(tail[0]) + int(np.dot(tail, e.view(np.uint64)))) & _MASK64
+    for b in memoryview(data).cast("B"):
+        h = ((h ^ b) * _FNV_PRIME) & _MASK64
     return h
 
 
@@ -134,10 +86,6 @@ class Dictionary:
     """m unit-norm atoms of dimension n, one per row of ``atoms``."""
 
     atoms: np.ndarray
-    _fingerprint: int | None = field(default=None, init=False, repr=False)
-    _scoring: np.ndarray | None = field(default=None, init=False, repr=False)
-    _max_norm: float | None = field(default=None, init=False, repr=False)
-    _columns: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         atoms = np.ascontiguousarray(self.atoms, dtype=np.float32)
@@ -153,7 +101,7 @@ class Dictionary:
     def n(self) -> int:
         return self.atoms.shape[1]
 
-    @property
+    @cached_property
     def scoring_atoms(self) -> np.ndarray:
         """float64 copy of the atoms: the canonical scores are its rows' dot
         products.
@@ -162,11 +110,9 @@ class Dictionary:
         one ddot, whatever kernel first filtered the candidates; every pick
         and coefficient is decided on those bits.
         """
-        if self._scoring is None:
-            self._scoring = self.atoms.astype(np.float64)
-        return self._scoring
+        return self.atoms.astype(np.float64)
 
-    @property
+    @cached_property
     def columns(self) -> np.ndarray:
         """The n x m float32 matrix D whose columns are the atoms, contiguous.
 
@@ -174,17 +120,13 @@ class Dictionary:
         query's product with every atom takes half the time it takes on the
         atom-major rows at n = 16.
         """
-        if self._columns is None:
-            self._columns = np.ascontiguousarray(self.atoms.T)
-        return self._columns
+        return np.ascontiguousarray(self.atoms.T)
 
-    @property
+    @cached_property
     def max_norm(self) -> float:
         """The largest atom norm, which scales the rounding error of every score."""
-        if self._max_norm is None:
-            w = self.scoring_atoms
-            self._max_norm = float(np.sqrt(row_dots(w, w).max()))
-        return self._max_norm
+        w = self.scoring_atoms
+        return float(np.sqrt(row_dots(w, w).max()))
 
     def payload_bytes(self) -> bytes:
         return _binio.f32_bytes(self.atoms)
@@ -193,11 +135,12 @@ class Dictionary:
         """SHA-256 of the atom payload, its first 8 bytes as a little-endian
         u64; binds cluster trees to this dictionary.  Hashed from the atom
         buffer itself, once per object."""
-        if self._fingerprint is None:
-            payload = np.ascontiguousarray(self.atoms, dtype="<f4")
-            digest = hashlib.sha256(payload).digest()
-            self._fingerprint = int.from_bytes(digest[:8], "little")
         return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> int:
+        payload = np.ascontiguousarray(self.atoms, dtype="<f4")
+        return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 
     def validate(self) -> None:
         """Raise ValueError on the first invariant violation.

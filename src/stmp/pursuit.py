@@ -153,12 +153,17 @@ class SparseCode:
         return "".join(f"{index} {coefficient!r}\n" for index, coefficient in self.entries)
 
 
-def _as_queries(X, n: int) -> np.ndarray:
-    """Queries as a C-contiguous float64 (P, n) matrix, checked finite once."""
+def _as_queries(X, n: int, rr=None) -> np.ndarray:
+    """Queries as a C-contiguous float64 (P, n) matrix, checked finite once.
+    Given ``rr``, the rows' r.r, only rows whose r.r is not finite are
+    checked entry by entry."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != n:
         raise ValueError(f"queries have shape {X.shape}, expected (P, {n})")
-    _check_finite(X.ravel())
+    if rr is None:
+        _check_finite(X.ravel())
+    elif not np.isfinite(rr).all():
+        _check_finite(X[~np.isfinite(rr)].ravel())
     return X
 
 
@@ -446,9 +451,10 @@ class ExactSelector:
         self.dictionary = dictionary
 
     def pick(self, R: np.ndarray, counter: ScoreCounter | None = None, rr=None):
-        """Picks and canonical scores for every row of a finite float64 (P, n)
-        matrix; ``rr``, if given, holds ``row_dots(R, R)``."""
-        return _scan(self.dictionary, R, counter, rr)
+        """Picks and canonical scores for every row of a (P, n) matrix;
+        ValueError unless it is finite.  ``rr``, if given, holds
+        ``row_dots(R, R)``."""
+        return _scan(self.dictionary, _as_queries(R, self.dictionary.n, rr), counter, rr)
 
 
 class TreeSelector:
@@ -468,9 +474,11 @@ class TreeSelector:
         self._tables = [(image, np.float32(_band_for(tree.n, a))) for image, a in zip(images, norms)]
 
     def pick(self, R: np.ndarray, counter: ScoreCounter | None = None, rr=None):
-        """Picks and canonical scores for every row of a finite float64 (P, n)
-        matrix (``rr``, if given, holds ``row_dots(R, R)``); a lone row walks
-        the tree as ``stmp_select`` does, and an empty one picks nothing."""
+        """Picks and canonical scores for every row of a (P, n) matrix;
+        ValueError unless it is finite.  ``rr``, if given, holds
+        ``row_dots(R, R)``.  A lone row walks the tree as ``stmp_select``
+        does, and an empty batch picks nothing."""
+        R = _as_queries(R, self.dictionary.n, rr)
         if not R.shape[0]:
             return np.empty(0, dtype=np.int64), np.empty(0)
         if R.shape[0] == 1:

@@ -10,15 +10,18 @@ import pytest
 
 import stmp
 from stmp import (
+    ScoreCounter,
     block_average_operator,
     build_from_patches,
     build_tree,
     coded_exposure_operator,
+    exact_select,
     identity_operator,
     load_dictionary,
     load_pgm,
     load_tensor,
     load_tree,
+    normalize_columns,
     project_dictionary,
     random_exposure_mask,
     row_select_operator,
@@ -28,9 +31,11 @@ from stmp import (
     save_tensor,
     save_tree,
     simulate_coded_exposure,
+    stmp_select,
     validate_tree,
 )
 from stmp.cli import main
+from stmp.clustering import _derived_seed, _seed_sequence
 
 
 def _write_image(path, seed, shape=(48, 48)):
@@ -490,6 +495,32 @@ def test_benchmark_sweep(tmp_path):
         if fields[1] == "1":
             assert float(fields[5]) == 1.0
         assert float(fields[2]) == float(fields[0])  # exact scans every atom
+
+
+def test_benchmark_rows_match_per_query_selection(tmp_path):
+    out_path = tmp_path / "bench.csv"
+    sizes, branchings, alphas, seed, dim, count = (120, 300), ((6, 4), (10, 5)), (0.2, 0.5, 1.0), 4, 8, 30
+    assert main(["benchmark", "--dict-sizes", "120,300", "--dim", str(dim), "--branching", "6,4;10,5",
+                 "--alpha", "0.2,0.5,1", "--queries", str(count), "--seed", str(seed),
+                 "--out", str(out_path)]) == 0
+    want = []
+    for i, (m, branching) in enumerate(zip(sizes, branchings)):
+        d = normalize_columns(np.random.default_rng(_seed_sequence(seed, i, 0)).standard_normal((m, dim)))
+        tree = build_tree(d, branching, _derived_seed(seed, i, 1))
+        queries = np.random.default_rng(_seed_sequence(seed, i, 2)).standard_normal((count, dim))
+        for alpha in alphas:
+            exact_ip = stmp_ip = centroid_ip = agree = 0
+            for q in queries:
+                exact_counter, tree_counter = ScoreCounter(), ScoreCounter()
+                agree += exact_select(d, q, exact_counter)[0] == stmp_select(tree, d, q, alpha, tree_counter)[0]
+                exact_ip += exact_counter.inner_products
+                stmp_ip += tree_counter.inner_products
+                centroid_ip += tree_counter.centroid_inner_products
+            want.append([str(m), f"{alpha:g}", f"{exact_ip / count:.3f}", f"{stmp_ip / count:.3f}",
+                         f"{centroid_ip / count:.3f}", f"{agree / count:.4f}"])
+    rows = [line.split(", ") for line in out_path.read_text().splitlines()[1:]]
+    assert rows == want
+    assert min(float(row[5]) for row in rows) < 1.0  # the tree misses some exhaustive picks
 
 
 def test_config_file_merge(tmp_path):

@@ -597,6 +597,31 @@ def test_selectors_pick_nothing_from_an_empty_batch():
         assert counter.inner_products == counter.centroid_inner_products == 0
 
 
+_NON_FINITE = "query contains NaN or infinity"
+_BAD_BATCHES = {
+    "nan-row": (np.full((1, 5), np.nan), _NON_FINITE),
+    "nan-in-three": (np.array([[1.0] * 5, [1.0, np.nan, 0, 0, 0], [2.0] * 5]), _NON_FINITE),
+    "inf-in-three": (np.array([[1.0] * 5, [1.0, -np.inf, 0, 0, 0], [2.0] * 5]), _NON_FINITE),
+    "too-wide": (np.ones((2, 6)), r"queries have shape \(2, 6\), expected \(P, 5\)"),
+    "one-dimensional": (np.ones(5), r"queries have shape \(5,\), expected \(P, 5\)"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("batch", _BAD_BATCHES)
+@pytest.mark.parametrize("kind", ["exact", "tree"])
+def test_selectors_refuse_a_bad_batch(kind, batch):
+    # with or without the rows' r.r, as matching pursuit passes it
+    d = _random_dictionary(40, 5, seed=0)
+    selector = ExactSelector(d) if kind == "exact" else TreeSelector(build_tree(d, (4, 3), seed=1), d, 0.5)
+    R, message = _BAD_BATCHES[batch]
+    with np.errstate(invalid="ignore"):
+        rr = (R * R).sum(axis=-1)
+    for given in (None, rr):
+        with pytest.raises(ValueError, match=message):
+            selector.pick(R, ScoreCounter(), given)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_query_rejected_by_every_selector(bad):
