@@ -5,7 +5,8 @@ the same queries exhaustively and through the tree at several retention
 fractions, printing measured costs next to the closed-form prediction.
 Last, it times a tree pick per row: lone ``stmp_select`` calls, and
 ``TreeSelector.pick`` on batches of 1, 7, 64 and 1024 rows, on that tree
-and on one of the same shape over 5003 atoms, whose leaves are uneven.
+and on one of the same shape over 5003 atoms, whose leaves are uneven; and
+the 1024-row pick at alpha 1, where every row's leaves hold every atom.
 """
 
 import math
@@ -69,6 +70,10 @@ def main():
                                         for start in range(0, len(rows), size)], len(rows))
                    for s in selectors]
         print(f"  pick, batch of {size:4d}" + "".join(f"{us:9.1f}" for us in batched))
+    # at alpha 1 every leaf survives, so a row's leaf frontier is the whole dictionary
+    wide = [TreeSelector(t, dd, 1.0) for t, dd in cases]
+    print("  pick, 1024, alpha 1" + "".join(f"{_us_per_row(lambda: s.pick(rows), len(rows)):9.1f}"
+                                            for s in wide))
 
 
 def _us_per_row(call, count: int) -> float:

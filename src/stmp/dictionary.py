@@ -31,9 +31,6 @@ UNIT_NORM_TOL = 1e-5
 # centered patches with norm at or below this are treated as constant
 _ZERO_VARIANCE_TOL = 1e-6
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
 _VECDOT = getattr(np, "vecdot", None)  # numpy >= 2
 
 
@@ -47,18 +44,6 @@ def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if _VECDOT is not None:
         return _VECDOT(A, B)
     return np.matmul(A[..., None, :], B[..., :, None])[..., 0, 0]
-
-
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash of a byte string: h <- (h ^ b) * P mod 2^64 per byte.
-
-    It binds nothing: trees bind by ``Dictionary.fingerprint`` (SHA-256),
-    and no package code calls it.
-    """
-    h = _FNV_OFFSET
-    for b in memoryview(data).cast("B"):
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
 
 
 @dataclass(eq=False)

@@ -23,25 +23,37 @@ row's best, or a parent's keep-th best); only entries in the band are scored
 canonically, and a parent with no more of them than it keeps keeps them
 unscored.  A row the filter cannot bound has every entry in its band.
 
-The scan scores a block of rows against every atom, a (rows x m) product,
-so callers keep its blocks small.  Both tree searches read a node's
-children from its row of the depth's ``ClusterTree.child_blocks``: the
-(width, n) centroids below it, or at the leaf its atom ids, zero-padded to
-the depth's largest child count where nodes differ.  ``TreeSelector``
-descends a batch node-major, as an IVF index does: it keeps the float32
-image of every block, groups a level's (row, node) pairs by node, and
-scores each visited node's block against all the rows that kept it in one
-``np.dot`` into a contiguous block.  The filter's per-group steps then run
-across groups, since numpy reduces a block of short rows one row at a time:
-the keep-1 cut reduces the transposed block, whose rows are whole columns,
-and one ``flatnonzero`` gives every group's candidates in order, their
-counts (a ``bincount``) and the places of an uncrowded parent's candidates,
-with dead slots after them.  A lone query walks the tree instead and
-scores its few dozen children per level canonically: checking a filter's
-band would take more numpy calls than a cheaper product saves.  A level of
-its walk is one gather of the frontier's blocks, one ``row_dots`` and index
-arithmetic, whatever the number of frontier nodes; it keeps numpy's one-row
-forms, which beat the across-group ones on a single row.
+Both batch selectors end in one kernel, ``_leaf``: from each row's fast
+|scores| over its slots (dead ones at -1) it takes the best, and only a row
+whose runner-up reaches the band sorts its hits and scores them
+canonically.  Exhaustive search is that step over one node that holds all m
+atoms, as an IVF scan with one list is (Johnson, Douze & Jegou,
+arXiv:1702.08734): ``ExactSelector`` scores a block of rows against
+``Dictionary.columns``, a (rows x m) product, so callers keep its blocks
+small.  The tree hands ``_leaf`` the atoms of each row's surviving leaves.
+Three forms stay outside it, each measured faster where it runs: the GEMM
+on the transposed ``columns`` (twice as fast as a zero-level tree's
+node-major product, which also copies its block back), ``exact_select``'s
+one-row filter (half the cost of a row through ``_leaf``) and ``_walk``'s
+one-row best.
+
+Both tree searches read a node's children from its row of the depth's
+``ClusterTree.child_blocks``: the (width, n) centroids below it, or at the
+leaf its atom ids, zero-padded to the depth's largest child count where
+nodes differ.  ``TreeSelector`` descends a batch node-major, as an IVF
+index does: it keeps the float32 image of every block, groups a level's
+(row, node) pairs by node, and scores each visited node's block against
+all the rows that kept it in one ``np.dot`` into a contiguous block.  Above
+the leaf, the filter's per-group steps run across groups, since numpy
+reduces a block of short rows one row at a time: the keep-1 cut reduces
+the transposed block, whose rows are whole columns, and one
+``flatnonzero`` gives every group's candidates in order, their counts (a
+``bincount``) and the places of an uncrowded parent's candidates, with
+dead slots after them.  A lone query walks the tree instead and scores its
+few dozen children per level canonically: checking a filter's band would
+take more numpy calls than a cheaper product saves.  A level of its walk
+is one gather of the frontier's blocks, one ``row_dots`` and index
+arithmetic, whatever the number of frontier nodes.
 """
 
 from dataclasses import dataclass, field
@@ -232,36 +244,35 @@ def _unit32(R: np.ndarray, rr: np.ndarray | None) -> np.ndarray:
     return (R / norm[:, None]).astype(np.float32)
 
 
-def _scan(d: Dictionary, R: np.ndarray, counter: ScoreCounter | None, rr=None):
-    """Exhaustive picks for every row of R (r.r of each row in ``rr``, if
-    known): a float32 GEMM filter, then canonical scores for the atoms
-    within the band of each row's best."""
-    P = R.shape[0]
-    if counter is not None:
-        counter.count_atoms(P * d.m)
-    fast = np.matmul(_unit32(R, rr), d.columns)
-    np.abs(fast, out=fast)
+def _leaf(fast: np.ndarray, keys, band, R: np.ndarray, atoms: np.ndarray):
+    """Picks and canonical scores for every row of R among its slots.
+
+    ``fast`` holds each row's float32 |scores|, -1 at a dead slot, and is
+    overwritten; slot j of row p is atom ``keys[p, j]`` (None: atom j).  A row the filter
+    cannot bound has every live slot a candidate; with no ``keys`` it scores
+    ``atoms`` in place, not a gathered copy.
+    """
+    P, W = fast.shape
     top = fast.argmax(axis=1)
-    at = top + _steps(P) * d.m
-    floor = fast.take(at) - np.float32(_band_for(d.n, d.max_norm))
-    full = ~(floor > 0)  # rows scored canonically against every atom
+    at = top + _steps(P) * W
+    floor = np.maximum(fast.take(at) - band, 0)  # a floor of 0 takes every live slot, no dead one
     fast.put(at, -1.0)  # a row's runner-up tells whether it has more candidates
-    crowded = (fast.max(axis=1) >= floor) & ~full
-    ids, valid = top[:, None], None
-    if crowded.any():
-        rows = crowded.nonzero()[0]
+    crowded = fast.max(axis=1) >= floor
+    picks = top if keys is None else keys.take(at)
+    scores = row_dots(atoms.take(picks, axis=0), R)
+    if keys is None and not floor.all():
+        full = floor == 0
+        picks[full], scores[full] = _best(row_dots(atoms, R[full, None]), None, None)
+        crowded &= ~full
+    rows = crowded.nonzero()[0]
+    if rows.size:
         hit = fast[rows] >= floor[rows, None]
         hit[_steps(rows.size), top[rows]] = True
         width = int(np.count_nonzero(hit, axis=1).max())
-        first = np.argsort(~hit, axis=1, kind="stable")[:, :width]  # hits, ascending
-        ids = np.repeat(ids, width, axis=1)
-        ids[rows] = first
-        valid = np.zeros(ids.shape, dtype=bool)
-        valid[:, 0] = True
-        valid[rows] = np.take_along_axis(hit, first, axis=1)
-    picks, scores = _best(row_dots(d.scoring_atoms.take(ids, axis=0), R[:, None]), ids, valid)
-    if full.any():
-        picks[full], scores[full] = _best(row_dots(d.scoring_atoms, R[full, None]), None, None)
+        first = np.argsort(~hit, axis=1, kind="stable")[:, :width]  # hits, in slot order
+        ids = first if keys is None else np.take_along_axis(keys[rows], first, axis=1)
+        valid = np.take_along_axis(hit, first, axis=1)
+        picks[rows], scores[rows] = _best(row_dots(atoms.take(ids, axis=0), R[rows, None]), ids, valid)
     return picks, scores
 
 
@@ -313,14 +324,14 @@ def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: Score
     the depth's widest leave empty slots, and frontier entries past a
     parent's children are dead, which ``live`` masks.  A node-major GEMM
     against ``TreeSelector``'s ``tables``, the float32 image of the blocks,
-    filters each level, and the filter's per-group steps run across groups,
-    not along their short rows.
+    filters each level.  Above the leaf, the filter's per-group steps run
+    across groups, not along their short rows; ``_leaf`` picks among the
+    leaf slots of each row's frontier.
     """
     P = R.shape[0]
     Q = _unit32(R, rr)
     nodes, live = np.zeros((P, 1), dtype=np.int64), None
-    for depth, keep in enumerate(keeps + (1,)):
-        block, sizes = t.child_blocks[depth]
+    for depth, (block, sizes) in enumerate(t.child_blocks):
         width = block.shape[1]
         count = None if sizes is None else sizes.take(nodes)  # children per frontier entry
         if live is not None:
@@ -329,35 +340,32 @@ def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: Score
         if counter is not None:
             scored = nodes.size * width if count is None else count.sum()
             (counter.count_atoms if leaf else counter.count_centroids)(scored)
-        # one choice per group: a parent's children, or at the leaf a row's atoms
-        groups = P if leaf else nodes.size
         table, band = tables[depth]
-        keep = min(keep, width)
-        fast = _node_major(table, nodes, live, Q).reshape(groups, -1)
-        cand = None if count is None else (_steps(width) < count[..., None]).reshape(groups, -1)
+        fast = _node_major(table, nodes, live, Q)  # one group per frontier entry
+        cand = None if count is None else _steps(width) < count.reshape(-1, 1)
         if cand is not None:
             fast[~cand] = -1.0
+        if leaf:  # a row's atoms are the slots of its frontier
+            keys = block.take(nodes, axis=0).reshape(P, -1)
+            return _leaf(fast.reshape(P, -1), keys, band, R, d.scoring_atoms)
+        keep = min(keeps[depth], width)
         cut = _across_max(fast) if keep == 1 else -np.partition(-fast, keep - 1, axis=1)[:, keep - 1]
         hit = fast >= (cut - band)[:, None]
         cand = hit if cand is None else hit & cand
         # a parent with no more candidates than it keeps keeps them, unscored
         at, g, counts = _candidates(cand)
-        crowded = (counts > keep) | leaf
-        scores = np.zeros(fast.shape)
-        if leaf:
-            keys = block.take(nodes, axis=0).reshape(P, -1)
-            scores.put(at, row_dots(d.scoring_atoms.take(keys.take(at), axis=0), R.take(g, axis=0)))
-            return _best(scores, keys, cand)
+        crowded = counts > keep
         # an uncrowded parent's candidates in order; one short of keep has all its children
         # among them, fewer than width, so slot width - 1 fills the rest dead
         free = ~crowded.take(g)
         rank = _steps(at.size) - (np.cumsum(counts) - counts).take(g)
-        position = np.full((groups, keep), width - 1)
+        position = np.full((nodes.size, keep), width - 1)
         position[g[free], rank[free]] = (at - g * width)[free]
         at, g = at[~free], g[~free]
         first = t.offsets[depth].take(nodes).reshape(-1, 1)  # node j's children start here
         keys = first.take(g) + at - g * width
         rows = R.take(g // nodes.shape[1], axis=0)  # a parent's row
+        scores = np.zeros(fast.shape)
         scores.put(at, row_dots(t.centroids[depth + 1].take(keys, axis=0), rows))
         # a crowded parent keeps its best by canonical |score|
         position[crowded] = _top(scores[crowded], cand[crowded], keep)
@@ -417,7 +425,7 @@ def exact_select(d: Dictionary, r, counter: ScoreCounter | None = None) -> tuple
     R, rr = _as_query(r, d.n)
     if counter is not None:
         counter.count_atoms(d.m)
-    if _RR_MIN <= rr < math.inf:  # _scan's filter, for the usual single candidate
+    if _RR_MIN <= rr < math.inf:  # _leaf's filter, for the usual single candidate
         fast = (R[0] / math.sqrt(rr)).astype(np.float32).dot(d.columns)
         np.abs(fast, out=fast)
         best = int(fast.argmax())
@@ -425,7 +433,7 @@ def exact_select(d: Dictionary, r, counter: ScoreCounter | None = None) -> tuple
         fast[best] = -1.0
         if floor > 0.0 and fast[fast.argmax()] < floor:
             return best, float(d.scoring_atoms[best].dot(R[0]))
-    picks, scores = _scan(d, R, None)
+    picks, scores = ExactSelector(d).pick(R)
     return int(picks[0]), float(scores[0])
 
 
@@ -454,7 +462,13 @@ class ExactSelector:
         """Picks and canonical scores for every row of a (P, n) matrix;
         ValueError unless it is finite.  ``rr``, if given, holds
         ``row_dots(R, R)``."""
-        return _scan(self.dictionary, _as_queries(R, self.dictionary.n, rr), counter, rr)
+        d = self.dictionary
+        R = _as_queries(R, d.n, rr)
+        if counter is not None:
+            counter.count_atoms(R.shape[0] * d.m)
+        fast = np.matmul(_unit32(R, rr), d.columns)
+        band = np.float32(_band_for(d.n, d.max_norm))
+        return _leaf(np.abs(fast, out=fast), None, band, R, d.scoring_atoms)
 
 
 class TreeSelector:

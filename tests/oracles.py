@@ -26,15 +26,6 @@ from stmp.dictionary import Dictionary
 from stmp.errors import FormatError, UnsupportedFormatError
 
 
-def fnv1a64_reference(data: bytes) -> int:
-    """Byte-at-a-time FNV-1a, 64-bit."""
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h ^= byte
-        h = (h * 0x100000001B3) % (1 << 64)
-    return h
-
-
 def axis_origins_reference(extent: int, patch: int, stride: int) -> list[int]:
     """Walk one axis start by start; the last window always touches the border."""
     last = extent - patch

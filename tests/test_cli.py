@@ -72,7 +72,7 @@ def test_public_surface():
     modules = (stmp, stmp.clustering, stmp.dictionary, stmp.operators, stmp.pipelines,
                stmp.pursuit, stmp.cli)
     for name in ("reconstruct", "lift_code", "apply", "kmeans", "balanced_cluster",
-                 "BalancedPartition"):
+                 "BalancedPartition", "fnv1a64"):
         assert name not in stmp.__all__
         assert not any(hasattr(module, name) for module in modules), name
     assert not hasattr(stmp.CodeBatch, "of")

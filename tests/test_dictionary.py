@@ -3,8 +3,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import stmp.dictionary
 from stmp import (
@@ -15,51 +13,10 @@ from stmp import (
     build_from_patches,
     exact_select,
     extract_patches,
-    fnv1a64,
     load_dictionary,
     normalize_columns,
     save_dictionary,
 )
-
-
-def test_fnv1a64_reference_vectors():
-    # frozen from the byte-loop oracle
-    assert fnv1a64(b"") == 0xCBF29CE484222325
-    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a64(b"foobar") == 0x85944171F73967E8
-
-
-@given(st.binary(max_size=1000))
-def test_fnv1a64_matches_loop_oracle(data):
-    from oracles import fnv1a64_reference
-
-    assert fnv1a64(data) == fnv1a64_reference(data)
-
-
-_BLOCK = 1 << 16
-
-
-@pytest.mark.parametrize("fill", ["random"])
-@pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 63])
-def test_fnv1a64_matches_loop_oracle_across_blocks(size, fill):
-    # the hash carries from one block to the next; a short last block uses
-    # the tail of the power table
-    from oracles import fnv1a64_reference
-
-    if fill == "random":
-        data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
-    else:
-        data = (b"\x00" if fill == "zeros" else b"\xff") * size
-    assert fnv1a64(data) == fnv1a64_reference(data)
-
-
-def test_fnv1a64_matches_loop_oracle_on_a_float32_payload():
-    from oracles import fnv1a64_reference
-
-    d = normalize_columns(np.random.default_rng(11).standard_normal((4000, 64)))
-    data = d.payload_bytes()
-    assert len(data) == 1_024_000
-    assert fnv1a64(data) == fnv1a64_reference(data)
 
 
 def test_fingerprint_is_sha256_of_the_saved_payload(tmp_path):

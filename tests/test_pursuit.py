@@ -387,6 +387,8 @@ def test_duplicated_atoms_tie_to_the_lowest_index(m, n, copies, branching, seed)
     a = d.scoring_atoms[source]
     queries = np.array([a, -a, a + 1e-3 * rng.standard_normal(n), 1e-30 * a])
     picks, scores = ExactSelector(d).pick(queries)
+    found, tree_scores = TreeSelector(tree, d, 1.0).pick(queries)
+    assert found.tolist() == picks.tolist() and tree_scores.tobytes() == scores.tobytes()
     won = 0
     for q, pick, score in zip(queries, picks, scores):
         want = nearest_atom_reference(d.atoms, q)  # in few dimensions another atom may win
@@ -438,6 +440,8 @@ def test_scan_filter_agrees_with_the_canonical_reference(m, n, near, scale, seed
     tree = build_tree(d, (3, 2), seed=seed)
     Q = np.vstack([q, d.scoring_atoms[winner], np.eye(full)[n]]) * scale
     picks, scores = ExactSelector(d).pick(Q)
+    found, tree_scores = TreeSelector(tree, d, 1.0).pick(Q)
+    assert found.tolist() == picks.tolist() and tree_scores.tobytes() == scores.tobytes()
     for p, x in enumerate(Q):
         want = nearest_atom_reference(d.atoms, x)
         assert exact_select(d, x) == want
