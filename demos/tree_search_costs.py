@@ -7,6 +7,9 @@ Last, it times a tree pick per row: lone ``stmp_select`` calls, and
 ``TreeSelector.pick`` on batches of 1, 7, 64 and 1024 rows, on that tree
 and on one of the same shape over 5003 atoms, whose leaves are uneven; and
 the 1024-row pick at alpha 1, where every row's leaves hold every atom.
+Then it times ``ExactSelector.pick`` per row on the same batches: the scan
+filters its rows in blocks of its own, so the cost per row stays flat from
+64 rows up.
 """
 
 import math
@@ -15,6 +18,7 @@ import time
 import numpy as np
 
 from stmp import (
+    ExactSelector,
     ScoreCounter,
     TreeSelector,
     build_tree,
@@ -66,14 +70,24 @@ def main():
     print("  lone stmp_select    " + "".join(f"{us:9.1f}" for us in lone))
     selectors = [TreeSelector(t, dd, alpha) for t, dd in cases]
     for size in (1, 7, 64, 1024):
-        batched = [_us_per_row(lambda: [s.pick(rows[start:start + size])
-                                        for start in range(0, len(rows), size)], len(rows))
-                   for s in selectors]
+        batched = [_us_per_row(lambda: _in_batches(s, rows, size), len(rows)) for s in selectors]
         print(f"  pick, batch of {size:4d}" + "".join(f"{us:9.1f}" for us in batched))
     # at alpha 1 every leaf survives, so a row's leaf frontier is the whole dictionary
     wide = [TreeSelector(t, dd, 1.0) for t, dd in cases]
     print("  pick, 1024, alpha 1" + "".join(f"{_us_per_row(lambda: s.pick(rows), len(rows)):9.1f}"
                                             for s in wide))
+
+    exact = [ExactSelector(dd) for _, dd in cases]
+    print("\nwall time per exhaustive pick, best of 3 runs, in microseconds:")
+    print(f"                        m={m:<6d} m={m + 3}")
+    for size in (1, 7, 64, 1024):
+        batched = [_us_per_row(lambda: _in_batches(s, rows, size), len(rows)) for s in exact]
+        print(f"  pick, batch of {size:4d}" + "".join(f"{us:9.1f}" for us in batched))
+
+
+def _in_batches(selector, rows, size: int):
+    """``selector.pick`` over ``rows``, ``size`` rows per call."""
+    return [selector.pick(rows[start:start + size]) for start in range(0, len(rows), size)]
 
 
 def _us_per_row(call, count: int) -> float:

@@ -10,14 +10,15 @@ stragglers (at most C of them) form the last cluster.
 All nodes of one depth split together.  Their rounds run in lockstep, and
 in each round the nodes whose k-means input has the same (rows, k) shape
 form one stack: k-means++, the distance GEMM (``np.matmul`` on the 3-D
-stack), argmin, counts and means are one numpy call for the whole stack,
-and nodes leave it as they converge.  Since every frozen cluster holds
-exactly C atoms, a depth has few shapes.  Stacks are never padded to one
-shape: OpenBLAS rounds a padded product differently, a changed ulp can flip
-an argmin, and a node's split, like the ``.tree`` bytes, must not depend on
-which nodes share its stack.  Each node keeps its own seeded generator, and
-every node's arithmetic is its lone run's, so a tree is the one the nodes
-split one at a time would give.
+stack), argmin and counts are one numpy call for the whole stack, the means
+one weighted ``bincount`` per coordinate, and nodes leave it as they
+converge.  Since every frozen cluster holds exactly C atoms, a depth has
+few shapes.  Stacks are never padded to one shape: OpenBLAS rounds a
+padded product differently, a changed ulp can flip an argmin, and a node's
+split, like the ``.tree`` bytes, must not depend on which nodes share its
+stack.  Each node keeps its own seeded generator, and every node's
+arithmetic is its lone run's, so a tree is the one the nodes split one at
+a time would give.
 
 On unit-norm vectors squared Euclidean distance and inner product induce the
 same ordering (|u - v|^2 = 2 - 2 u.v), which is what lets a distance-based
@@ -138,13 +139,18 @@ def _kmeanspp(vectors: np.ndarray, wide: np.ndarray, k: int, seeds) -> np.ndarra
     return vectors[at[:, None], chosen]
 
 
-def _means(wide: np.ndarray, assignments: np.ndarray, counts: np.ndarray,
+def _means(cols: np.ndarray, assignments: np.ndarray, counts: np.ndarray,
            old: np.ndarray) -> np.ndarray:
-    S, _, n = wide.shape
+    """The float32 mean of every cluster of a column-major (n, S, rows)
+    float64 stack; an empty cluster keeps its ``old`` centroid."""
+    n, S, _ = cols.shape
     k = old.shape[1]
-    # bin (s, c, j) adds column j of node s's cluster c in row order, as a per-node bincount would
-    bins = ((assignments + k * np.arange(S)[:, None]) * n)[:, :, None] + np.arange(n)
-    sums = np.bincount(bins.ravel(), weights=wide.ravel(), minlength=S * k * n).reshape(S, k, n)
+    # bin (s, c) of column j adds node s's cluster c in row order, as a per-node bincount would
+    bins = (assignments + k * np.arange(S)[:, None]).ravel()
+    sums = np.empty((n, S * k))
+    for j in range(n):
+        sums[j] = np.bincount(bins, weights=cols[j].ravel(), minlength=S * k)
+    sums = sums.T.reshape(S, k, n)
     centroids = old.copy()
     nonempty = counts > 0
     centroids[nonempty] = (sums[nonempty] / counts[nonempty][:, None]).astype(np.float32)
@@ -167,6 +173,8 @@ def _kmeans(atoms: np.ndarray, index: np.ndarray, k: int, seeds,
     wide = vectors.astype(np.float64)
     centroids = _kmeanspp(vectors, wide, k, seeds)
     sq_norms = np.square(wide).sum(axis=2).astype(np.float32)
+    cols = np.ascontiguousarray(wide.transpose(2, 0, 1))  # the means sum whole columns
+    wide = None  # frees the row-major copy before the Lloyd iterations
     done_c = np.empty((S, k, n), dtype=np.float32)
     done_a = np.empty((S, rows), dtype=np.int64)
     live = np.arange(S)
@@ -201,13 +209,13 @@ def _kmeans(atoms: np.ndarray, index: np.ndarray, k: int, seeds,
                     return done_c, done_a
                 kept = np.flatnonzero(going).tolist()
                 for dst, src in enumerate(kept):  # in place: a copy would double the peak memory
-                    vectors[dst], wide[dst] = vectors[src], wide[src]
-                vectors, wide = vectors[:len(kept)], wide[:len(kept)]
+                    vectors[dst], cols[:, dst] = vectors[src], cols[:, src]
+                vectors, cols = vectors[:len(kept)], cols[:, :len(kept)]
                 live, sq_norms, centroids, assignments, counts = (
                     a[going] for a in (live, sq_norms, centroids, assignments, counts)
                 )
         previous = assignments
-        centroids = _means(wide, assignments, counts, centroids)
+        centroids = _means(cols, assignments, counts, centroids)
     done_c[live] = centroids
     done_a[live] = assignments
     return done_c, done_a

@@ -10,8 +10,9 @@ operator: with c = op(all-ones patch), the measurement's DC coefficient is
 <y, c> / |c|^2, which reduces to the patch mean when nothing is projected.
 
 Patches are coded batched, in one thread: matching pursuit runs on a chunk
-of patches at a time, and every patch is coded exactly as it would be
-alone, so outputs and counter totals do not depend on the chunk size.
+of up to 1024 patches at a time with either selector (the exhaustive
+selector blocks its own scan), and every patch is coded exactly as it would
+be alone, so outputs and counter totals do not depend on the chunk size.
 """
 
 from collections.abc import Callable
@@ -48,10 +49,9 @@ from .tensor import PatchLayout, extract_patches, aggregate_patches
 EXACT = "exact"
 STMP = "stmp"
 
-# Patches coded per batch: the scan's (chunk x m) product wants small blocks,
-# the tree's node-major GEMMs large ones.
-_CHUNK = 64
-_TREE_CHUNK = 1024
+# Patches coded per batch, with either selector: the tree's node-major GEMMs
+# want large batches, and the exhaustive scan blocks its own rows.
+_CHUNK = 1024
 
 # a task's tree over the dictionary its operator projects, or a builder of one from that Dictionary
 TreeSource = ClusterTree | Callable[[Dictionary], ClusterTree] | None
@@ -196,20 +196,20 @@ def _code_patches(
     """Code measurement patches and synthesize full-space patches.
 
     Returns the (N, n_full) synthesis matrix and the counter.  Chunks of
-    ``_CHUNK`` (tree: ``_TREE_CHUNK``) rows go through batched matching
-    pursuit, lift and reconstruction; a row's arithmetic is that of any chunk.
+    ``_CHUNK`` rows go through batched matching pursuit, lift and
+    reconstruction, whatever the selector; a row's arithmetic is that of any
+    chunk.
     """
     measured = np.ascontiguousarray(measured, dtype=np.float64)
     denom = float(dc_meas @ dc_meas)
     out = np.empty((measured.shape[0], pd.base.n), dtype=np.float64)
     counter = ScoreCounter()
-    chunk = _TREE_CHUNK if isinstance(selector, TreeSelector) else _CHUNK
-    for start in range(0, measured.shape[0], chunk):
-        y = measured[start : start + chunk]
+    for start in range(0, measured.shape[0], _CHUNK):
+        y = measured[start : start + _CHUNK]
         dc = row_dots(y, dc_meas) / denom
         codes = matching_pursuit_batch(selector, y - dc[:, None] * dc_meas, params, counter)
         full = reconstruct_batch(pd.base, lift_codes(pd, codes))
-        out[start : start + chunk] = full + dc[:, None]
+        out[start : start + _CHUNK] = full + dc[:, None]
     return out, counter
 
 

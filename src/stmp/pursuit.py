@@ -23,19 +23,21 @@ row's best, or a parent's keep-th best); only entries in the band are scored
 canonically, and a parent with no more of them than it keeps keeps them
 unscored.  A row the filter cannot bound has every entry in its band.
 
-Both batch selectors end in one kernel, ``_leaf``: from each row's fast
-|scores| over its slots (dead ones at -1) it takes the best, and only a row
-whose runner-up reaches the band sorts its hits and scores them
-canonically.  Exhaustive search is that step over one node that holds all m
-atoms, as an IVF scan with one list is (Johnson, Douze & Jegou,
-arXiv:1702.08734): ``ExactSelector`` scores a block of rows against
-``Dictionary.columns``, a (rows x m) product, so callers keep its blocks
-small.  The tree hands ``_leaf`` the atoms of each row's surviving leaves.
-Three forms stay outside it, each measured faster where it runs: the GEMM
-on the transposed ``columns`` (twice as fast as a zero-level tree's
-node-major product, which also copies its block back), ``exact_select``'s
-one-row filter (half the cost of a row through ``_leaf``) and ``_walk``'s
-one-row best.
+Both batch selectors end in one leaf kernel of two halves.  ``_sift`` takes
+each row's best from its fast |scores| over its slots (dead ones at -1), and
+keeps the hits of only the rows whose runner-up reaches the band; ``_settle``
+scores the picks and those hits canonically.  Exhaustive search is that step
+over one node that holds all m atoms, as an IVF scan with one list is
+(Johnson, Douze & Jegou, arXiv:1702.08734), and like an IVF scan it blocks
+its own queries: ``ExactSelector`` sifts a batch of any size ``_SCAN_BLOCK``
+rows at a time, each block one (rows x m) product against
+``Dictionary.columns``, and settles the whole batch once.  The tree sifts
+the atoms of each row's surviving leaves as one block.  Three forms stay
+outside the kernel, each measured faster where it runs: the GEMM on the
+transposed ``columns`` (twice as fast as a zero-level tree's node-major
+product, which also copies its block back), ``exact_select``'s one-row
+filter (half the cost of a row through the kernel) and ``_walk``'s one-row
+best.
 
 Both tree searches read a node's children from its row of the depth's
 ``ClusterTree.child_blocks``: the (width, n) centroids below it, or at the
@@ -80,6 +82,10 @@ _U32 = 2.0**-24
 _U64 = 2.0**-53
 # below this r.r, r / |r| loses bits to underflow; such rows skip the filter
 _RR_MIN = 2.0**-1000
+# rows per float32 block of the exhaustive scan, so a batch of any size holds
+# one (64 x m) block.  Of 32-256 rows, 64 ran fastest at m = 4000 (n = 16,
+# 64); 256 ran 10 % faster at m = 1e5, n = 64, but 1.4x slower at m = 4000, n = 16
+_SCAN_BLOCK = 64
 
 
 def _steps(count: int) -> np.ndarray:
@@ -244,13 +250,17 @@ def _unit32(R: np.ndarray, rr: np.ndarray | None) -> np.ndarray:
     return (R / norm[:, None]).astype(np.float32)
 
 
-def _leaf(fast: np.ndarray, keys, band, R: np.ndarray, atoms: np.ndarray):
-    """Picks and canonical scores for every row of R among its slots.
+def _sift(fast: np.ndarray, keys, band, start: int = 0):
+    """The leaf kernel's filter, on one block of rows, the first at row
+    ``start`` of its batch: each row's pick by fast |score|, and the
+    candidates of the rows whose runner-up reaches the band below it.
 
     ``fast`` holds each row's float32 |scores|, -1 at a dead slot, and is
-    overwritten; slot j of row p is atom ``keys[p, j]`` (None: atom j).  A row the filter
-    cannot bound has every live slot a candidate; with no ``keys`` it scores
-    ``atoms`` in place, not a gathered copy.
+    overwritten; slot j of row p is atom ``keys[p, j]`` (None: atom j).
+    Returns the picks; with no ``keys``, the rows' floors, where 0 marks a
+    row ``_settle`` scores against every atom in place (with ``keys``, None:
+    such a row's candidates are every live slot); and the crowded rows'
+    candidates as (batch row, atom) pairs, in row and slot order.
     """
     P, W = fast.shape
     top = fast.argmax(axis=1)
@@ -258,21 +268,37 @@ def _leaf(fast: np.ndarray, keys, band, R: np.ndarray, atoms: np.ndarray):
     floor = np.maximum(fast.take(at) - band, 0)  # a floor of 0 takes every live slot, no dead one
     fast.put(at, -1.0)  # a row's runner-up tells whether it has more candidates
     crowded = fast.max(axis=1) >= floor
-    picks = top if keys is None else keys.take(at)
-    scores = row_dots(atoms.take(picks, axis=0), R)
-    if keys is None and not floor.all():
-        full = floor == 0
-        picks[full], scores[full] = _best(row_dots(atoms, R[full, None]), None, None)
-        crowded &= ~full
+    if keys is None:
+        crowded &= floor > 0
     rows = crowded.nonzero()[0]
+    picks, floors = (top, floor) if keys is None else (keys.take(at), None)
+    if not rows.size:
+        return picks, floors, rows, rows
+    hit = fast[rows] >= floor[rows, None]
+    hit[_steps(rows.size), top[rows]] = True
+    p, slots = hit.nonzero()
+    rows = rows.take(p)
+    return picks, floors, rows + start, slots if keys is None else keys[rows, slots]
+
+
+def _settle(picks, floors, rows, ids, R: np.ndarray, atoms: np.ndarray):
+    """The leaf kernel's canonical half, once per batch: ``_sift``'s picks
+    and their scores, with every atom scored in place for the rows whose
+    floor is 0 and the best of its candidate ``ids`` for each crowded row
+    in ``rows``."""
+    scores = row_dots(atoms.take(picks, axis=0), R)
+    if floors is not None and not floors.all():
+        full = floors == 0
+        picks[full], scores[full] = _best(row_dots(atoms, R[full, None]), None, None)
     if rows.size:
-        hit = fast[rows] >= floor[rows, None]
-        hit[_steps(rows.size), top[rows]] = True
-        width = int(np.count_nonzero(hit, axis=1).max())
-        first = np.argsort(~hit, axis=1, kind="stable")[:, :width]  # hits, in slot order
-        ids = first if keys is None else np.take_along_axis(keys[rows], first, axis=1)
-        valid = np.take_along_axis(hit, first, axis=1)
-        picks[rows], scores[rows] = _best(row_dots(atoms.take(ids, axis=0), R[rows, None]), ids, valid)
+        count = np.bincount(rows)
+        crowded = count.nonzero()[0]
+        count = count.take(crowded)
+        valid = _steps(int(count.max())) < count[:, None]
+        padded = np.zeros(valid.shape, dtype=np.int64)  # dead slots read atom 0
+        padded[valid] = ids
+        scored = row_dots(atoms.take(padded, axis=0), R[crowded, None])
+        picks[crowded], scores[crowded] = _best(scored, padded, valid)
     return picks, scores
 
 
@@ -325,8 +351,9 @@ def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: Score
     parent's children are dead, which ``live`` masks.  A node-major GEMM
     against ``TreeSelector``'s ``tables``, the float32 image of the blocks,
     filters each level.  Above the leaf, the filter's per-group steps run
-    across groups, not along their short rows; ``_leaf`` picks among the
-    leaf slots of each row's frontier.
+    across groups, not along their short rows; the leaf kernel, ``_sift``
+    and ``_settle`` on one block, picks among the leaf slots of each row's
+    frontier.
     """
     P = R.shape[0]
     Q = _unit32(R, rr)
@@ -347,7 +374,7 @@ def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: Score
             fast[~cand] = -1.0
         if leaf:  # a row's atoms are the slots of its frontier
             keys = block.take(nodes, axis=0).reshape(P, -1)
-            return _leaf(fast.reshape(P, -1), keys, band, R, d.scoring_atoms)
+            return _settle(*_sift(fast.reshape(P, -1), keys, band), R, d.scoring_atoms)
         keep = min(keeps[depth], width)
         cut = _across_max(fast) if keep == 1 else -np.partition(-fast, keep - 1, axis=1)[:, keep - 1]
         hit = fast >= (cut - band)[:, None]
@@ -425,7 +452,7 @@ def exact_select(d: Dictionary, r, counter: ScoreCounter | None = None) -> tuple
     R, rr = _as_query(r, d.n)
     if counter is not None:
         counter.count_atoms(d.m)
-    if _RR_MIN <= rr < math.inf:  # _leaf's filter, for the usual single candidate
+    if _RR_MIN <= rr < math.inf:  # _sift's filter, for the usual single candidate
         fast = (R[0] / math.sqrt(rr)).astype(np.float32).dot(d.columns)
         np.abs(fast, out=fast)
         best = int(fast.argmax())
@@ -461,14 +488,24 @@ class ExactSelector:
     def pick(self, R: np.ndarray, counter: ScoreCounter | None = None, rr=None):
         """Picks and canonical scores for every row of a (P, n) matrix;
         ValueError unless it is finite.  ``rr``, if given, holds
-        ``row_dots(R, R)``."""
+        ``row_dots(R, R)``.  The rows are filtered ``_SCAN_BLOCK`` at a
+        time in one reused (rows x m) float32 block, whatever the batch
+        size, and scored canonically once, after the last block."""
         d = self.dictionary
         R = _as_queries(R, d.n, rr)
+        P = R.shape[0]
         if counter is not None:
-            counter.count_atoms(R.shape[0] * d.m)
-        fast = np.matmul(_unit32(R, rr), d.columns)
+            counter.count_atoms(P * d.m)
+        Q = _unit32(R, rr)
         band = np.float32(_band_for(d.n, d.max_norm))
-        return _leaf(np.abs(fast, out=fast), None, band, R, d.scoring_atoms)
+        fast = np.empty((min(P, _SCAN_BLOCK), d.m), dtype=np.float32)
+        parts = []
+        for start in range(0, max(P, 1), _SCAN_BLOCK):  # an empty batch is one empty block
+            q = Q[start:start + _SCAN_BLOCK]
+            block = np.matmul(q, d.columns, out=fast[:q.shape[0]])
+            parts.append(_sift(np.abs(block, out=block), None, band, start))
+        sifted = parts[0] if len(parts) == 1 else [np.concatenate(part) for part in zip(*parts)]
+        return _settle(*sifted, R, d.scoring_atoms)
 
 
 class TreeSelector:

@@ -449,9 +449,8 @@ def test_run_output_does_not_depend_on_chunk_size(tmp_path, monkeypatch, task, s
     out, report = tmp_path / "out.tnsr", tmp_path / "report.csv"
     runs = []
     # up to one chunk larger than the 25 (denoise) or 121 (superres) patches
-    for chunk in (1, 7, 64, 122, stmp.pipelines._TREE_CHUNK):
+    for chunk in (1, 7, 64, 122, stmp.pipelines._CHUNK):
         monkeypatch.setattr(stmp.pipelines, "_CHUNK", chunk)
-        monkeypatch.setattr(stmp.pipelines, "_TREE_CHUNK", chunk)
         assert main(flags + ["--selector", *selector, "--dict", str(tmp_path / "d.dict"),
                              "--out", str(out), "--report", str(report)]) == 0
         row = report.read_text().splitlines()[-1].rsplit(", ", 1)[0]  # without the seconds

@@ -246,9 +246,8 @@ def test_chunking_invisible(monkeypatch, side, selector):
 
     monkeypatch.setattr(stmp.pipelines, "_code_patches", spy)
     runs = []
-    for chunk in (stmp.pipelines._CHUNK, stmp.pipelines._TREE_CHUNK, 1, 7, side * side + 1):
+    for chunk in (64, stmp.pipelines._CHUNK, 1, 7, side * side + 1):
         monkeypatch.setattr(stmp.pipelines, "_CHUNK", chunk)
-        monkeypatch.setattr(stmp.pipelines, "_TREE_CHUNK", chunk)
         out, rep = denoise(img, d, tree, cfg, reference=img)
         up, sr_rep = super_resolve(lowres[:3], sr_d, sr_tree, sr_cfg, factor=2)
         runs.append((out.tobytes(), rep.inner_products, rep.psnr_db, rep.patches,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
@@ -450,6 +452,80 @@ def test_scan_filter_agrees_with_the_canonical_reference(m, n, near, scale, seed
     assert scores[2] == 0.0 and picks[2] == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exact_pick_does_not_depend_on_the_scan_block():
+    # ExactSelector.pick filters its rows in blocks of its own and scores
+    # them canonically after the last one.  Rows the filter crowds (an exact
+    # duplicate, an ulp twin), cannot bound (1e200, 1e-160) or finds all
+    # zero sit past the first block, so each batch size cuts them into
+    # different blocks; picks and score bits must not move.
+    rng = np.random.default_rng(60)
+    m, n = 300, 12
+    atoms = np.zeros((m, n + 1), dtype=np.float32)  # the last coordinate stays empty
+    atoms[:, :n] = normalize_columns(rng.standard_normal((m, n))).atoms
+    atoms[200] = atoms[17]
+    away = (rng.choice([-1.0, 1.0], size=n) * np.inf).astype(np.float32)
+    atoms[250, :n] = np.nextafter(atoms[40, :n], away)
+    d = Dictionary(atoms)
+    Q = np.zeros((1024, n + 1))
+    Q[:, :n] = rng.standard_normal((1024, n))
+    special = {
+        70: d.scoring_atoms[17], 130: d.scoring_atoms[40], 131: d.scoring_atoms[250],
+        200: Q[200] * 1e200, 640: Q[640] * 1e-160, 700: np.eye(n + 1)[n], 1000: np.zeros(n + 1),
+        1001: d.scoring_atoms[200] + 1e-3 * Q[1001],
+    }
+    for p, row in special.items():
+        Q[p] = row
+    selector = ExactSelector(d)
+    counter = ScoreCounter()
+    picks, scores = selector.pick(Q, counter)
+    assert counter.inner_products == Q.shape[0] * m
+    for p in special:
+        want = nearest_atom_reference(d.atoms, Q[p])
+        assert (int(picks[p]), scores[p].tobytes()) == (want[0], np.float64(want[1]).tobytes())
+    assert picks[70] == picks[1001] == 17  # the duplicate ties to the lower index
+    assert scores[700] == scores[1000] == 0.0
+    for size in (1, 63, 64, 65, 129):
+        parts = [selector.pick(Q[start:start + size]) for start in range(0, len(Q), size)]
+        got, got_scores = (np.concatenate(part) for part in zip(*parts))
+        assert got.tolist() == picks.tolist() and got_scores.tobytes() == scores.tobytes()
+    with np.errstate(over="ignore"):  # row 200's r.r is inf, as matching pursuit hands it over
+        rr = (Q * Q).sum(axis=1)
+    got, got_scores = selector.pick(Q, None, rr)
+    assert got.tolist() == picks.tolist() and got_scores.tobytes() == scores.tobytes()
+
+
+def test_exact_pick_memory_does_not_grow_with_the_batch():
+    # A 1024-row pick filters in blocks of its own, so it never holds the
+    # (1024 x m) float32 product of the whole batch.
+    d = _random_dictionary(4000, 16, seed=62)
+    Q = np.random.default_rng(63).standard_normal((1024, 16))
+    selector = ExactSelector(d)
+    selector.pick(Q[:2])  # builds the dictionary's cached tables
+    tracemalloc.start()
+    try:
+        selector.pick(Q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < Q.shape[0] * d.m * 4 / 4
+
+
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("kind", ["exact", "tree"])
+def test_a_residual_that_overflows_is_refused(kind, K):
+    # Entries of +-1.7e308 are finite, but the first step's residual is
+    # not: the next pick must refuse it rather than code NaN.
+    d = _random_dictionary(40, 5, seed=30)
+    tree = build_tree(d, (4, 3), seed=31)
+    selector = ExactSelector(d) if kind == "exact" else TreeSelector(tree, d, 0.5)
+    x = 1.7e308 * np.array([1.0, -1.0, 1.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match="query contains NaN or infinity"):
+        matching_pursuit(selector, x, SearchParams(K=K))
+    with pytest.raises(ValueError, match="query contains NaN or infinity"):
+        matching_pursuit_batch(selector, np.vstack([np.ones(5), x]), SearchParams(K=K))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     m=st.integers(2, 90),
@@ -502,7 +578,7 @@ def test_descent_decides_every_level_on_canonical_scores(m, n, branching, alpha,
         return [np.concatenate([getattr(c, field) for c in codes]).tobytes()
                 for field in ("indices", "coefficients", "lengths")] + [sum(c.ip_count for c in codes)]
 
-    runs = [coded(size) for size in (1, 7, 64, stmp.pipelines._TREE_CHUNK)]
+    runs = [coded(size) for size in (1, 7, 64, stmp.pipelines._CHUNK)]
     assert all(run == runs[0] for run in runs)
 
 
