@@ -9,10 +9,20 @@ and on one of the same shape over 5003 atoms, whose leaves are uneven; and
 the 1024-row pick at alpha 1, where every row's leaves hold every atom.
 Then it times ``ExactSelector.pick`` per row on the same batches: the scan
 filters its rows in blocks of its own, so the cost per row stays flat from
-64 rows up.
+64 rows up.  The tree's build time is printed first.
+
+    python demos/tree_search_costs.py [--paper-scale]
+
+``--paper-scale`` instead builds a (100, 10, 10) tree over a seeded
+Gaussian dictionary of m = 100000 atoms of dimension 64, the paper's
+regime, and prints its build time and the SHA-256 of its ``.tree`` file.
 """
 
+import argparse
+import hashlib
 import math
+from pathlib import Path
+import tempfile
 import time
 
 import numpy as np
@@ -25,6 +35,7 @@ from stmp import (
     exact_select,
     normalize_columns,
     predicted_ip_count,
+    save_tree,
     stmp_select,
 )
 
@@ -34,10 +45,12 @@ def main():
     m, n = 5000, 32
     d = normalize_columns(rng.standard_normal((m, n)))
     branching = (50, 10)
+    start = time.perf_counter()
     tree = build_tree(d, branching, seed=8)
+    build_s = time.perf_counter() - start
     queries = rng.standard_normal((200, n))
 
-    print(f"dictionary m={m}, tree branching {branching}")
+    print(f"dictionary m={m}, tree branching {branching}, built in {build_s:.2f} s")
     print("alpha  agree   centroid ip  predicted  total ip  exact ip")
     for alpha in (1.0, 0.5, 0.2, 0.1, 0.05):
         agree = 0
@@ -85,6 +98,23 @@ def main():
         print(f"  pick, batch of {size:4d}" + "".join(f"{us:9.1f}" for us in batched))
 
 
+def paper_scale():
+    """Build time and ``.tree`` SHA-256 of a (100, 10, 10) tree over a
+    seeded Gaussian m = 100000, n = 64 dictionary."""
+    m, n, branching, seed = 100_000, 64, (100, 10, 10), 7
+    d = normalize_columns(np.random.default_rng(5).standard_normal((m, n)))
+    start = time.perf_counter()
+    tree = build_tree(d, branching, seed=seed)
+    build_s = time.perf_counter() - start
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "paper.tree"
+        save_tree(tree, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    print(f"Gaussian dictionary m={m}, n={n}, tree branching {branching}, seed {seed}")
+    print(f"build_tree: {build_s:.2f} s")
+    print(f"tree SHA-256: {digest}")
+
+
 def _in_batches(selector, rows, size: int):
     """``selector.pick`` over ``rows``, ``size`` rows per call."""
     return [selector.pick(rows[start:start + size]) for start in range(0, len(rows), size)]
@@ -101,4 +131,11 @@ def _us_per_row(call, count: int) -> float:
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description="Tree search and build costs.", allow_abbrev=False)
+    parser.add_argument("--paper-scale", action="store_true",
+                        help="time a (100, 10, 10) build over m = 100000 atoms of dimension 64")
+    # known arguments only, so a caller's own flags (a test runner's) pass by
+    if parser.parse_known_args()[0].paper_scale:
+        paper_scale()
+    else:
+        main()

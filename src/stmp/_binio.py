@@ -1,5 +1,6 @@
 """Little-endian binary readers/writers for the on-disk formats."""
 
+import os
 import struct
 
 import numpy as np
@@ -18,10 +19,20 @@ def truncated(source: str, what: str, offset: int, count: int, size: int) -> For
 class Reader:
     """Sequential reader over a byte buffer that reports offsets on failure."""
 
-    def __init__(self, data: bytes, source: str = "<bytes>"):
+    def __init__(self, data: bytes | bytearray, source: str = "<bytes>"):
         self.data = data
         self.source = source
         self.offset = 0
+
+    @classmethod
+    def of_file(cls, path) -> "Reader":
+        """A reader over the whole file, read into a bytearray, so that
+        ``f32_array`` gives writable views of it rather than copies."""
+        with open(path, "rb") as fh:
+            data = bytearray(os.fstat(fh.fileno()).st_size)
+            del data[fh.readinto(data):]
+            data += fh.read()  # a pipe reports no size
+        return cls(data, source=str(path))
 
     def _advance(self, count: int, what: str) -> int:
         """Step over `count` bytes, checked against the buffer; returns where they start."""
@@ -36,7 +47,7 @@ class Reader:
         return self.data[start:self.offset]
 
     def magic(self, expected: bytes) -> None:
-        got = self.take(len(expected), "magic")
+        got = bytes(self.take(len(expected), "magic"))  # b'...' in the message over a bytearray too
         if got != expected:
             raise FormatError(
                 f"{self.source}: bad magic at offset 0: expected {expected!r}, got {got!r}"
@@ -49,8 +60,10 @@ class Reader:
         return struct.unpack("<Q", self.take(8, what))[0]
 
     def f32_array(self, count: int, what: str) -> np.ndarray:
+        """The next ``count`` float32 values, a view of the buffer (read-only
+        over ``bytes``)."""
         start = self._advance(4 * count, what)
-        return np.frombuffer(self.data, "<f4", count, start).astype(np.float32)
+        return np.frombuffer(self.data, "<f4", count, start)
 
     def expect_end(self) -> None:
         if self.offset != len(self.data):

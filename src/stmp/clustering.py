@@ -9,11 +9,16 @@ stragglers (at most C of them) form the last cluster.
 
 All nodes of one depth split together.  Their rounds run in lockstep, and
 in each round the nodes whose k-means input has the same (rows, k) shape
-form one stack: k-means++, the distance GEMM (``np.matmul`` on the 3-D
-stack), argmin and counts are one numpy call for the whole stack, the means
-one weighted ``bincount`` per coordinate, and nodes leave it as they
-converge.  Since every frozen cluster holds exactly C atoms, a depth has
-few shapes.  Stacks are never padded to one shape: OpenBLAS rounds a
+form one stack: the distance GEMM (``np.matmul`` on the 3-D stack), argmin
+and counts are one numpy call for the whole stack, and nodes leave it as
+they converge.  Since every frozen cluster holds exactly C atoms, a depth
+has few shapes.  k-means++ and the means work on one column-major (n, S,
+rows) float64 copy of the stack, a coordinate at a time over whole (S,
+rows) rows: the means are one weighted ``bincount`` per coordinate, and
+each k-means++ draw's squared distances add the n squared differences in
+the order numpy's pairwise sum adds a row (``_square_distances``), so they
+carry the bits of ``np.square(rows - centre).sum(axis=-1)`` without its
+per-row cost.  Stacks are never padded to one shape: OpenBLAS rounds a
 padded product differently, a changed ulp can flip an argmin, and a node's
 split, like the ``.tree`` bytes, must not depend on which nodes share its
 stack.  Each node keeps its own seeded generator, and every node's
@@ -105,14 +110,58 @@ def _draw(d2: np.ndarray, total: np.ndarray, uniforms: np.ndarray) -> np.ndarray
     return np.count_nonzero(cdf <= uniforms[:, None], axis=1)
 
 
-def _kmeanspp(vectors: np.ndarray, wide: np.ndarray, k: int, seeds) -> np.ndarray:
+def _square_distances(cols: np.ndarray, centre: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Into ``out``, each row's sum over columns j of ``(cols[j] -
+    centre[j][:, None])**2``, for a column-major (n, S, rows) float64 stack
+    and (n, S) centres; returns ``out``.
+
+    The terms are added in the order numpy's pairwise sum adds a row of n
+    values, so the result has the bits of ``np.square(rows -
+    centre).sum(axis=-1)``: under 8 columns in sequence; up to 128 in eight
+    running sums over columns j, j+8, ..., combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover columns in
+    sequence; above 128 the two halves, split at half the count rounded
+    down to a multiple of 8, each summed this way and then added.
+    """
+    count = cols.shape[0]
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        _square_distances(cols[:half], centre[:half], out)
+        out += _square_distances(cols[half:], centre[half:], np.empty_like(out))
+        return out
+    term = np.empty_like(out)
+    if count < 8:
+        np.square(np.subtract(cols[0], centre[0, :, None], out=out), out=out)
+        rest = 1
+    else:
+        rest = count - count % 8
+        sums = cols[:8] - centre[:8, :, None]
+        np.square(sums, out=sums)
+        for j in range(8, rest):
+            np.square(np.subtract(cols[j], centre[j, :, None], out=term), out=term)
+            sums[j % 8] += term
+        np.add(sums[0::2], sums[1::2], out=sums[0::2])
+        np.add(sums[0::4], sums[2::4], out=sums[0::4])
+        np.add(sums[0], sums[4], out=out)
+    for j in range(rest, count):
+        np.square(np.subtract(cols[j], centre[j, :, None], out=term), out=term)
+        out += term
+    return out
+
+
+def _kmeanspp(vectors: np.ndarray, cols: np.ndarray, k: int, seeds) -> np.ndarray:
     """k-means++ centroids of every node of an (S, rows, n) stack, (S, k, n).
 
-    Node s draws from its own generator ``default_rng(seeds[s])``: a first
-    row from ``integers(rows)``, then each next one as ``choice(rows,
+    ``cols`` is the stack as column-major (n, S, rows) float64.  Node s
+    draws from its own generator ``default_rng(seeds[s])``: a first row
+    from ``integers(rows)``, then each next one as ``choice(rows,
     p=d2 / total)`` would (``_draw``).  A node whose remaining mass is 0
     (only chosen duplicates left) draws nothing and takes its first
-    unchosen row.
+    unchosen row.  Each draw's squared distances come from
+    ``_square_distances`` over whole (S, rows) rows of ``cols``, a column at
+    a time in numpy's pairwise order: the bits a row-major
+    ``np.square(diff).sum(axis=-1)`` gives, without its per-row cost or a
+    row-major float64 copy.
     """
     S, rows, _ = vectors.shape
     chosen = np.empty((S, k), dtype=np.int64)
@@ -122,10 +171,12 @@ def _kmeanspp(vectors: np.ndarray, wide: np.ndarray, k: int, seeds) -> np.ndarra
         chosen[s, 0] = rng.integers(rows)
         uniforms[s] = rng.random(k - 1)  # the draws k-1 random() calls give
     at = np.arange(S)
-    diff = wide - wide[at, chosen[:, 0]][:, None, :]
-    d2 = np.square(diff, out=diff).sum(axis=2)
+    d2 = np.full((S, rows), np.inf)
+    fresh = np.empty_like(d2)
     drawn = np.zeros(S, dtype=np.int64)
     for j in range(1, k):
+        # fold in centre j-1: only draws read d2, so the last centre is never folded in
+        np.minimum(d2, _square_distances(cols, cols[:, at, chosen[:, j - 1]], fresh), out=d2)
         total = d2.sum(axis=1)
         spread = np.flatnonzero(total > 0.0)
         chosen[spread, j] = _draw(d2[spread], total[spread], uniforms[spread, drawn[spread]])
@@ -134,8 +185,6 @@ def _kmeanspp(vectors: np.ndarray, wide: np.ndarray, k: int, seeds) -> np.ndarra
             taken = np.zeros(rows, dtype=bool)
             taken[chosen[s, :j]] = True
             chosen[s, j] = np.flatnonzero(~taken)[0]
-        np.subtract(wide, wide[at, chosen[:, j]][:, None, :], out=diff)
-        np.minimum(d2, np.square(diff, out=diff).sum(axis=2), out=d2)
     return vectors[at[:, None], chosen]
 
 
@@ -170,11 +219,10 @@ def _kmeans(atoms: np.ndarray, index: np.ndarray, k: int, seeds,
     S, rows, n = vectors.shape
     if k == rows:
         return vectors.copy(), np.tile(np.arange(rows, dtype=np.int64), (S, 1))
-    wide = vectors.astype(np.float64)
-    centroids = _kmeanspp(vectors, wide, k, seeds)
-    sq_norms = np.square(wide).sum(axis=2).astype(np.float32)
-    cols = np.ascontiguousarray(wide.transpose(2, 0, 1))  # the means sum whole columns
-    wide = None  # frees the row-major copy before the Lloyd iterations
+    cols = np.ascontiguousarray(vectors.transpose(2, 0, 1), dtype=np.float64)
+    centroids = _kmeanspp(vectors, cols, k, seeds)
+    # a zero centre leaves every square exact: the bits of np.square(rows).sum(axis=-1)
+    sq_norms = _square_distances(cols, np.zeros((n, S)), np.empty((S, rows))).astype(np.float32)
     done_c = np.empty((S, k, n), dtype=np.float32)
     done_a = np.empty((S, rows), dtype=np.int64)
     live = np.arange(S)
@@ -602,8 +650,7 @@ def load_tree(path) -> ClusterTree:
     the file bytes.  A bad leaf record before the point where the walk
     stopped is reported first, as a record-by-record reader would.
     """
-    with open(path, "rb") as fh:
-        reader = _binio.Reader(fh.read(), source=str(path))
+    reader = _binio.Reader.of_file(path)
     reader.magic(_TREE_MAGIC)
     version = reader.u32("version")
     if version != _TREE_VERSION:

@@ -219,8 +219,7 @@ def save_dictionary(d: Dictionary, path) -> None:
 
 
 def load_dictionary(path) -> Dictionary:
-    with open(path, "rb") as fh:
-        reader = _binio.Reader(fh.read(), source=str(path))
+    reader = _binio.Reader.of_file(path)
     reader.magic(_DICT_MAGIC)
     version = reader.u32("version")
     if version != _DICT_VERSION:

@@ -273,8 +273,7 @@ def save_row_selection(rows, path) -> None:
 
 
 def load_row_selection(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        reader = _binio.Reader(fh.read(), source=str(path))
+    reader = _binio.Reader.of_file(path)
     reader.magic(_ROWS_MAGIC)
     count = reader.u64("row count")
     if count == 0:

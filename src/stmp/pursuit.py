@@ -575,7 +575,9 @@ def _pursue(selector, X: np.ndarray, params: SearchParams,
     """Matching pursuit on every row of a checked (P, n) matrix at once.
 
     Each row stops on its own, on the tolerance or on a zero best score, and
-    stopped rows are neither scored nor counted again.
+    stopped rows are neither scored nor counted again.  A coefficient that
+    is not finite (a finite row whose inner product overflows) raises the
+    ValueError a non-finite query does, whatever K is.
     """
     d = selector.dictionary
     own = counter if counter is not None else ScoreCounter()
@@ -605,6 +607,8 @@ def _pursue(selector, X: np.ndarray, params: SearchParams,
         if not rows.size:
             break
         picks, scores = selector.pick(r, own, rr)
+        if not np.isfinite(scores).all():
+            raise ValueError("query contains NaN or infinity")
         going = scores != 0.0
         rows, r, picks, scores = rows[going], r[going], picks[going], scores[going]
         indices[rows, step] = picks

@@ -158,8 +158,7 @@ def save_tensor(t: np.ndarray, path) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        reader = _binio.Reader(fh.read(), source=str(path))
+    reader = _binio.Reader.of_file(path)
     reader.magic(_TENSOR_MAGIC)
     version = reader.u32("version")
     if version != _TENSOR_VERSION:

@@ -1,5 +1,7 @@
+import gc
 import math
 import struct
+import tracemalloc
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -16,7 +18,14 @@ from stmp import (
     save_tree,
     validate_tree,
 )
-from stmp.clustering import _draw, _kmeans, _seed_sequence, _split, _unit_means
+from stmp.clustering import (
+    _draw,
+    _kmeans,
+    _seed_sequence,
+    _split,
+    _square_distances,
+    _unit_means,
+)
 from stmp.dictionary import Dictionary
 
 import oracles
@@ -370,6 +379,68 @@ def test_kmeans_duplicates_take_the_zero_mass_and_reseeding_paths(monkeypatch):
     got_c, got_a = _lone_kmeans(vectors, 4, seed=0)
     assert got_c.tobytes() == want_c.tobytes() and got_a.tolist() == want_a.tolist()
     assert np.bincount(calls[0].argmin(axis=1), minlength=4).min() == 0  # re-seeding ran
+
+
+def _awkward(rng, shape):
+    """Normal entries at scales 1e-150, 1 and 1e150, with zeros, -0.0 and
+    subnormals in places."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.choice([-150, 0, 150], size=shape)
+    kind = rng.integers(8, size=shape)
+    values[kind == 0] = 0.0
+    values[kind == 1] = -0.0
+    values[kind == 2] = 5e-324 * rng.integers(-1000, 1000, size=shape)[kind == 2]
+    return values
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    S=st.sampled_from([1, 3]),
+    rows=st.integers(1, 9),
+    centre=st.sampled_from(["row", "zero", "other"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=7, S=3, rows=5, centre="row", seed=0)  # in sequence
+@example(n=8, S=1, rows=4, centre="other", seed=1)  # eight running sums
+@example(n=128, S=3, rows=2, centre="zero", seed=2)
+@example(n=129, S=3, rows=3, centre="other", seed=3)  # split at 64
+@example(n=300, S=1, rows=6, centre="row", seed=4)  # split at 144, then at 72
+def test_column_distances_match_the_row_sum(n, S, rows, centre, seed):
+    """The column-major k-means++ distances carry the bits of numpy's
+    pairwise row sum for every width, zero centre (the norms) included."""
+    rng = np.random.default_rng(seed)
+    stack = _awkward(rng, (S, rows, n))
+    if centre == "row":
+        centres = stack[:, rng.integers(rows)]
+    elif centre == "zero":
+        centres = np.zeros((S, n))
+    else:
+        centres = _awkward(rng, (S, n))
+    with np.errstate(over="ignore"):
+        want = np.square(stack - centres[:, None, :]).sum(axis=-1)
+        got = _square_distances(np.ascontiguousarray(stack.transpose(2, 0, 1)),
+                                np.ascontiguousarray(centres.T), np.empty((S, rows)))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kmeans_keeps_no_buffer_and_no_row_major_copy():
+    """With the cyclic collector off, _kmeans hands back all it allocated
+    but its outputs, and its peak stays under five float32 stacks: the
+    stack, its float64 columns and k-means++'s running sums."""
+    atoms = _random_dictionary(30000, 16, seed=40).atoms
+    index = np.arange(30000)[None]
+    stack_bytes = atoms.nbytes
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        centroids, assignments = _kmeans(atoms, index, 10, [_seed_sequence(41)])
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert current - base <= centroids.nbytes + assignments.nbytes + 64 * 1024
+    assert peak - base < 5 * stack_bytes
 
 
 @pytest.mark.parametrize("count", [4, 6, 40])

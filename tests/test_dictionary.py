@@ -1,5 +1,8 @@
 import hashlib
+import os
 import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +201,38 @@ def test_loaded_atoms_are_a_writable_copy(tmp_path):
     path = tmp_path / "d.dict"
     save_dictionary(normalize_columns(np.eye(4)), path)
     assert load_dictionary(path).atoms.flags.writeable  # not a view of the read-only file bytes
+
+
+def test_load_dictionary_holds_the_payload_once(tmp_path):
+    # the atoms view the file's bytes: no second copy of the payload
+    path = tmp_path / "d.dict"
+    save_dictionary(normalize_columns(np.random.default_rng(12).standard_normal((4000, 16))), path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        d = load_dictionary(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * size
+    d.atoms[0, 0] = 0.5  # writable
+
+
+def test_load_dictionary_reads_a_pipe(tmp_path):
+    # a pipe has no size to preallocate from; its bytes are read to the end
+    d = normalize_columns(np.random.default_rng(13).standard_normal((300, 8)))
+    save_dictionary(d, tmp_path / "d.dict")
+    fifo = tmp_path / "d.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes((tmp_path / "d.dict").read_bytes()),
+                              daemon=True)
+    writer.start()
+    try:
+        back = load_dictionary(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert back.atoms.tobytes() == d.atoms.tobytes()
 
 
 def test_dictionary_trailing_bytes_rejected(tmp_path):

@@ -526,6 +526,23 @@ def test_a_residual_that_overflows_is_refused(kind, K):
         matching_pursuit_batch(selector, np.vstack([np.ones(5), x]), SearchParams(K=K))
 
 
+@pytest.mark.parametrize("kind", ["exact", "tree"])
+def test_a_coefficient_that_overflows_is_refused_at_k_1(kind):
+    # The row is finite but its inner product with the picked atom is not;
+    # with K = 1 no later pick sees the residual, so the step must refuse it.
+    d = _random_dictionary(40, 5, seed=30)
+    tree = build_tree(d, (4, 3), seed=31)
+    selector = ExactSelector(d) if kind == "exact" else TreeSelector(tree, d, 0.5)
+    x = 1.7e308 * np.array([1.0, -1.0, 1.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match="query contains NaN or infinity"):
+        matching_pursuit(selector, x, SearchParams(K=1))
+    with pytest.raises(ValueError, match="query contains NaN or infinity"):
+        matching_pursuit_batch(selector, np.vstack([np.ones(5), x]), SearchParams(K=1))
+    # a large row whose inner products stay finite is still coded
+    code = matching_pursuit(selector, x / 8.0, SearchParams(K=1))
+    assert len(code.entries) == 1 and np.isfinite(code.entries[0][1])
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     m=st.integers(2, 90),

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -163,6 +164,21 @@ def test_tensor_round_trip(tmp_path):
     back = load_tensor(path)
     assert back.shape == t.shape
     assert back.tobytes() == t.tobytes()
+
+
+def test_load_tensor_holds_the_payload_once(tmp_path):
+    # the tensor views the file's bytes: no second copy of the payload
+    path = tmp_path / "t.tnsr"
+    save_tensor(np.random.default_rng(1).standard_normal((256, 256)).astype(np.float32), path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        t = load_tensor(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * size
+    t[0, 0] = 0.5  # writable
 
 
 def test_tensor_bad_magic(tmp_path):
