@@ -4,8 +4,11 @@ The tree has L internal levels with high fan-out, given by ``branching``;
 below level L every atom hangs as its own leaf, so leaves sit at depth L+1.
 Each level is produced by a capacity-constrained variant of k-means: clusters
 that reach the capacity C = ceil(count/k) are frozen with their C members
-nearest to the centroid, everything left over is re-clustered, and the final
-stragglers (at most C of them) form the last cluster.
+nearest to the centroid, and everything left over is re-clustered by Lloyd
+iterations that start from the centroids of the clusters that did not
+freeze, until the final stragglers (at most C of them) form the last
+cluster.  Only a node's first round seeds by k-means++ and draws random
+numbers (Malinen & Franti, Balanced K-Means for Clustering, S+SSPR 2014).
 
 All nodes of one depth split together.  Their rounds run in lockstep, and
 in each round the nodes whose k-means input has the same (rows, k) shape
@@ -21,9 +24,9 @@ carry the bits of ``np.square(rows - centre).sum(axis=-1)`` without its
 per-row cost.  Stacks are never padded to one shape: OpenBLAS rounds a
 padded product differently, a changed ulp can flip an argmin, and a node's
 split, like the ``.tree`` bytes, must not depend on which nodes share its
-stack.  Each node keeps its own seeded generator, and every node's
-arithmetic is its lone run's, so a tree is the one the nodes split one at
-a time would give.
+stack.  Each node keeps its own seeded generator for its first round and
+its own unfrozen centroids for the next, and every node's arithmetic is its
+lone run's, so a tree is the one the nodes split one at a time would give.
 
 On unit-norm vectors squared Euclidean distance and inner product induce the
 same ordering (|u - v|^2 = 2 - 2 u.v), which is what lets a distance-based
@@ -206,21 +209,25 @@ def _means(cols: np.ndarray, assignments: np.ndarray, counts: np.ndarray,
     return centroids
 
 
-def _kmeans(atoms: np.ndarray, index: np.ndarray, k: int, seeds,
-            max_iters: int = 25) -> tuple[np.ndarray, np.ndarray]:
+def _kmeans(atoms: np.ndarray, index: np.ndarray, k: int, seeds=(),
+            max_iters: int = 25, *, start=None) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd iterations on every node of a stack at once: node s clusters
     the float32 rows ``atoms[index[s]]``, of one count for all nodes.
 
-    Returns (S, k, n) centroids and (S, rows) assignments; node s gets what
-    a lone run on its rows seeded by ``seeds[s]`` gives, bit for bit.
-    Nodes leave the stack as they converge.
+    Lloyd starts from the k-means++ centroids node s draws with
+    ``seeds[s]``, or, given ``start``, from the (S, k, n) float32 centroids
+    ``start[s]`` with no random draw.  Returns (S, k, n) centroids and (S,
+    rows) assignments; node s gets what a lone run on its rows from the same
+    seed or start gives, bit for bit.  Nodes leave the stack as they
+    converge.  With k == rows every row is its own cluster.
     """
     vectors = atoms[index]
     S, rows, n = vectors.shape
     if k == rows:
         return vectors.copy(), np.tile(np.arange(rows, dtype=np.int64), (S, 1))
     cols = np.ascontiguousarray(vectors.transpose(2, 0, 1), dtype=np.float64)
-    centroids = _kmeanspp(vectors, cols, k, seeds)
+    centroids = (_kmeanspp(vectors, cols, k, seeds) if start is None
+                 else np.array(start, dtype=np.float32))
     # a zero centre leaves every square exact: the bits of np.square(rows).sum(axis=-1)
     sq_norms = _square_distances(cols, np.zeros((n, S)), np.empty((S, rows))).astype(np.float32)
     done_c = np.empty((S, k, n), dtype=np.float32)
@@ -295,7 +302,8 @@ def _freeze(atoms: np.ndarray, rows: np.ndarray, centroids: np.ndarray, assignme
     cluster freezes its largest one, topped up with the other atoms nearest
     its centroid.  Distance ties go to the lower row, as a stable sort
     would.  Returns the (S, rows) rank among the node's clusters frozen this
-    round of every atom frozen (-1 elsewhere), and their count per node.
+    round of every atom frozen (-1 elsewhere), and the (S, k) mask of the
+    clusters frozen.
     """
     k = centroids.shape[1]
     sizes = _bincounts(assignments, k)
@@ -321,7 +329,7 @@ def _freeze(atoms: np.ndarray, rows: np.ndarray, centroids: np.ndarray, assignme
     keep = place < capacity[s]
     ranks = np.full(assignments.shape, -1, dtype=np.int64)
     ranks[s[keep], i[keep]] = (np.cumsum(frozen, axis=1) - 1)[s[keep], c[keep]]
-    return ranks, np.count_nonzero(frozen, axis=1)
+    return ranks, frozen
 
 
 def _split(atoms: np.ndarray, members: np.ndarray, sizes: np.ndarray, k: int,
@@ -330,9 +338,13 @@ def _split(atoms: np.ndarray, members: np.ndarray, sizes: np.ndarray, k: int,
 
     Node j owns the next ``sizes[j]`` entries of ``members`` (atom indices,
     ascending) and splits with seed ``seeds[j]`` (None if it has no more
-    atoms than k, and so draws nothing).  Each round, the nodes whose
-    k-means input has one (rows, k) shape run as one stack.  Returns every
-    member's cluster id within its node and each node's cluster count.
+    atoms than k, and so draws nothing).  Its first round seeds k-means++
+    from ``_seed_sequence(seeds[j], 0)``; every later round starts Lloyd
+    from the centroids, in cluster order, of its previous round's clusters
+    that did not freeze.  There are as many of them as the round's k, except
+    in a round with k == rows, which needs no start.  Each round, the nodes
+    whose k-means input has one (rows, k) shape run as one stack.  Returns
+    every member's cluster id within its node and each node's cluster count.
     """
     nodes = sizes.size
     owner = np.repeat(np.arange(nodes), sizes)
@@ -340,6 +352,7 @@ def _split(atoms: np.ndarray, members: np.ndarray, sizes: np.ndarray, k: int,
     labels = np.full(members.size, -1, dtype=np.int64)
     issued = np.zeros(nodes, dtype=np.int64)
     left = sizes.copy()
+    unfrozen = [None] * nodes  # each node's centroids of its last round's unfrozen clusters
     for round_no in itertools.count():
         active = np.flatnonzero(left > capacity)
         if not active.size:
@@ -351,13 +364,20 @@ def _split(atoms: np.ndarray, members: np.ndarray, sizes: np.ndarray, k: int,
             in_group[group] = True
             at = np.flatnonzero(in_group[owner] & (labels < 0)).reshape(group.size, rows)
             index = members[at]
-            round_seeds = ([_seed_sequence(seeds[j], round_no) for j in group.tolist()]
-                           if k_round < rows else ())
-            centroids, assignments = _kmeans(atoms, index, k_round, round_seeds)
-            ranks, added = _freeze(atoms, index, centroids, assignments, capacity[group])
+            if k_round == rows:
+                centroids, assignments = _kmeans(atoms, index, k_round)
+            elif round_no:
+                start = np.stack([unfrozen[j] for j in group.tolist()])
+                centroids, assignments = _kmeans(atoms, index, k_round, start=start)
+            else:
+                round_seeds = [_seed_sequence(seeds[j], 0) for j in group.tolist()]
+                centroids, assignments = _kmeans(atoms, index, k_round, round_seeds)
+            ranks, frozen = _freeze(atoms, index, centroids, assignments, capacity[group])
+            for j, node_centroids, mask in zip(group.tolist(), centroids, frozen):
+                unfrozen[j] = node_centroids[~mask]
             hit = ranks >= 0
             labels[at[hit]] = (ranks + issued[group, None])[hit]
-            issued[group] += added
+            issued[group] += np.count_nonzero(frozen, axis=1)
             left[group] -= np.count_nonzero(hit, axis=1)
     rest = labels < 0  # the last 1..C atoms of a node form its last cluster
     labels[rest] = issued[owner[rest]]

@@ -31,13 +31,14 @@ over one node that holds all m atoms, as an IVF scan with one list is
 (Johnson, Douze & Jegou, arXiv:1702.08734), and like an IVF scan it blocks
 its own queries: ``ExactSelector`` sifts a batch of any size ``_SCAN_BLOCK``
 rows at a time, each block one (rows x m) product against
-``Dictionary.columns``, and settles the whole batch once.  The tree sifts
-the atoms of each row's surviving leaves as one block.  Three forms stay
-outside the kernel, each measured faster where it runs: the GEMM on the
-transposed ``columns`` (twice as fast as a zero-level tree's node-major
-product, which also copies its block back), ``exact_select``'s one-row
-filter (half the cost of a row through the kernel) and ``_walk``'s one-row
-best.
+``Dictionary.columns``, and settles the whole batch once.  The tree
+descends a batch in blocks of rows whose leaf slots number at most a scan
+block's ``_SCAN_BLOCK`` x m, and sifts the atoms of each row's surviving
+leaves as one block.  Three forms stay outside the kernel, each measured
+faster where it runs: the GEMM on the transposed ``columns`` (twice as fast
+as a zero-level tree's node-major product, which also copies its block
+back), ``exact_select``'s one-row filter (half the cost of a row through
+the kernel) and ``_walk``'s one-row best.
 
 Both tree searches read a node's children from its row of the depth's
 ``ClusterTree.child_blocks``: the (width, n) centroids below it, or at the
@@ -523,18 +524,29 @@ class TreeSelector:
         images = [b.astype(np.float32) for b in blocks[:-1]] + [dictionary.atoms.take(blocks[-1], axis=0)]
         norms = [np.sqrt(row_dots(c, c).max()) for c in tree.centroids[1:]] + [dictionary.max_norm]
         self._tables = [(image, np.float32(_band_for(tree.n, a))) for image, a in zip(images, norms)]
+        # a row's leaf slots: its frontier's widest child blocks, as many as the levels keep
+        widths = [block.shape[1] for block in blocks]
+        slots = math.prod(min(keep, w) for keep, w in zip(self._keeps, widths)) * widths[-1]
+        self._block = max(1, _SCAN_BLOCK * dictionary.m // slots)
 
     def pick(self, R: np.ndarray, counter: ScoreCounter | None = None, rr=None):
         """Picks and canonical scores for every row of a (P, n) matrix;
         ValueError unless it is finite.  ``rr``, if given, holds
         ``row_dots(R, R)``.  A lone row walks the tree as ``stmp_select``
-        does, and an empty batch picks nothing."""
+        does, and an empty batch picks nothing.  A batch descends in blocks
+        of rows: a row reaches at most the levels' kept counts times the
+        leaf width in leaf slots, and a block holds no more of them than an
+        exhaustive scan block's ``_SCAN_BLOCK`` x m."""
         R = _as_queries(R, self.dictionary.n, rr)
-        if not R.shape[0]:
+        P = R.shape[0]
+        if not P:
             return np.empty(0, dtype=np.int64), np.empty(0)
-        if R.shape[0] == 1:
+        if P == 1:
             return _walk(self.tree, self.dictionary, R[0], self._keeps, counter)
-        return _descend(self.tree, self.dictionary, R, self._keeps, counter, self._tables, rr)
+        parts = [_descend(self.tree, self.dictionary, R[a:a + self._block], self._keeps, counter,
+                          self._tables, None if rr is None else rr[a:a + self._block])
+                 for a in range(0, P, self._block)]
+        return parts[0] if len(parts) == 1 else tuple(np.concatenate(part) for part in zip(*parts))
 
 
 @dataclass(eq=False)
@@ -593,28 +605,33 @@ def _pursue(selector, X: np.ndarray, params: SearchParams,
             tolerance[huge] = 1e-6 * top * np.sqrt(row_dots(scaled, scaled))
     else:
         tolerance = np.full(P, float(params.residual_tolerance))
-    residuals = X.copy()
     atoms = d.scoring_atoms
     indices = np.zeros((P, params.K), dtype=np.int64)
     coefficients = np.zeros((P, params.K))
     lengths = np.zeros(P, dtype=np.int64)
-    rows = np.arange(P)
+    # the residuals of the rows still coding, compact and updated in place
+    rows, r = np.arange(P), X.copy()
+    step_atoms = np.empty_like(r)
     for step in range(params.K):
-        r = residuals[rows]
         rr = row_dots(r, r)
-        going = ~(np.sqrt(rr) <= tolerance[rows])
-        rows, r, rr = rows[going], r[going], rr[going]
+        going = ~(np.sqrt(rr) <= tolerance)
+        if not going.all():
+            rows, r, rr, tolerance = rows[going], r[going], rr[going], tolerance[going]
         if not rows.size:
             break
         picks, scores = selector.pick(r, own, rr)
         if not np.isfinite(scores).all():
             raise ValueError("query contains NaN or infinity")
         going = scores != 0.0
-        rows, r, picks, scores = rows[going], r[going], picks[going], scores[going]
+        if not going.all():
+            rows, r, tolerance = rows[going], r[going], tolerance[going]
+            picks, scores = picks[going], scores[going]
         indices[rows, step] = picks
         coefficients[rows, step] = scores
         lengths[rows] = step + 1
-        residuals[rows] = r - scores[:, None] * atoms[picks]
+        peeled = np.take(atoms, picks, axis=0, out=step_atoms[:rows.size])
+        peeled *= scores[:, None]
+        r -= peeled
     return CodeBatch(d.m, indices, coefficients, lengths, own.inner_products - start)
 
 
@@ -649,12 +666,16 @@ def reconstruct_batch(d: Dictionary, codes: CodeBatch) -> np.ndarray:
     a row's bits do not depend on the other rows of the batch.
     """
     codes.check_range(d.m)
-    out = np.zeros((codes.indices.shape[0], d.n))
+    P = codes.indices.shape[0]
+    out = np.zeros((P, d.n))
     atoms = d.scoring_atoms
     for step in range(codes.indices.shape[1]):
         rows = (codes.lengths > step).nonzero()[0]
         if not rows.size:
             break
+        if rows.size == P:  # every row still coding: no gather and scatter of out
+            out += codes.coefficients[:, step, None] * atoms[codes.indices[:, step]]
+            continue
         picks = codes.indices[rows, step]
         out[rows] += codes.coefficients[rows, step][:, None] * atoms[picks]
     return out

@@ -194,8 +194,10 @@ def tree_select_reference(tree, scoring_atoms, query, alpha):
 
 
 # The per-node clustering that ``stmp.clustering`` ran before it batched a
-# tree depth's k-means together, kept unchanged as the reference its
-# centroids, offsets, atoms and ``.tree`` bytes are pinned to.
+# tree depth's k-means together, kept as the reference its centroids,
+# offsets, atoms and ``.tree`` bytes are pinned to.  Like the package, it
+# starts every balanced round after a node's first from the centroids of the
+# clusters the round before did not freeze.
 
 def _squared_distances(vectors: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     d2 = sq_norms[:, None] - 2.0 * (vectors @ centroids.T) + (centroids * centroids).sum(axis=1)[None, :]
@@ -236,12 +238,15 @@ def _group_means(vectors: np.ndarray, assignments: np.ndarray, counts: np.ndarra
     return centroids
 
 
-def kmeans(vectors, k: int, seed, max_iters: int = 25) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded Lloyd iterations with k-means++ initialization.
+def kmeans(vectors, k: int, seed=None, max_iters: int = 25,
+           start=None) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd iterations from k-means++ centroids drawn with ``seed``, or from
+    the (k, n) centroids ``start`` with no random draw.
 
     Returns (centroids, assignments).  Empty clusters are re-seeded at the
     point currently farthest from its own centroid.  All tie-breaks go to the
-    lowest index, so the output is a pure function of (vectors, k, seed).
+    lowest index, so the output is a pure function of (vectors, k, seed or
+    start).
     """
     vectors = np.ascontiguousarray(vectors, dtype=np.float32)
     if vectors.ndim != 2:
@@ -251,8 +256,12 @@ def kmeans(vectors, k: int, seed, max_iters: int = 25) -> tuple[np.ndarray, np.n
         raise ValueError(f"cluster count {k} must be in [1, {count}]")
     if k == count:
         return vectors.copy(), np.arange(count, dtype=np.int64)
-    rng = np.random.default_rng(_seed_sequence(seed))
-    centroids = _kmeanspp_init(vectors, k, rng)
+    if start is None:
+        centroids = _kmeanspp_init(vectors, k, np.random.default_rng(_seed_sequence(seed)))
+    else:
+        centroids = np.array(start, dtype=np.float32)
+        if centroids.shape != (k, vectors.shape[1]):
+            raise ValueError(f"start centroids have shape {centroids.shape}, expected ({k}, n)")
     sq_norms = (vectors.astype(np.float64) ** 2).sum(axis=1).astype(np.float32)
     previous = None
     assignments = np.zeros(count, dtype=np.int64)
@@ -294,6 +303,8 @@ def balanced_cluster(atoms, k: int, seed) -> tuple[np.ndarray, np.ndarray, np.nd
     reaches capacity is frozen with its C members nearest to the centroid.
     If a round produces no such cluster, the largest one is frozen anyway,
     topped up with the nearest leftover atoms, so the loop always finishes.
+    The first round seeds k-means++ from ``seed``; every later one starts
+    from the centroids of the clusters the round before did not freeze.
     Cluster ids are issued in freezing order; the final cluster holds the
     last 1..C atoms.  Returns (assignments, centroids, sizes): each atom's
     cluster id, and each cluster's unit-norm float32 centroid and size.
@@ -307,14 +318,18 @@ def balanced_cluster(atoms, k: int, seed) -> tuple[np.ndarray, np.ndarray, np.nd
     capacity = math.ceil(m / k)
     remaining = np.arange(m, dtype=np.int64)
     clusters: list[np.ndarray] = []
-    round_no = 0
+    start = None  # the centroids of the last round's unfrozen clusters
     while remaining.size > capacity:
         k_round = min(k - len(clusters), remaining.size)
         sub = atoms[remaining]
-        cents, assign = kmeans(sub, k_round, _seed_sequence(seed, round_no))
+        if start is None:
+            cents, assign = kmeans(sub, k_round, _seed_sequence(seed, 0))
+        else:
+            cents, assign = kmeans(sub, k_round, start=start)
         sizes = np.bincount(assign, minlength=k_round)
         large = np.flatnonzero(sizes >= capacity)
         taken = np.zeros(remaining.size, dtype=bool)
+        start = np.delete(cents, large if large.size else int(np.argmax(sizes)), axis=0)
         if large.size:
             for c in large:
                 members = np.flatnonzero(assign == c)
@@ -335,7 +350,6 @@ def balanced_cluster(atoms, k: int, seed) -> tuple[np.ndarray, np.ndarray, np.nd
             clusters.append(remaining[keep])
             taken[keep] = True
         remaining = remaining[~taken]
-        round_no += 1
     if remaining.size:
         clusters.append(remaining)
     assignments = np.empty(m, dtype=np.int64)

@@ -18,6 +18,7 @@ from stmp import (
     save_tree,
     validate_tree,
 )
+from stmp import clustering
 from stmp.clustering import (
     _draw,
     _kmeans,
@@ -336,6 +337,66 @@ def test_batched_build_matches_the_per_node_reference(tmp_path_factory, m, n, br
 def test_batched_build_matches_the_reference_at_size(tmp_path, m, n, branching):
     d = _random_dictionary(m, n, seed=m + n)
     _assert_same_tree(build_tree(d, branching, 11), oracles.build_tree(d, branching, 11), tmp_path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 150), min_size=1, max_size=4),
+    n=st.integers(2, 24),
+    k=st.integers(2, 12),
+    distinct=st.integers(1, 150),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sizes=[97, 100, 3], n=5, k=7, distinct=150, seed=0)  # 7 divides none of them
+@example(sizes=[60, 60], n=3, k=4, distinct=2, seed=1)  # duplicates: zero mass, empty clusters
+def test_later_rounds_start_from_the_unfrozen_centroids(sizes, n, k, distinct, seed):
+    """Every node's first round draws k-means++ from its seed; every later
+    round starts Lloyd from exactly the centroids its node's previous round
+    did not freeze (as many as the round's k), or takes the k == rows
+    shortcut, and draws no random numbers.  The batched split equals the
+    per-node reference bit for bit."""
+    sizes = np.array(sizes)
+    atoms = _atoms(int(sizes.sum()), n, min(distinct, int(sizes.sum())), 0, seed)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    seeds = [seed + j for j in range(sizes.size)]
+    kmeans_, freeze, kmeanspp, seed_sequence = (
+        clustering._kmeans, clustering._freeze, clustering._kmeanspp, clustering._seed_sequence)
+    calls = []  # per _kmeans call: its nodes, their round, rows, k, start and the centroids it gave
+    frozen, drawn_in, keys = [], [], []  # _freeze's masks, k-means++'s rounds, _seed_sequence's keys
+    now = [None]  # the round of the _kmeans call running
+
+    def recording_kmeans(atoms_, index, k_, seeds_=(), max_iters=25, *, start=None):
+        nodes = owner[index[:, 0]].tolist()
+        r = {sum(j in call[0] for call in calls) for j in nodes}
+        assert len(r) == 1  # a stack's nodes are in one round
+        now[0] = r.pop()
+        centroids, assignments = kmeans_(atoms_, index, k_, seeds_, max_iters, start=start)
+        calls.append((nodes, now[0], index.shape[1], k_, start, centroids))
+        return centroids, assignments
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "_kmeans", recording_kmeans)
+        mp.setattr(clustering, "_freeze", lambda *a: frozen.append(out := freeze(*a)) or out)
+        mp.setattr(clustering, "_kmeanspp", lambda *a: drawn_in.append(now[0]) or kmeanspp(*a))
+        mp.setattr(clustering, "_seed_sequence",
+                   lambda s, *key: keys.append(key) or seed_sequence(s, *key))
+        labels, counts = _split(atoms, np.arange(owner.size), sizes, k, seeds)
+    seeded = 0
+    last = {}  # per node, its previous round's unfrozen centroids
+    for (nodes, r, rows, k_round, start, centroids), (_, mask) in zip(calls, frozen):
+        for s, j in enumerate(nodes):
+            if r == 0 or k_round == rows:
+                assert start is None
+                seeded += r == 0 and k_round < rows
+            else:
+                assert start is not None and last[j].shape[0] == k_round
+                assert start[s].tobytes() == last[j].tobytes()
+            last[j] = centroids[s][~mask[s]]
+    assert drawn_in == [0] * len(drawn_in) and keys == [(0,)] * seeded
+    for j in range(sizes.size):
+        mine = owner == j
+        want, _, want_sizes = oracles.balanced_cluster(atoms[mine], k, seeds[j])
+        assert labels[mine].tolist() == want.tolist() and counts[j] == want_sizes.size
 
 
 @settings(max_examples=40, deadline=None)

@@ -660,6 +660,48 @@ def test_batched_descent_fills_short_parents_with_dead_slots(m, n, branching, al
         assert counter.inner_products == sum(w[2] + w[3] for w in want)
 
 
+@pytest.mark.parametrize("m, branching, alpha", [(300, (6, 5), 1.0), (307, (6, 5), 1.0),
+                                                 (300, (6, 5), 0.5)])
+def test_blocked_tree_pick_equals_its_rows_lone_picks(m, branching, alpha):
+    # At alpha 1 a row's leaf slots hold every atom, so a batch descends 64
+    # rows at a time (fewer on an uneven tree); 129 rows leave a block of one.
+    d = _random_dictionary(m, 9, seed=m)
+    selector = TreeSelector(build_tree(d, branching, seed=3), d, alpha)
+    Q = np.random.default_rng(m).standard_normal((129, 9))
+    Q[5] *= 1e200
+    counter, lone_counter = ScoreCounter(), ScoreCounter()
+    picks, scores = selector.pick(Q, counter)
+    lone = [selector.pick(Q[p:p + 1], lone_counter) for p in range(len(Q))]
+    assert picks.tolist() == [int(p[0]) for p, _ in lone]
+    assert scores.tobytes() == np.concatenate([s for _, s in lone]).tobytes()
+    assert counter.inner_products == lone_counter.inner_products
+    if alpha == 1.0:
+        assert selector._block <= 64
+
+
+def test_wide_tree_pick_memory_is_bounded_by_the_scan_block():
+    # At alpha 1 every row's frontier reaches all 30000 leaves; descending
+    # the 1024 rows at once held about 610 MB of leaf slots at its peak.
+    d = _random_dictionary(30000, 16, seed=64)
+    selector = TreeSelector(build_tree(d, (30, 10, 10), seed=65), d, 1.0)
+    Q = np.random.default_rng(66).standard_normal((1024, 16))
+    selector.pick(Q[:2])
+    tracemalloc.start()
+    try:
+        selector.pick(Q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 61e6
+
+
+def test_denoise_tree_shape_codes_a_chunk_in_one_block():
+    # A (40, 10) tree over 4000 atoms at alpha 0.1 keeps 4 x 1 nodes of 10
+    # atoms: 40 leaf slots a row, so 6400 rows fit one block.
+    d = _random_dictionary(4000, 8, seed=67)
+    assert TreeSelector(build_tree(d, (40, 10), seed=68), d, 0.1)._block == 6400
+
+
 def test_across_group_helpers_match_numpy_row_reductions():
     # Filter blocks hold |scores| >= 0 with exact ties, -1.0 in masked slots,
     # whole rows of zeros and whole masked rows.
