@@ -13,12 +13,12 @@ filters its rows in blocks of its own, so the cost per row stays flat from
 
     python demos/tree_search_costs.py [--paper-scale]
 
-``--paper-scale`` instead builds a (100, 10, 10) tree over a seeded
-Gaussian dictionary of m = 100000 atoms of dimension 64, the paper's
-regime, and prints its build time and the SHA-256 of its ``.tree`` file.
-Then it answers 512 seeded Gaussian queries through the tree at alpha 0.1
-and exhaustively, and prints how often the picks agree and the mean ratio
-of the tree pick's |score| to the exhaustive one's.
+``--paper-scale`` instead builds a (100, 10, 10) and a (1000, 100) tree
+over a seeded Gaussian dictionary of m = 100000 atoms of dimension 64, the
+paper's regime, and prints each one's build time and the SHA-256 of its
+``.tree`` file.  It answers 512 seeded Gaussian queries through each tree
+at alpha 0.1 and exhaustively, and prints how often the picks agree and
+the mean ratio of the tree pick's |score| to the exhaustive one's.
 """
 
 import argparse
@@ -101,27 +101,28 @@ def main():
         print(f"  pick, batch of {size:4d}" + "".join(f"{us:9.1f}" for us in batched))
 
 
-def paper_scale(branching=(100, 10, 10)):
+def paper_scale(shapes=((100, 10, 10), (1000, 100))):
     """Build time, ``.tree`` SHA-256 and search quality at alpha 0.1 of a
-    tree over a seeded Gaussian m = 100000, n = 64 dictionary."""
+    tree of each shape over a seeded Gaussian m = 100000, n = 64 dictionary."""
     m, n, seed, alpha = 100_000, 64, 7, 0.1
     d = normalize_columns(np.random.default_rng(5).standard_normal((m, n)))
-    start = time.perf_counter()
-    tree = build_tree(d, branching, seed=seed)
-    build_s = time.perf_counter() - start
-    with tempfile.TemporaryDirectory() as work:
-        path = Path(work) / "paper.tree"
-        save_tree(tree, path)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    print(f"Gaussian dictionary m={m}, n={n}, tree branching {branching}, seed {seed}")
-    print(f"build_tree: {build_s:.2f} s")
-    print(f"tree SHA-256: {digest}")
     queries = np.random.default_rng(6).standard_normal((512, n))
     best, best_scores = ExactSelector(d).pick(queries)
-    found, scores = TreeSelector(tree, d, alpha).pick(queries)
-    ratio = np.mean(np.abs(scores) / np.abs(best_scores))
-    print(f"alpha {alpha}, {len(queries)} Gaussian queries: agreement with exhaustive "
-          f"{np.mean(found == best):.3f}, mean |score| ratio {ratio:.4f}")
+    print(f"Gaussian dictionary m={m}, n={n}, tree seed {seed}; "
+          f"{len(queries)} Gaussian queries at alpha {alpha}")
+    for branching in shapes:
+        start = time.perf_counter()
+        tree = build_tree(d, branching, seed=seed)
+        build_s = time.perf_counter() - start
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "paper.tree"
+            save_tree(tree, path)
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        found, scores = TreeSelector(tree, d, alpha).pick(queries)
+        ratio = np.mean(np.abs(scores) / np.abs(best_scores))
+        print(f"branching {branching}: build_tree {build_s:.2f} s, tree SHA-256 {digest}")
+        print(f"  agreement with exhaustive {np.mean(found == best):.3f}, "
+              f"mean |score| ratio {ratio:.4f}")
 
 
 def _in_batches(selector, rows, size: int):
@@ -142,7 +143,7 @@ def _us_per_row(call, count: int) -> float:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Tree search and build costs.", allow_abbrev=False)
     parser.add_argument("--paper-scale", action="store_true",
-                        help="time a (100, 10, 10) build over m = 100000 atoms of dimension 64")
+                        help="time (100, 10, 10) and (1000, 100) builds over m = 100000 atoms of dimension 64")
     # known arguments only, so a caller's own flags (a test runner's) pass by
     if parser.parse_known_args()[0].paper_scale:
         paper_scale()

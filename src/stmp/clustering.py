@@ -15,18 +15,17 @@ in each round the nodes whose k-means input has the same (rows, k) shape
 form one stack: the distance GEMM (``np.matmul`` on the 3-D stack), argmin
 and counts are one numpy call for the whole stack, and nodes leave it as
 they converge.  Since every frozen cluster holds exactly C atoms, a depth
-has few shapes.  k-means++ and the means work on one column-major (n, S,
-rows) float64 copy of the stack, a coordinate at a time over whole (S,
-rows) rows: the means are one weighted ``bincount`` per coordinate, and
-each k-means++ draw's squared distances add the n squared differences in
-the order numpy's pairwise sum adds a row (``_square_distances``), so they
-carry the bits of ``np.square(rows - centre).sum(axis=-1)`` without its
-per-row cost.  Stacks are never padded to one shape: OpenBLAS rounds a
-padded product differently, a changed ulp can flip an argmin, and a node's
-split, like the ``.tree`` bytes, must not depend on which nodes share its
-stack.  Each node keeps its own seeded generator for its first round and
-its own unfrozen centroids for the next, and every node's arithmetic is its
-lone run's, so a tree is the one the nodes split one at a time would give.
+has few shapes.  Lloyd's passes and k-means++'s draws take their squared
+distances from one kernel, ``_distances``: (|v|^2 - 2 v.c) + |c|^2 with
+v.c one float32 GEMM over the stack.  The means work on one column-major
+(n, S, rows) float64 copy of the stack, one weighted ``bincount`` per
+coordinate over whole (S, rows) rows.  Stacks are never padded to one
+shape: OpenBLAS rounds a padded product differently, a changed ulp can flip
+an argmin, and a node's split, like the ``.tree`` bytes, must not depend on
+which nodes share its stack.  Each node keeps its own seeded generator for
+its first round and its own unfrozen centroids for the next, and every
+node's arithmetic is its lone run's, so a tree is the one the nodes split
+one at a time would give.
 
 On unit-norm vectors squared Euclidean distance and inner product induce the
 same ordering (|u - v|^2 = 2 - 2 u.v), which is what lets a distance-based
@@ -113,58 +112,27 @@ def _draw(d2: np.ndarray, total: np.ndarray, uniforms: np.ndarray) -> np.ndarray
     return np.count_nonzero(cdf <= uniforms[:, None], axis=1)
 
 
-def _square_distances(cols: np.ndarray, centre: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Into ``out``, each row's sum over columns j of ``(cols[j] -
-    centre[j][:, None])**2``, for a column-major (n, S, rows) float64 stack
-    and (n, S) centres; returns ``out``.
-
-    The terms are added in the order numpy's pairwise sum adds a row of n
-    values, so the result has the bits of ``np.square(rows -
-    centre).sum(axis=-1)``: under 8 columns in sequence; up to 128 in eight
-    running sums over columns j, j+8, ..., combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover columns in
-    sequence; above 128 the two halves, split at half the count rounded
-    down to a multiple of 8, each summed this way and then added.
-    """
-    count = cols.shape[0]
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        _square_distances(cols[:half], centre[:half], out)
-        out += _square_distances(cols[half:], centre[half:], np.empty_like(out))
-        return out
-    term = np.empty_like(out)
-    if count < 8:
-        np.square(np.subtract(cols[0], centre[0, :, None], out=out), out=out)
-        rest = 1
-    else:
-        rest = count - count % 8
-        sums = cols[:8] - centre[:8, :, None]
-        np.square(sums, out=sums)
-        for j in range(8, rest):
-            np.square(np.subtract(cols[j], centre[j, :, None], out=term), out=term)
-            sums[j % 8] += term
-        np.add(sums[0::2], sums[1::2], out=sums[0::2])
-        np.add(sums[0::4], sums[2::4], out=sums[0::4])
-        np.add(sums[0], sums[4], out=out)
-    for j in range(rest, count):
-        np.square(np.subtract(cols[j], centre[j, :, None], out=term), out=term)
-        out += term
-    return out
+def _distances(vectors: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """The (S, rows, k) float32 squared distances of every row of an (S,
+    rows, n) stack to each of its node's (S, k, n) centroids, given the
+    rows' (S, rows) squared norms: (sq - 2 v.c) + c.c in place, the bits of
+    the unfused sum, clamped at 0."""
+    d2 = np.matmul(vectors, centroids.transpose(0, 2, 1))
+    d2 *= -2.0
+    d2 += sq_norms[:, :, None]
+    d2 += np.square(centroids).sum(axis=2)[:, None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
-def _kmeanspp(vectors: np.ndarray, cols: np.ndarray, k: int, seeds) -> np.ndarray:
+def _kmeanspp(vectors: np.ndarray, sq_norms: np.ndarray, k: int, seeds) -> np.ndarray:
     """k-means++ centroids of every node of an (S, rows, n) stack, (S, k, n).
 
-    ``cols`` is the stack as column-major (n, S, rows) float64.  Node s
-    draws from its own generator ``default_rng(seeds[s])``: a first row
-    from ``integers(rows)``, then each next one as ``choice(rows,
-    p=d2 / total)`` would (``_draw``).  A node whose remaining mass is 0
-    (only chosen duplicates left) draws nothing and takes its first
-    unchosen row.  Each draw's squared distances come from
-    ``_square_distances`` over whole (S, rows) rows of ``cols``, a column at
-    a time in numpy's pairwise order: the bits a row-major
-    ``np.square(diff).sum(axis=-1)`` gives, without its per-row cost or a
-    row-major float64 copy.
+    Node s draws from its own generator ``default_rng(seeds[s])``: a first
+    row from ``integers(rows)``, then each next one as ``choice(rows,
+    p=d2 / total)`` would (``_draw``), where d2 is each row's least
+    ``_distances`` to the centres chosen so far and a chosen row's own d2 is
+    exactly 0, so no row is chosen twice.  A node whose total is 0 draws
+    nothing and takes its first unchosen row.
     """
     S, rows, _ = vectors.shape
     chosen = np.empty((S, k), dtype=np.int64)
@@ -175,11 +143,12 @@ def _kmeanspp(vectors: np.ndarray, cols: np.ndarray, k: int, seeds) -> np.ndarra
         uniforms[s] = rng.random(k - 1)  # the draws k-1 random() calls give
     at = np.arange(S)
     d2 = np.full((S, rows), np.inf)
-    fresh = np.empty_like(d2)
     drawn = np.zeros(S, dtype=np.int64)
     for j in range(1, k):
         # fold in centre j-1: only draws read d2, so the last centre is never folded in
-        np.minimum(d2, _square_distances(cols, cols[:, at, chosen[:, j - 1]], fresh), out=d2)
+        last = chosen[:, j - 1]
+        np.minimum(d2, _distances(vectors, sq_norms, vectors[at, last, None])[:, :, 0], out=d2)
+        d2[at, last] = 0.0
         total = d2.sum(axis=1)
         spread = np.flatnonzero(total > 0.0)
         chosen[spread, j] = _draw(d2[spread], total[spread], uniforms[spread, drawn[spread]])
@@ -225,23 +194,19 @@ def _kmeans(atoms: np.ndarray, index: np.ndarray, k: int, seeds=(),
     S, rows, n = vectors.shape
     if k == rows:
         return vectors.copy(), np.tile(np.arange(rows, dtype=np.int64), (S, 1))
-    cols = np.ascontiguousarray(vectors.transpose(2, 0, 1), dtype=np.float64)
-    centroids = (_kmeanspp(vectors, cols, k, seeds) if start is None
+    # the float64 row sums, cast to float32; the float64 columns only the means read are
+    # built after k-means++, so they never sit beside these squares
+    sq_norms = np.square(vectors, dtype=np.float64).sum(axis=2).astype(np.float32)
+    centroids = (_kmeanspp(vectors, sq_norms, k, seeds) if start is None
                  else np.array(start, dtype=np.float32))
-    # a zero centre leaves every square exact: the bits of np.square(rows).sum(axis=-1)
-    sq_norms = _square_distances(cols, np.zeros((n, S)), np.empty((S, rows))).astype(np.float32)
+    cols = np.ascontiguousarray(vectors.transpose(2, 0, 1), dtype=np.float64)
     done_c = np.empty((S, k, n), dtype=np.float32)
     done_a = np.empty((S, rows), dtype=np.int64)
     live = np.arange(S)
     previous = None
     assignments = np.zeros((S, rows), dtype=np.int64)
     for _ in range(max_iters):
-        # squared distances in place: (sq - 2 v.c) + c.c, the bits of the unfused sum
-        d2 = np.matmul(vectors, centroids.transpose(0, 2, 1))
-        d2 *= -2.0
-        d2 += sq_norms[:, :, None]
-        d2 += np.square(centroids).sum(axis=2)[:, None, :]
-        np.maximum(d2, 0.0, out=d2)
+        d2 = _distances(vectors, sq_norms, centroids)
         assignments = d2.argmin(axis=2)
         counts = _bincounts(assignments, k)
         for s in np.flatnonzero((counts == 0).any(axis=1)).tolist():

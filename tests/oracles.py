@@ -205,24 +205,26 @@ def _squared_distances(vectors: np.ndarray, sq_norms: np.ndarray, centroids: np.
     return d2
 
 
-def _kmeanspp_init(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(vectors: np.ndarray, sq_norms: np.ndarray, k: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """D^2 seeding over the Lloyd step's squared distances.  A chosen row's
+    own distance is exactly 0, so it is never drawn again; when no mass is
+    left (total == 0), the first unchosen row is taken."""
     count = vectors.shape[0]
     chosen = [int(rng.integers(count))]
-    wide = vectors.astype(np.float64)
-    diff = wide - wide[chosen[0]]
-    d2 = (diff * diff).sum(axis=1)
+    d2 = np.full(count, np.inf)
     for _ in range(1, k):
+        fresh = _squared_distances(vectors, sq_norms, vectors[chosen[-1:]])[:, 0]
+        np.minimum(d2, fresh, out=d2)
+        d2[chosen[-1]] = 0.0
         total = d2.sum()
-        if total <= 0.0:
-            # all remaining mass sits on already-chosen duplicates
+        if total == 0.0:
             taken = np.zeros(count, dtype=bool)
             taken[chosen] = True
             nxt = int(np.flatnonzero(~taken)[0])
         else:
             nxt = int(rng.choice(count, p=d2 / total))
         chosen.append(nxt)
-        np.subtract(wide, wide[nxt], out=diff)
-        np.minimum(d2, np.square(diff, out=diff).sum(axis=1), out=d2)
     return vectors[chosen].copy()
 
 
@@ -256,13 +258,14 @@ def kmeans(vectors, k: int, seed=None, max_iters: int = 25,
         raise ValueError(f"cluster count {k} must be in [1, {count}]")
     if k == count:
         return vectors.copy(), np.arange(count, dtype=np.int64)
+    sq_norms = (vectors.astype(np.float64) ** 2).sum(axis=1).astype(np.float32)
     if start is None:
-        centroids = _kmeanspp_init(vectors, k, np.random.default_rng(_seed_sequence(seed)))
+        centroids = _kmeanspp_init(vectors, sq_norms, k,
+                                   np.random.default_rng(_seed_sequence(seed)))
     else:
         centroids = np.array(start, dtype=np.float32)
         if centroids.shape != (k, vectors.shape[1]):
             raise ValueError(f"start centroids have shape {centroids.shape}, expected ({k}, n)")
-    sq_norms = (vectors.astype(np.float64) ** 2).sum(axis=1).astype(np.float32)
     previous = None
     assignments = np.zeros(count, dtype=np.int64)
     for _ in range(max_iters):

@@ -22,9 +22,9 @@ from stmp import clustering
 from stmp.clustering import (
     _draw,
     _kmeans,
+    _kmeanspp,
     _seed_sequence,
     _split,
-    _square_distances,
     _unit_means,
 )
 from stmp.dictionary import Dictionary
@@ -321,6 +321,9 @@ def _assert_same_tree(got, want, tmp_path):
 @example(m=371, n=64, branching=[3, 7, 9], distinct=279, zero_share=0.0, seed=1051542348)
 @example(m=65, n=64, branching=[5, 9, 11], distinct=260, zero_share=0.0, seed=1523092976)
 @example(m=219, n=64, branching=[6, 6, 9], distinct=15, zero_share=0.0, seed=3644617559)
+# k-means++ over float32 distances: this tree differs from one whose draws
+# read exact float64 distances, so a change to either side's formula fails it
+@example(m=80, n=43, branching=[8, 7, 6], distinct=45, zero_share=0.0, seed=3373123666)
 @example(m=300, n=33, branching=[5, 3, 2], distinct=6, zero_share=0.1, seed=2)
 @example(m=40, n=5, branching=[12, 3], distinct=3, zero_share=0.5, seed=3)
 def test_batched_build_matches_the_per_node_reference(tmp_path_factory, m, n, branching,
@@ -348,7 +351,9 @@ def test_batched_build_matches_the_reference_at_size(tmp_path, m, n, branching):
     seed=st.integers(0, 2**32 - 1),
 )
 @example(sizes=[97, 100, 3], n=5, k=7, distinct=150, seed=0)  # 7 divides none of them
-@example(sizes=[60, 60], n=3, k=4, distinct=2, seed=1)  # duplicates: zero mass, empty clusters
+# duplicates, empty clusters; float32 distances leave copies of a chosen row
+# a little mass, so k-means++ draws them and never finds the mass at zero
+@example(sizes=[60, 60], n=3, k=4, distinct=2, seed=1)
 def test_later_rounds_start_from_the_unfrozen_centroids(sizes, n, k, distinct, seed):
     """Every node's first round draws k-means++ from its seed; every later
     round starts Lloyd from exactly the centroids its node's previous round
@@ -429,65 +434,45 @@ def test_stacked_kmeans_matches_the_lone_reference(rows, n, k_share, nodes, dist
 
 
 def test_kmeans_duplicates_take_the_zero_mass_and_reseeding_paths(monkeypatch):
-    """Two distinct points and k = 4: the third seed has no mass left to draw
-    from, and Lloyd's first pass leaves clusters empty to re-seed."""
+    """Two distinct points whose float32 distances are exact, and k = 4:
+    after one draw no mass is left, so the last two seeds take the first
+    unchosen rows; Lloyd's first pass leaves clusters empty to re-seed."""
     vectors = np.repeat(np.eye(2, 3, dtype=np.float32), 5, axis=0)
-    calls = []
-    original = oracles._squared_distances
+    calls, drawn = [], []
+    original, draw = oracles._squared_distances, clustering._draw
     monkeypatch.setattr(oracles, "_squared_distances",
                         lambda *a: calls.append(d2 := original(*a)) or d2)
+    monkeypatch.setattr(clustering, "_draw", lambda d2, *a: drawn.append(len(d2)) or draw(d2, *a))
     want_c, want_a = oracles.kmeans(vectors, 4, seed=0)
     got_c, got_a = _lone_kmeans(vectors, 4, seed=0)
     assert got_c.tobytes() == want_c.tobytes() and got_a.tolist() == want_a.tolist()
-    assert np.bincount(calls[0].argmin(axis=1), minlength=4).min() == 0  # re-seeding ran
+    assert drawn == [1, 0, 0]  # zero mass ran: draws 2 and 3 drew nothing
+    lloyd = [d2 for d2 in calls if d2.shape[1] == 4]  # k-means++ scores one centre at a time
+    assert np.bincount(lloyd[0].argmin(axis=1), minlength=4).min() == 0  # re-seeding ran
 
 
-def _awkward(rng, shape):
-    """Normal entries at scales 1e-150, 1 and 1e150, with zeros, -0.0 and
-    subnormals in places."""
-    values = rng.standard_normal(shape) * 10.0 ** rng.choice([-150, 0, 150], size=shape)
-    kind = rng.integers(8, size=shape)
-    values[kind == 0] = 0.0
-    values[kind == 1] = -0.0
-    values[kind == 2] = 5e-324 * rng.integers(-1000, 1000, size=shape)[kind == 2]
-    return values
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    n=st.integers(1, 300),
-    S=st.sampled_from([1, 3]),
-    rows=st.integers(1, 9),
-    centre=st.sampled_from(["row", "zero", "other"]),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(n=7, S=3, rows=5, centre="row", seed=0)  # in sequence
-@example(n=8, S=1, rows=4, centre="other", seed=1)  # eight running sums
-@example(n=128, S=3, rows=2, centre="zero", seed=2)
-@example(n=129, S=3, rows=3, centre="other", seed=3)  # split at 64
-@example(n=300, S=1, rows=6, centre="row", seed=4)  # split at 144, then at 72
-def test_column_distances_match_the_row_sum(n, S, rows, centre, seed):
-    """The column-major k-means++ distances carry the bits of numpy's
-    pairwise row sum for every width, zero centre (the norms) included."""
-    rng = np.random.default_rng(seed)
-    stack = _awkward(rng, (S, rows, n))
-    if centre == "row":
-        centres = stack[:, rng.integers(rows)]
-    elif centre == "zero":
-        centres = np.zeros((S, n))
-    else:
-        centres = _awkward(rng, (S, n))
-    with np.errstate(over="ignore"):
-        want = np.square(stack - centres[:, None, :]).sum(axis=-1)
-        got = _square_distances(np.ascontiguousarray(stack.transpose(2, 0, 1)),
-                                np.ascontiguousarray(centres.T), np.empty((S, rows)))
-    assert got.tobytes() == want.tobytes()
+def test_kmeanspp_never_draws_a_chosen_row_twice():
+    """A row whose GEMM distance to itself rounds above 0 has no mass once
+    chosen: beside four exact copies of e1, every node draws it once and,
+    with no mass left, takes the first unchosen row rather than it again."""
+    vectors = np.array([[1 / 3, 2 / 3, 2 / 3]] + [[1, 0, 0]] * 4, dtype=np.float32)
+    sq_norms = (vectors.astype(np.float64) ** 2).sum(axis=1).astype(np.float32)
+    assert clustering._distances(vectors[None], sq_norms[None], vectors[None, :1])[0, 0, 0] > 0
+    seeds = [_seed_sequence(s) for s in range(40)]
+    centres = _kmeanspp(np.tile(vectors, (40, 1, 1)), np.tile(sq_norms, (40, 1)), 3, seeds)
+    for s, seed in enumerate(seeds):
+        want = oracles._kmeanspp_init(vectors, sq_norms, 3, np.random.default_rng(seed))
+        assert centres[s].tobytes() == want.tobytes()
+        assert (centres[s] == vectors[0]).all(axis=1).sum() == 1
+    assert (centres[:, 0] == vectors[0]).all(axis=1).any()  # some nodes start from that row
 
 
 def test_kmeans_keeps_no_buffer_and_no_row_major_copy():
     """With the cyclic collector off, _kmeans hands back all it allocated
     but its outputs, and its peak stays under five float32 stacks: the
-    stack, its float64 columns and k-means++'s running sums."""
+    stack, its float64 columns and Lloyd's distance block.  The norms'
+    float64 squares and k-means++'s (S, rows) sums are freed before the
+    columns are built."""
     atoms = _random_dictionary(30000, 16, seed=40).atoms
     index = np.arange(30000)[None]
     stack_bytes = atoms.nbytes
