@@ -15,16 +15,18 @@ filters its rows in blocks of its own, so the cost per row stays flat from
 
 ``--paper-scale`` instead builds a (100, 10, 10) and a (1000, 100) tree
 over a seeded Gaussian dictionary of m = 100000 atoms of dimension 64, the
-paper's regime, and prints each one's build time and the SHA-256 of its
-``.tree`` file.  It answers 512 seeded Gaussian queries through each tree
-at alpha 0.1 and exhaustively, and prints how often the picks agree and
-the mean ratio of the tree pick's |score| to the exhaustive one's.
+paper's regime, and prints each one's build time, the process's peak RSS
+right after it and the SHA-256 of its ``.tree`` file.  It answers 512
+seeded Gaussian queries through each tree at alpha 0.1 and exhaustively,
+and prints how often the picks agree and the mean ratio of the tree
+pick's |score| to the exhaustive one's.
 """
 
 import argparse
 import hashlib
 import math
 from pathlib import Path
+import resource
 import tempfile
 import time
 
@@ -114,13 +116,15 @@ def paper_scale(shapes=((100, 10, 10), (1000, 100))):
         start = time.perf_counter()
         tree = build_tree(d, branching, seed=seed)
         build_s = time.perf_counter() - start
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
         with tempfile.TemporaryDirectory() as work:
             path = Path(work) / "paper.tree"
             save_tree(tree, path)
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
         found, scores = TreeSelector(tree, d, alpha).pick(queries)
         ratio = np.mean(np.abs(scores) / np.abs(best_scores))
-        print(f"branching {branching}: build_tree {build_s:.2f} s, tree SHA-256 {digest}")
+        print(f"branching {branching}: build_tree {build_s:.2f} s, "
+              f"process peak RSS so far {peak_mb:.1f} MB, tree SHA-256 {digest}")
         print(f"  agreement with exhaustive {np.mean(found == best):.3f}, "
               f"mean |score| ratio {ratio:.4f}")
 

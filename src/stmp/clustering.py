@@ -12,20 +12,25 @@ numbers (Malinen & Franti, Balanced K-Means for Clustering, S+SSPR 2014).
 
 All nodes of one depth split together.  Their rounds run in lockstep, and
 in each round the nodes whose k-means input has the same (rows, k) shape
-form one stack: the distance GEMM (``np.matmul`` on the 3-D stack), argmin
-and counts are one numpy call for the whole stack, and nodes leave it as
-they converge.  Since every frozen cluster holds exactly C atoms, a depth
-has few shapes.  Lloyd's passes and k-means++'s draws take their squared
+form one stack: the distance GEMM (``np.matmul`` on the 3-D stack) and the
+counts are one numpy call for the whole stack, and nodes leave it as they
+converge.  Since every frozen cluster holds exactly C atoms, a depth has
+few shapes.  Lloyd's passes and k-means++'s draws take their squared
 distances from one kernel, ``_distances``: (|v|^2 - 2 v.c) + |c|^2 with
-v.c one float32 GEMM over the stack.  The means work on one column-major
+v.c one float32 GEMM over the stack, as an (S, k, rows) block.  Below 64
+centroids the block is k-major in memory, so every elementwise pass runs
+along whole rows of the stack, not along k short entries.  ``_nearest``
+assigns each row to its first nearest centroid, ties to the lowest, as
+``argmin`` over k would; on a k-major block that is the least distance
+across k, then one pass per centroid.  The means work on one column-major
 (n, S, rows) float64 copy of the stack, one weighted ``bincount`` per
 coordinate over whole (S, rows) rows.  Stacks are never padded to one
 shape: OpenBLAS rounds a padded product differently, a changed ulp can flip
-an argmin, and a node's split, like the ``.tree`` bytes, must not depend on
-which nodes share its stack.  Each node keeps its own seeded generator for
-its first round and its own unfrozen centroids for the next, and every
-node's arithmetic is its lone run's, so a tree is the one the nodes split
-one at a time would give.
+an assignment, and a node's split, like the ``.tree`` bytes, must not
+depend on which nodes share its stack.  Each node keeps its own seeded
+generator for its first round and its own unfrozen centroids for the next,
+and every node's arithmetic is its lone run's, so a tree is the one the
+nodes split one at a time would give.
 
 On unit-norm vectors squared Euclidean distance and inner product induce the
 same ordering (|u - v|^2 = 2 - 2 u.v), which is what lets a distance-based
@@ -77,6 +82,13 @@ _DEGENERATE_NORM = 1e-12
 
 CENTROID_NORM_TOL = 1e-5
 
+# Lloyd's distance block is k-major below this many centroids (``_distances``).  With
+# fewer, rows of k entries would make numpy's elementwise passes and argmin run short
+# inner loops.  From here on, the k-major first minimum's pass per centroid costs more
+# than one argmin along rows of k: timed on a 2-core Xeon, a whole k-major Lloyd step took
+# 0.9-1.15x the row-major one at k = 64 and 1.16x at k = 1000 (rows = 1e5, n = 64).
+_K_MAJOR_BELOW = 64
+
 # one leaf record of the file: u8 tag (always 1) then u64 atom index
 _LEAF_RECORD = np.dtype([("tag", "u1"), ("index", "<u8")])
 _U32 = struct.Struct("<I")
@@ -113,15 +125,43 @@ def _draw(d2: np.ndarray, total: np.ndarray, uniforms: np.ndarray) -> np.ndarray
 
 
 def _distances(vectors: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """The (S, rows, k) float32 squared distances of every row of an (S,
+    """The (S, k, rows) float32 squared distances of every row of an (S,
     rows, n) stack to each of its node's (S, k, n) centroids, given the
     rows' (S, rows) squared norms: (sq - 2 v.c) + c.c in place, the bits of
-    the unfused sum, clamped at 0."""
-    d2 = np.matmul(vectors, centroids.transpose(0, 2, 1))
+    the unfused sum, clamped at 0.
+
+    Below ``_K_MAJOR_BELOW`` centroids the block is k-major in memory, so
+    each elementwise pass runs along a whole row of the stack rather than
+    along k short entries; from there on it is an (S, k, rows) view of an
+    (S, rows, k) block, whose rows of k are long enough already."""
+    if centroids.shape[1] < _K_MAJOR_BELOW:
+        d2 = np.matmul(centroids, vectors.transpose(0, 2, 1))
+    else:
+        d2 = np.matmul(vectors, centroids.transpose(0, 2, 1)).transpose(0, 2, 1)
     d2 *= -2.0
-    d2 += sq_norms[:, :, None]
-    d2 += np.square(centroids).sum(axis=2)[:, None, :]
+    d2 += sq_norms[:, None, :]
+    d2 += np.square(centroids).sum(axis=2)[:, :, None]
     return np.maximum(d2, 0.0, out=d2)
+
+
+def _nearest(d2: np.ndarray) -> np.ndarray:
+    """The (S, rows) index of each row's first least distance in an (S, k,
+    rows) block of finite distances, ties to the lowest centroid, as
+    ``argmin`` over k gives.  A block stored with k innermost takes that
+    one argmin; a k-major one takes the least distance across k, then one
+    pass per centroid from the last down, each writing only the rows it
+    hits."""
+    S, k, rows = d2.shape
+    if d2.strides[1] == d2.itemsize:
+        return d2.argmin(axis=1)
+    low = d2.min(axis=1)
+    index = np.full((S, rows), k - 1, dtype=np.int64)
+    hit = np.empty((S, rows), dtype=bool)
+    flat_index, flat_hit = index.reshape(-1), hit.reshape(-1)
+    for c in range(k - 2, -1, -1):
+        np.equal(d2[:, c], low, out=hit)
+        flat_index[flat_hit.nonzero()] = c
+    return index
 
 
 def _kmeanspp(vectors: np.ndarray, sq_norms: np.ndarray, k: int, seeds) -> np.ndarray:
@@ -147,7 +187,7 @@ def _kmeanspp(vectors: np.ndarray, sq_norms: np.ndarray, k: int, seeds) -> np.nd
     for j in range(1, k):
         # fold in centre j-1: only draws read d2, so the last centre is never folded in
         last = chosen[:, j - 1]
-        np.minimum(d2, _distances(vectors, sq_norms, vectors[at, last, None])[:, :, 0], out=d2)
+        np.minimum(d2, _distances(vectors, sq_norms, vectors[at, last, None])[:, 0], out=d2)
         d2[at, last] = 0.0
         total = d2.sum(axis=1)
         spread = np.flatnonzero(total > 0.0)
@@ -207,11 +247,11 @@ def _kmeans(atoms: np.ndarray, index: np.ndarray, k: int, seeds=(),
     assignments = np.zeros((S, rows), dtype=np.int64)
     for _ in range(max_iters):
         d2 = _distances(vectors, sq_norms, centroids)
-        assignments = d2.argmin(axis=2)
+        assignments = _nearest(d2)
         counts = _bincounts(assignments, k)
         for s in np.flatnonzero((counts == 0).any(axis=1)).tolist():
             # re-seed each empty cluster at the point farthest from its own centroid
-            own = d2[s, np.arange(rows), assignments[s]].astype(np.float64)
+            own = d2[s, assignments[s], np.arange(rows)].astype(np.float64)
             for c in np.flatnonzero(counts[s] == 0).tolist():
                 far = int(np.argmax(own))
                 centroids[s, c] = vectors[s, far]

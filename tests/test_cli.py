@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +64,41 @@ def test_version_subprocess(tmp_path):
     )
     assert where.returncode == 0, where.stderr
     assert Path(where.stdout.strip()).resolve() == Path(stmp.__file__).resolve()
+
+
+# one process per thread count: the BLAS reads OPENBLAS_NUM_THREADS when numpy loads
+_BUILD_AND_RUN = """
+import sys
+from stmp.cli import main
+d, tree, image, out = sys.argv[1:]
+assert main(["build-tree", "--dict", d, "--branching", "10,10", "--seed", "3", "--out", tree]) == 0
+assert main(["run", "--task", "denoise", "--in", image, "--dict", d, "--tree", tree,
+             "--patch", "8,8", "--stride", "2,2", "--k", "4", "--out", out]) == 0
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A build-tree and a tree run write the same .tree and restored tensor
+    bytes under one and two OpenBLAS threads.  The root's (2000 x 10 x 64)
+    and the coding's (841 x 10 x 64) products are above the size from which
+    OpenBLAS splits a GEMM between threads."""
+    dict_path, image = tmp_path / "d.dict", tmp_path / "in.pgm"
+    save_dictionary(normalize_columns(np.random.default_rng(21).standard_normal((2000, 64))),
+                    dict_path)
+    _write_image(image, 22, shape=(64, 64))
+    outputs = []
+    for threads in ("1", "2"):
+        work = tmp_path / f"threads{threads}"
+        work.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", _BUILD_AND_RUN, str(dict_path), str(work / "d.tree"), str(image),
+             str(work / "out.tnsr")],
+            capture_output=True, text=True, cwd=work,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(work / name).read_bytes() for name in ("d.tree", "out.tnsr")])
+    assert outputs[0] == outputs[1]
 
 
 def test_public_surface():

@@ -20,9 +20,11 @@ from stmp import (
 )
 from stmp import clustering
 from stmp.clustering import (
+    _distances,
     _draw,
     _kmeans,
     _kmeanspp,
+    _nearest,
     _seed_sequence,
     _split,
     _unit_means,
@@ -336,7 +338,8 @@ def test_batched_build_matches_the_per_node_reference(tmp_path_factory, m, n, br
                       tmp_path_factory.mktemp("trees"))
 
 
-@pytest.mark.parametrize("m, n, branching", [(2000, 64, (40, 10)), (997, 5, (7, 3)), (500, 9, (5, 4, 3))])
+@pytest.mark.parametrize("m, n, branching", [(2000, 64, (40, 10)), (997, 5, (7, 3)), (500, 9, (5, 4, 3)),
+                                             (1500, 16, (100, 3))])  # a root with k innermost
 def test_batched_build_matches_the_reference_at_size(tmp_path, m, n, branching):
     d = _random_dictionary(m, n, seed=m + n)
     _assert_same_tree(build_tree(d, branching, 11), oracles.build_tree(d, branching, 11), tmp_path)
@@ -417,6 +420,7 @@ def test_later_rounds_start_from_the_unfrozen_centroids(sizes, n, k, distinct, s
 @example(rows=6, n=3, k_share=0.6, nodes=3, distinct=2, max_iters=25, seed=0)  # zero mass, empties
 @example(rows=9, n=4, k_share=1.0, nodes=2, distinct=9, max_iters=25, seed=1)  # k == count
 @example(rows=64, n=64, k_share=0.2, nodes=4, distinct=64, max_iters=2, seed=2)  # max_iters exit
+@example(rows=80, n=16, k_share=0.9, nodes=3, distinct=80, max_iters=25, seed=3)  # k innermost
 def test_stacked_kmeans_matches_the_lone_reference(rows, n, k_share, nodes, distinct, max_iters, seed):
     """A stack of same-shape nodes gives each node the lone reference run's
     centroid and assignment bits, whichever nodes converge first."""
@@ -502,6 +506,75 @@ def test_kmeanspp_draw_matches_rng_choice(count):
         got = _draw(d2[None], np.array([total]), np.array([np.random.default_rng(trial).random()]))
         assert got.tolist() == [want]
         assert d2[want] > 0
+
+
+def _sq_norms(vectors):
+    return np.square(vectors, dtype=np.float64).sum(axis=2).astype(np.float32)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    S=st.integers(1, 6),
+    rows=st.integers(2, 200),
+    n=st.sampled_from([2, 16, 43, 64]),
+    k=st.integers(1, 100),
+    copies=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# shapes where a row-blocked GEMM was seen to lose bits against the whole product
+@example(S=100, rows=1000, n=64, k=10, copies=False, seed=0)
+@example(S=1, rows=5003, n=43, k=50, copies=False, seed=1)
+@example(S=3, rows=40, n=16, k=1, copies=True, seed=2)  # k-means++'s one-centre product
+@example(S=2, rows=300, n=16, k=clustering._K_MAJOR_BELOW - 1, copies=True, seed=3)
+@example(S=2, rows=300, n=16, k=clustering._K_MAJOR_BELOW, copies=True, seed=4)
+def test_distances_are_the_row_major_reference_node_by_node(S, rows, n, k, copies, seed):
+    """Node by node, the (S, k, rows) block is the transpose of the oracle's
+    (rows, k) float32 distances, and its first minimum across k is the
+    oracle's argmin.  Below ``_K_MAJOR_BELOW`` centroids the block is
+    k-major in memory, from there on k is innermost."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((S, rows, n)).astype(np.float32)
+    if copies:  # centroids that are rows: clamped self-distances and duplicated centroids
+        centroids = vectors[:, rng.integers(rows, size=k)]
+    else:
+        centroids = rng.standard_normal((S, k, n)).astype(np.float32)
+    sq_norms = _sq_norms(vectors)
+    d2 = _distances(vectors, sq_norms, centroids)
+    assert d2.shape == (S, k, rows) and d2.dtype == np.float32
+    k_major = k < clustering._K_MAJOR_BELOW
+    assert (d2 if k_major else d2.transpose(0, 2, 1)).flags.c_contiguous
+    nearest = _nearest(d2)
+    for s in range(S):
+        want = oracles._squared_distances(vectors[s], sq_norms[s], centroids[s])
+        assert d2[s].T.tobytes() == want.tobytes()
+        assert nearest[s].tolist() == want.argmin(axis=1).tolist()
+
+
+@pytest.mark.parametrize("S", [1, 3, 300])
+@pytest.mark.parametrize("k", [2, 3, 10, 101, 1000])
+def test_nearest_breaks_exact_ties_as_argmin_does(S, k):
+    """On blocks full of exact ties, ``_nearest`` equals ``np.argmin`` over k
+    on the row-major transpose: the lowest tied centroid wins, whichever
+    axis the block stores innermost.  One block holds a few distinct rows,
+    each many times, against centroids drawn from them with repeats, so
+    distances tie across duplicated centroids and a row's distance to its
+    own copy is clamped at 0; the others hold small whole numbers."""
+    rng = np.random.default_rng(1000 * S + k)
+    rows = max(4, 60000 // (S * k))
+    base = normalize_columns(rng.standard_normal((max(2, k // 3), 8))).atoms
+    vectors = base[rng.integers(len(base), size=(S, rows))]
+    picks = rng.integers(len(base), size=(S, k))
+    picks[:, -1] = picks[:, 0]  # every node has a duplicated centroid
+    centroids = base[picks]
+    counted = rng.integers(0, 3, size=(S, k, rows)).astype(np.float32)
+    blocks = (_distances(vectors, _sq_norms(vectors), centroids), counted,
+              np.ascontiguousarray(counted.transpose(0, 2, 1)).transpose(0, 2, 1))
+    for d2 in blocks:
+        tied = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1
+        assert tied.any() and (d2 == 0).any()
+        got = _nearest(d2)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.ascontiguousarray(d2.transpose(0, 2, 1)).argmin(axis=2).tolist()
 
 
 # A hand-checked 3-atom tree, n = 2, branching (2,): the root splits into
