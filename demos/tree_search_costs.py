@@ -15,8 +15,11 @@ filters its rows in blocks of its own, so the cost per row stays flat from
 
 ``--paper-scale`` instead builds a (100, 10, 10) and a (1000, 100) tree
 over a seeded Gaussian dictionary of m = 100000 atoms of dimension 64, the
-paper's regime, and prints each one's build time, the process's peak RSS
-right after it and the SHA-256 of its ``.tree`` file.  It answers 512
+paper's regime, and prints each one's build time and the process's peak
+RSS right after it.  Then it times ``save_tree`` and ``load_tree`` (best of
+3) and prints the file's size and SHA-256 beside a SHA-256 of the loaded
+arrays (each depth's float32 centroids, the offsets, the atoms), which a
+format change that keeps the tree leaves as it is.  It answers 512
 seeded Gaussian queries through each tree at alpha 0.1 and exhaustively,
 and prints how often the picks agree and the mean ratio of the tree
 pick's |score| to the exhaustive one's.
@@ -38,6 +41,7 @@ from stmp import (
     TreeSelector,
     build_tree,
     exact_select,
+    load_tree,
     normalize_columns,
     predicted_ip_count,
     save_tree,
@@ -119,14 +123,31 @@ def paper_scale(shapes=((100, 10, 10), (1000, 100))):
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
         with tempfile.TemporaryDirectory() as work:
             path = Path(work) / "paper.tree"
-            save_tree(tree, path)
+            save_ms = _us_per_row(lambda: save_tree(tree, path), 1) / 1e3
+            load_ms = _us_per_row(lambda: load_tree(path), 1) / 1e3
+            size = path.stat().st_size
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            arrays = _arrays_sha256(load_tree(path))
         found, scores = TreeSelector(tree, d, alpha).pick(queries)
         ratio = np.mean(np.abs(scores) / np.abs(best_scores))
         print(f"branching {branching}: build_tree {build_s:.2f} s, "
-              f"process peak RSS so far {peak_mb:.1f} MB, tree SHA-256 {digest}")
+              f"process peak RSS so far {peak_mb:.1f} MB")
+        print(f"  save_tree {save_ms:.2f} ms, load_tree {load_ms:.2f} ms, {size} bytes, "
+              f"file SHA-256 {digest}, arrays SHA-256 {arrays}")
         print(f"  agreement with exhaustive {np.mean(found == best):.3f}, "
               f"mean |score| ratio {ratio:.4f}")
+
+
+def _arrays_sha256(tree) -> str:
+    """SHA-256 of a tree's arrays: each depth's centroids as float32 bytes,
+    then each depth's int64 offsets, then the int64 atoms."""
+    h = hashlib.sha256()
+    for rows in tree.centroids:
+        h.update(rows.astype("<f4").tobytes())
+    for bounds in tree.offsets:
+        h.update(bounds.astype("<i8").tobytes())
+    h.update(tree.atoms.astype("<i8").tobytes())
+    return h.hexdigest()
 
 
 def _in_batches(selector, rows, size: int):

@@ -27,7 +27,7 @@ class Reader:
     @classmethod
     def of_file(cls, path) -> "Reader":
         """A reader over the whole file, read into a bytearray, so that
-        ``f32_array`` gives writable views of it rather than copies."""
+        ``array`` gives writable views of it rather than copies."""
         with open(path, "rb") as fh:
             data = bytearray(os.fstat(fh.fileno()).st_size)
             del data[fh.readinto(data):]
@@ -59,11 +59,13 @@ class Reader:
     def u64(self, what: str) -> int:
         return struct.unpack("<Q", self.take(8, what))[0]
 
-    def f32_array(self, count: int, what: str) -> np.ndarray:
-        """The next ``count`` float32 values, a view of the buffer (read-only
-        over ``bytes``)."""
-        start = self._advance(4 * count, what)
-        return np.frombuffer(self.data, "<f4", count, start)
+    def array(self, dtype, count: int, what: str) -> np.ndarray:
+        """The next ``count`` values of ``dtype``, a view of the buffer
+        (read-only over ``bytes``), once the buffer is checked to hold them
+        all, so a corrupt count makes no array larger than the buffer."""
+        dtype = np.dtype(dtype)
+        start = self._advance(dtype.itemsize * count, what)
+        return np.frombuffer(self.data, dtype, count, start)
 
     def expect_end(self) -> None:
         if self.offset != len(self.data):
@@ -71,10 +73,6 @@ class Reader:
                 f"{self.source}: {len(self.data) - self.offset} unexpected "
                 f"trailing bytes at offset {self.offset}"
             )
-
-
-def u8(value: int) -> bytes:
-    return struct.pack("<B", value)
 
 
 def u32(value: int) -> bytes:

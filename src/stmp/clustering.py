@@ -44,40 +44,36 @@ d = 0..L as float64 rows with float32 values.  Node j at depth d owns rows
 child ranges are one fancy index) of depth d+1, or of ``atoms``, the
 leaves' atom indices in preorder, when d = L.
 
-Tree file layout, v2 (little-endian):
+Tree file layout, v3 (little-endian); its sections are these arrays:
 
-    magic "STMPTREE" | u32 version=2 | u64 dictionary fingerprint | u64 n |
-    u32 L | L x u32 branching | preorder node records
+    magic "STMPTREE" | u32 version=3 | u64 dictionary fingerprint | u64 n |
+    u32 L | L x u32 branching |
+    for d = 0..L: N_d x u32 child counts | N_d x n float32 centroids |
+    N_{L+1} x u64 leaf atom ids
 
-The fingerprint is ``Dictionary.fingerprint()``: the first 8 bytes of the
-SHA-256 of the dictionary's float32 atom payload.  Version 1 had the same
-layout with a 64-bit FNV-1a fingerprint and is not read; ``stmp build-tree``
-rebuilds such a tree.
-
-Node records: u8 is_leaf; leaves carry u64 atom_index, internal nodes carry
-n x float32 centroid and u32 child_count.  Leaf centroids are not stored;
-they are the dictionary atoms themselves.  The child_count leaf records
-(9 bytes each) after a node at depth L are written as one block.  Loading
-walks the records by offset once, reading only tags and child counts and
-stepping over leaf runs; each depth's centroids and all leaf records are
-then one gather from the file bytes, and the leaf tags and indices are
-checked in one vectorized pass.
+N_0 = 1 and N_{d+1} is the sum of depth d's child counts, so ``offsets[d]``
+is their cumulative sum from 0.  Leaf centroids are not stored; they are the
+dictionary atoms themselves.  The fingerprint is
+``Dictionary.fingerprint()``: the first 8 bytes of the SHA-256 of the
+dictionary's float32 atom payload.  Loading reads each section as one view
+of the file bytes, once the file is known to hold all of it, so no array is
+larger than the file.  Versions 1 (a 64-bit FNV-1a fingerprint) and 2
+(preorder node records) are not read; ``stmp build-tree`` rebuilds such a
+tree.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 import itertools
-import struct
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _binio
 from .dictionary import Dictionary, row_dots
 from .errors import FormatError, StaleTreeError, UnsupportedFormatError
 
 _TREE_MAGIC = b"STMPTREE"
-_TREE_VERSION = 2
+_TREE_VERSION = 3
 _DEGENERATE_NORM = 1e-12
 
 CENTROID_NORM_TOL = 1e-5
@@ -88,10 +84,6 @@ CENTROID_NORM_TOL = 1e-5
 # than one argmin along rows of k: timed on a 2-core Xeon, a whole k-major Lloyd step took
 # 0.9-1.15x the row-major one at k = 64 and 1.16x at k = 1000 (rows = 1e5, n = 64).
 _K_MAJOR_BELOW = 64
-
-# one leaf record of the file: u8 tag (always 1) then u64 atom index
-_LEAF_RECORD = np.dtype([("tag", "u1"), ("index", "<u8")])
-_U32 = struct.Struct("<I")
 
 
 def _seed_sequence(seed, *key) -> np.random.SeedSequence:
@@ -516,19 +508,10 @@ def validate_tree(t: ClusterTree, d: Dictionary) -> TreeReport:
 def _first_violation(t: ClusterTree, d: Dictionary) -> str:
     if t.n != d.n:
         return f"tree atom dimension {t.n} != dictionary dimension {d.n}"
-    levels = t.levels
-    if len(t.centroids) != levels + 1 or len(t.offsets) != levels + 1:
-        return f"tree stores {len(t.centroids)} centroid depths, expected {levels + 1}"
-    counts = [1] + [rows.shape[0] for rows in t.centroids[1:]] + [t.atoms.size]
-    bounds = [np.asarray(b, dtype=np.int64) for b in t.offsets]
-    for depth, (rows, b) in enumerate(zip(t.centroids, bounds)):
-        if rows.shape != (counts[depth], t.n):
-            return f"centroids at depth {depth} have shape {rows.shape}, expected ({counts[depth]}, {t.n})"
-        if b.shape != (counts[depth] + 1,) or b[0] != 0 or b[-1] != counts[depth + 1]:
-            return f"child offsets at depth {depth} do not span the {counts[depth + 1]} nodes below"
-        empty = np.flatnonzero(np.diff(b) < 1)
-        if empty.size:
-            return f"internal node {empty[0]} at depth {depth} has no children"
+    violation = _layout_violation(t)
+    if violation:
+        return violation
+    for depth, rows in enumerate(t.centroids):
         norms = np.sqrt(row_dots(rows, rows))
         bad = np.flatnonzero(np.abs(norms - 1.0) > CENTROID_NORM_TOL)
         if bad.size:
@@ -540,6 +523,8 @@ def _first_violation(t: ClusterTree, d: Dictionary) -> str:
     # Every child holds C = ceil(size/k) atoms except at most one, which holds
     # fewer; a node with more than k children always breaks this.  Every node
     # has a child by now, so each range start below is a valid reduceat index.
+    bounds = [np.asarray(b, dtype=np.int64) for b in t.offsets]
+    levels = t.levels
     sizes = np.diff(bounds[levels])
     for depth in reversed(range(levels)):
         b = bounds[depth]
@@ -557,7 +542,42 @@ def _first_violation(t: ClusterTree, d: Dictionary) -> str:
     return ""
 
 
+def _layout_violation(t: ClusterTree) -> str:
+    """The first way, depth by depth, in which the tree's arrays do not fit
+    together as the sections of a ``.tree`` file, or "": array shapes, child
+    ranges that do not span the depth below, and child counts outside
+    1..2^32-1."""
+    levels = t.levels
+    if len(t.centroids) != levels + 1 or len(t.offsets) != levels + 1:
+        return f"tree stores {len(t.centroids)} centroid depths, expected {levels + 1}"
+    counts = [1] + [rows.shape[0] for rows in t.centroids[1:]] + [t.atoms.size]
+    for depth, (rows, b) in enumerate(zip(t.centroids, t.offsets)):
+        b = np.asarray(b, dtype=np.int64)
+        if rows.shape != (counts[depth], t.n):
+            return f"centroids at depth {depth} have shape {rows.shape}, expected ({counts[depth]}, {t.n})"
+        if b.shape != (counts[depth] + 1,) or b[0] != 0 or b[-1] != counts[depth + 1]:
+            return f"child offsets at depth {depth} do not span the {counts[depth + 1]} nodes below"
+        children = np.diff(b)
+        bad = np.flatnonzero((children < 1) | (children >= 1 << 32))
+        if bad.size:
+            j = int(bad[0])
+            if children[j] < 1:
+                return f"internal node {j} at depth {depth} has no children"
+            return f"internal node {j} at depth {depth} has {children[j]} children, more than a u32 count"
+    return ""
+
+
 def save_tree(t: ClusterTree, path) -> None:
+    """Write the tree in the v3 layout, one ``tobytes`` per array.
+
+    Raises ValueError, writing nothing, for arrays that would not read back
+    as this tree (``_layout_violation``).  Leaf atom ids are written as they
+    are: ``validate_tree`` refuses one outside the dictionary, and
+    ``load_tree`` one below 0, which is written as a u64 of 2^63 or more.
+    """
+    violation = _layout_violation(t)
+    if violation:
+        raise ValueError(f"cannot write this tree: {violation}")
     parts = [
         _TREE_MAGIC,
         _binio.u32(_TREE_VERSION),
@@ -566,114 +586,22 @@ def save_tree(t: ClusterTree, path) -> None:
         _binio.u32(t.levels),
     ]
     parts.extend(_binio.u32(k) for k in t.branching)
-    rows = [np.ascontiguousarray(c, dtype="<f4") for c in t.centroids]
-    if any(level.shape[1:] != (t.n,) for level in rows):
-        raise ValueError(f"centroid rows must have {t.n} entries")
-    records = np.empty(t.atoms.size, dtype=_LEAF_RECORD)
-    records["tag"] = 1
-    records["index"] = t.atoms
-    leaves = records.tobytes()
-    size = _LEAF_RECORD.itemsize
-    offsets = [b.tolist() for b in t.offsets]
-    stack = [(0, 0)]
-    while stack:
-        depth, j = stack.pop()
-        lo, hi = offsets[depth][j], offsets[depth][j + 1]
-        parts += [_binio.u8(0), rows[depth][j].tobytes(), _binio.u32(hi - lo)]
-        if depth == t.levels:
-            parts.append(leaves[size * lo : size * hi])
-        else:
-            stack.extend((depth + 1, child) for child in reversed(range(lo, hi)))
+    for rows, bounds in zip(t.centroids, t.offsets):
+        parts += [np.diff(bounds).astype("<u4").tobytes(), _binio.f32_bytes(rows)]
+    parts.append(np.ascontiguousarray(t.atoms, dtype="<i8").tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 
-def _walk(data: bytes, at: int, n: int, levels: int, path, starts: list, counts: list) -> None:
-    """Step through the preorder node records from offset `at`, reading only
-    tags and child counts; leaf runs are stepped over unread.
-
-    Appends each internal record's offset and child count to ``starts`` and
-    ``counts`` of its depth as it goes, so on a FormatError they hold what
-    came before it; a run cut short by the end of the file counts only its
-    whole records.
-    """
-    size = len(data)
-    record = 4 * n + 5  # u8 tag, n x f32 centroid, u32 child count
-    leaf = _LEAF_RECORD.itemsize
-    pending = [1]  # nodes still to read at depth len(pending) - 1, in preorder
-    while pending:
-        if not pending[-1]:
-            pending.pop()
-            continue
-        pending[-1] -= 1
-        depth = len(pending) - 1
-        if at >= size:
-            raise _binio.truncated(str(path), "node tag", at, 1, size)
-        tag = data[at]
-        if tag == 1:
-            raise FormatError(
-                f"{path}: leaf at depth {depth} at offset {at}, expected leaves at depth {levels + 1}"
-            )
-        if tag:
-            raise FormatError(f"{path}: bad node tag {tag} at offset {at}")
-        if at + record > size:
-            if at + 1 + 4 * n > size:
-                raise _binio.truncated(str(path), "centroid", at + 1, 4 * n, size)
-            raise _binio.truncated(str(path), "child count", at + record - 4, 4, size)
-        count = _U32.unpack_from(data, at + record - 4)[0]
-        if not count:
-            raise FormatError(f"{path}: internal node with no children at offset {at}")
-        starts[depth].append(at)
-        at += record
-        if depth < levels:
-            counts[depth].append(count)
-            pending.append(count)
-            continue
-        whole = min(count, (size - at) // leaf)
-        counts[depth].append(whole)
-        if whole < count:
-            raise FormatError(
-                f"{path}: leaf run of {count} atoms cut short after {whole} "
-                f"at offset {at + leaf * whole}"
-            )
-        at += leaf * count
-    if at != size:
-        raise FormatError(f"{path}: {size - at} unexpected trailing bytes at offset {at}")
-
-
-def _leaf_atoms(buf: np.ndarray, bottom: list, counts: list, record: int, levels: int,
-                path) -> np.ndarray:
-    """The atom indices of every leaf run, gathered and checked in one pass.
-
-    Run j holds ``counts[j]`` leaf records right after the depth-L record at
-    offset ``bottom[j]`` (``record`` bytes long).  Raises on the first leaf
-    record, in file order, whose tag is not 1 or whose index overflows int64.
-    """
-    size = _LEAF_RECORD.itemsize
-    counts = np.array(counts, dtype=np.int64)
-    first = np.cumsum(counts) - counts
-    # leaf j of run r sits at bottom[r] + record + size * (j - first[r]), j counted over all runs
-    at = np.arange(0, size * int(counts.sum()), size, dtype=np.int64)
-    at += np.repeat(np.array(bottom, dtype=np.int64) + record - size * first, counts)
-    records = sliding_window_view(buf, size)[at].view(_LEAF_RECORD)[:, 0]
-    bad = np.flatnonzero((records["tag"] != 1) | (records["index"] >= 1 << 63))
-    if bad.size:
-        tag = int(records["tag"][bad[0]])
-        what = {0: f"internal node below level {levels}", 1: "leaf atom index out of range"}
-        raise FormatError(f"{path}: {what.get(tag, f'bad node tag {tag}')} at offset {at[bad[0]]}")
-    return records["index"].astype(np.int64)
-
-
 def load_tree(path) -> ClusterTree:
-    """Read a v2 ``.tree`` file; raises FormatError naming the first bad offset.
+    """Read a v3 ``.tree`` file; raises FormatError naming the first bad offset.
 
-    Any other version, v1 included, raises UnsupportedFormatError at offset
-    8: a v1 tree carries the old fingerprint and must be rebuilt.
-
-    One walk over the records finds every internal record and leaf run;
-    each depth's centroids and all leaf records are then one gather from
-    the file bytes.  A bad leaf record before the point where the walk
-    stopped is reported first, as a record-by-record reader would.
+    Any other version, v1 and v2 included, raises UnsupportedFormatError at
+    offset 8: such a tree must be rebuilt.  Each section is one view of the
+    file bytes, taken once the file is known to hold all of it, so a
+    truncated section is named at its start; its values are then checked in
+    one vectorized pass, and the first zero child count or leaf id of 2^63
+    or more is named at its own offset.
     """
     reader = _binio.Reader.of_file(path)
     reader.magic(_TREE_MAGIC)
@@ -694,26 +622,34 @@ def load_tree(path) -> ClusterTree:
     if any(k < 2 for k in branching):
         raise FormatError(f"{path}: branching {branching} has an entry below 2")
 
-    starts = [[] for _ in range(levels + 1)]
-    counts = [[] for _ in range(levels + 1)]
-    try:
-        _walk(reader.data, reader.offset, n, levels, path, starts, counts)
-        error = None
-    except FormatError as exc:
-        error = exc  # raised once the leaf records walked over are checked
-    buf = np.frombuffer(reader.data, dtype=np.uint8)
-    atoms = _leaf_atoms(buf, starts[levels], counts[levels], 4 * n + 5, levels, path)
-    if error is not None:
-        raise error
-    rows = sliding_window_view(buf, 4 * n)
+    centroids, offsets = [], []
+    nodes = 1
+    for depth in range(levels + 1):
+        at = reader.offset
+        counts = reader.array("<u4", nodes, f"depth {depth} child counts")
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            j = int(empty[0])
+            raise FormatError(
+                f"{path}: internal node {j} at depth {depth} has no children at offset {at + 4 * j}"
+            )
+        offsets.append(np.concatenate(([0], np.cumsum(counts, dtype=np.int64))))
+        rows = reader.array("<f4", nodes * n, f"depth {depth} centroids")
+        centroids.append(rows.reshape(nodes, n).astype(np.float64))
+        nodes = int(offsets[-1][-1])
+    at = reader.offset
+    atoms = reader.array("<i8", nodes, "leaf atom ids")
+    wrapped = np.flatnonzero(atoms < 0)  # u64 ids of 2^63 or more
+    if wrapped.size:
+        raise FormatError(
+            f"{path}: leaf atom index out of range at offset {at + 8 * int(wrapped[0])}"
+        )
+    reader.expect_end()
     return ClusterTree(
         branching=branching,
         dictionary_fingerprint=fingerprint,
         n=n,
-        centroids=[
-            rows[np.array(level, dtype=np.int64) + 1].view("<f4").astype(np.float64)
-            for level in starts
-        ],
-        offsets=[_csr(level) for level in counts],
-        atoms=atoms,
+        centroids=centroids,
+        offsets=offsets,
+        atoms=atoms.astype(np.int64),
     )

@@ -230,7 +230,7 @@ def load_dictionary(path) -> Dictionary:
     m = reader.u64("atom count")
     if n == 0 or m == 0:
         raise FormatError(f"{path}: degenerate dictionary shape ({m} atoms of dimension {n})")
-    data = reader.f32_array(m * n, "atom payload")
+    data = reader.array("<f4", m * n, "atom payload")
     reader.expect_end()
     d = Dictionary(data.reshape(m, n))
     try:

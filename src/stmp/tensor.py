@@ -177,7 +177,7 @@ def load_tensor(path) -> np.ndarray:
     if any(e == 0 for e in shape):
         raise FormatError(f"{path}: zero extent in shape {shape}")
     count = math.prod(shape)
-    data = reader.f32_array(count, "payload")
+    data = reader.array("<f4", count, "payload")
     reader.expect_end()
     t = data.reshape(shape)
     if not np.isfinite(t).all():

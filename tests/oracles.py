@@ -13,7 +13,6 @@ import numpy as np
 from stmp import _binio
 from stmp.clustering import (
     _DEGENERATE_NORM,
-    _LEAF_RECORD,
     _TREE_MAGIC,
     _TREE_VERSION,
     ClusterTree,
@@ -400,31 +399,10 @@ def build_tree(d: Dictionary, branching, seed) -> ClusterTree:
     )
 
 
-def _read_leaf_run(reader: _binio.Reader, count: int, levels: int, path) -> np.ndarray:
-    """Atom indices of one bottom node's `count` leaf records, read as one block."""
-    start = reader.offset
-    size = _LEAF_RECORD.itemsize
-    whole = min(count, (len(reader.data) - start) // size)
-    records = np.frombuffer(reader.data, dtype=_LEAF_RECORD, count=whole, offset=start)
-    bad = np.flatnonzero((records["tag"] != 1) | (records["index"] >= 1 << 63))
-    if bad.size:
-        tag = int(records["tag"][bad[0]])
-        what = {0: f"internal node below level {levels}", 1: "leaf atom index out of range"}
-        raise FormatError(
-            f"{path}: {what.get(tag, f'bad node tag {tag}')} at offset {start + size * int(bad[0])}"
-        )
-    if whole < count:
-        raise FormatError(
-            f"{path}: leaf run of {count} atoms cut short after {whole} "
-            f"at offset {start + size * whole}"
-        )
-    reader.take(size * count, "leaf run")
-    return records["index"]
-
-
 def load_tree_reference(path) -> ClusterTree:
-    """Node-by-node reader of a v2 ``.tree``: each record's tag, centroid and
-    child count through a sequential Reader, each leaf run as one block."""
+    """Value-by-value reader of a v3 ``.tree``: each section is checked to
+    fit in the file, then read one child count, centroid and leaf id at a
+    time through a sequential Reader."""
     with open(path, "rb") as fh:
         reader = _binio.Reader(fh.read(), source=str(path))
     reader.magic(_TREE_MAGIC)
@@ -445,42 +423,42 @@ def load_tree_reference(path) -> ClusterTree:
     if any(k < 2 for k in branching):
         raise FormatError(f"{path}: branching {branching} has an entry below 2")
 
-    rows = [[] for _ in range(levels + 1)]
-    counts = [[] for _ in range(levels + 1)]
-    runs = []
-    pending = [1]  # nodes still to read at depth len(pending) - 1, in preorder
-    while pending:
-        if not pending[-1]:
-            pending.pop()
-            continue
-        pending[-1] -= 1
-        depth = len(pending) - 1
+    def section(size, what):
+        """Check that the file holds the next ``size`` bytes; read none of them."""
+        start = reader.offset
+        reader.take(size, what)
+        reader.offset = start
+
+    rows, counts = [], []
+    nodes = 1
+    for depth in range(levels + 1):
+        section(4 * nodes, f"depth {depth} child counts")
+        counts.append([])
+        for j in range(nodes):
+            at = reader.offset
+            count = reader.u32("child count")
+            if count == 0:
+                raise FormatError(
+                    f"{path}: internal node {j} at depth {depth} has no children at offset {at}"
+                )
+            counts[depth].append(count)
+        section(4 * n * nodes, f"depth {depth} centroids")
+        rows.append([np.frombuffer(reader.take(4 * n, "centroid"), "<f4") for _ in range(nodes)])
+        nodes = sum(counts[depth])
+    section(8 * nodes, "leaf atom ids")
+    atoms = []
+    for _ in range(nodes):
         at = reader.offset
-        tag = reader.take(1, "node tag")[0]
-        if tag == 1:
-            raise FormatError(
-                f"{path}: leaf at depth {depth} at offset {at}, expected leaves at depth {levels + 1}"
-            )
-        if tag != 0:
-            raise FormatError(f"{path}: bad node tag {tag} at offset {at}")
-        rows[depth].append(reader.take(4 * n, "centroid"))
-        count = reader.u32("child count")
-        if count == 0:
-            raise FormatError(f"{path}: internal node with no children at offset {at}")
-        counts[depth].append(count)
-        if depth < levels:
-            pending.append(count)
-        else:
-            runs.append(_read_leaf_run(reader, count, levels, path))
+        atom = reader.u64("leaf atom id")
+        if atom >= 1 << 63:
+            raise FormatError(f"{path}: leaf atom index out of range at offset {at}")
+        atoms.append(atom)
     reader.expect_end()
     return ClusterTree(
         branching=branching,
         dictionary_fingerprint=fingerprint,
         n=n,
-        centroids=[
-            np.frombuffer(b"".join(level), dtype="<f4").reshape(-1, n).astype(np.float64)
-            for level in rows
-        ],
+        centroids=[np.array(level).astype(np.float64) for level in rows],
         offsets=[_csr(level) for level in counts],
-        atoms=np.concatenate(runs).astype(np.int64),
+        atoms=np.array(atoms, dtype=np.int64),
     )

@@ -276,9 +276,9 @@ def test_run_rejects_malformed_tree(tmp_path, capsys):
         ["build-tree", "--dict", str(dict_path), "--branching", "4,2", "--out", str(tree_path)]
     ) == 0
     raw = bytearray(tree_path.read_bytes())
-    first_child = 40 + 1 + 4 * 16 + 4  # 40-byte header for L = 2, then the root's record
-    assert raw[first_child] == 0
-    raw[first_child] = 1  # a leaf directly under the root
+    first_count = 40 + 4 + 4 * 16  # 40-byte header for L = 2, then the root's count and centroid
+    assert raw[first_count : first_count + 4] == b"\x02\x00\x00\x00"  # 30 atoms in 4 x 2 leaves
+    raw[first_count : first_count + 4] = b"\x00\x00\x00\x00"  # the root's first child has none
     bad_path = tmp_path / "bad.tree"
     bad_path.write_bytes(bytes(raw))
     capsys.readouterr()
@@ -290,7 +290,7 @@ def test_run_rejects_malformed_tree(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert f"leaf at depth 1 at offset {first_child}" in err
+    assert f"internal node 0 at depth 1 has no children at offset {first_count}" in err
 
 
 @pytest.mark.parametrize(
@@ -670,12 +670,13 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, command, source):
     assert "Traceback" not in err_text
 
 
-def test_run_refuses_a_v1_tree(tmp_path, capsys):
-    # v1 trees carry the FNV-1a fingerprint; the run names the fix
+@pytest.mark.parametrize("version", [1, 2])
+def test_run_refuses_a_tree_before_v3(tmp_path, capsys, version):
+    # v1 trees carry the FNV-1a fingerprint and v2 trees preorder records; the run names the fix
     img_path, dict_path, tree_path = _image_dict_and_tree(tmp_path)
     raw = bytearray(tree_path.read_bytes())
-    assert raw[8:12] == b"\x02\x00\x00\x00"
-    raw[8:12] = b"\x01\x00\x00\x00"
+    assert raw[8:12] == b"\x03\x00\x00\x00"
+    raw[8:12] = version.to_bytes(4, "little")
     tree_path.write_bytes(bytes(raw))
     capsys.readouterr()
     rc = main(["run", "--task", "denoise", "--in", str(img_path), "--dict", str(dict_path),
@@ -684,7 +685,7 @@ def test_run_refuses_a_v1_tree(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "unsupported tree format version 1 at offset 8" in err and "stmp build-tree" in err
+    assert f"unsupported tree format version {version} at offset 8" in err and "stmp build-tree" in err
     assert "Traceback" not in err
 
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import struct
 import tracemalloc
 
@@ -581,12 +582,11 @@ def test_nearest_breaks_exact_ties_as_argmin_does(S, k):
 # node A (atoms 0 and 2) and node B (atom 1).
 _FINGERPRINT = 0x0123456789ABCDEF
 _TREE_BYTES = (
-    b"STMPTREE" + struct.pack("<IQQII", 2, _FINGERPRINT, 2, 1, 2)  # header, 36 bytes
-    + b"\x00" + struct.pack("<2fI", 1.0, 0.0, 2)  # root at 36
-    + b"\x00" + struct.pack("<2fI", 0.6, 0.8, 2)  # A at 49
-    + b"\x01" + struct.pack("<Q", 0) + b"\x01" + struct.pack("<Q", 2)  # A's leaf run at 62
-    + b"\x00" + struct.pack("<2fI", 0.0, 1.0, 1)  # B at 80
-    + b"\x01" + struct.pack("<Q", 1)  # B's leaf run at 93
+    b"STMPTREE" + struct.pack("<IQQII", 3, _FINGERPRINT, 2, 1, 2)  # header, 36 bytes
+    + struct.pack("<I2f", 2, 1.0, 0.0)  # depth 0: the root's child count at 36, centroid at 40
+    + struct.pack("<2I", 2, 1)  # depth 1: A's and B's child counts at 48 and 52
+    + struct.pack("<4f", 0.6, 0.8, 0.0, 1.0)  # A's and B's centroids at 56 and 64
+    + struct.pack("<3Q", 0, 2, 1)  # leaf atom ids at 72, 80 and 88
 )
 
 
@@ -604,8 +604,8 @@ def _hand_tree():
     )
 
 
-def test_tree_v2_bytes_pinned(tmp_path):
-    assert len(_TREE_BYTES) == 102
+def test_tree_v3_bytes_pinned(tmp_path):
+    assert len(_TREE_BYTES) == 96
     path = tmp_path / "hand.tree"
     save_tree(_hand_tree(), path)
     assert path.read_bytes() == _TREE_BYTES
@@ -618,11 +618,12 @@ def test_tree_v2_bytes_pinned(tmp_path):
     assert back.atoms.tolist() == [0, 2, 1] and back.atoms.dtype == np.int64
 
 
-def test_tree_v1_is_refused_at_offset_8(tmp_path):
-    # v1 had this layout with the FNV-1a fingerprint; it is rebuilt, not read
+@pytest.mark.parametrize("version", [1, 2])
+def test_tree_before_v3_is_refused_at_offset_8(tmp_path, version):
+    # v1 had the FNV-1a fingerprint and v2 preorder node records; both are rebuilt, not read
     path = tmp_path / "old.tree"
-    path.write_bytes(_patched(8, struct.pack("<I", 1)))
-    message = "version 1 at offset 8; rebuild the tree with stmp build-tree"
+    path.write_bytes(_patched(8, struct.pack("<I", version)))
+    message = f"version {version} at offset 8; rebuild the tree with stmp build-tree"
     with pytest.raises(UnsupportedFormatError, match=message):
         load_tree(path)
 
@@ -636,27 +637,76 @@ def _patched(at, new):
 @pytest.mark.parametrize(
     "data, message",
     [
-        (_patched(49, b"\x07"), "bad node tag 7 at offset 49"),
-        (_patched(49, b"\x01"), "leaf at depth 1 at offset 49"),
-        (_patched(36, b"\x01"), "leaf at depth 0 at offset 36"),
-        (_patched(71, b"\x00"), "internal node below level 1 at offset 71"),
-        (_patched(93, b"\x05"), "bad node tag 5 at offset 93"),
-        (_patched(58, struct.pack("<I", 0)), "internal node with no children at offset 49"),
-        (_TREE_BYTES[:75], "leaf run of 2 atoms cut short after 1 at offset 71"),
-        (_TREE_BYTES[:62], "leaf run of 2 atoms cut short after 0 at offset 62"),
-        (_patched(63, struct.pack("<Q", 1 << 63)), "out of range at offset 62"),
-        (_TREE_BYTES[:60], "truncated while reading child count at offset 58"),
+        (_patched(36, struct.pack("<I", 0)),
+         "internal node 0 at depth 0 has no children at offset 36"),
+        (_patched(52, struct.pack("<I", 0)),
+         "internal node 1 at depth 1 has no children at offset 52"),
+        (_patched(80, struct.pack("<Q", 1 << 63)), "leaf atom index out of range at offset 80"),
+        (_patched(88, struct.pack("<Q", 2**64 - 1)) + b"\0",
+         "leaf atom index out of range at offset 88"),
+        (_TREE_BYTES[:54],
+         "truncated while reading depth 1 child counts at offset 48 (need 8 bytes, have 6)"),
+        (_TREE_BYTES[:60],
+         "truncated while reading depth 1 centroids at offset 56 (need 16 bytes, have 4)"),
+        (_TREE_BYTES[:84],
+         "truncated while reading leaf atom ids at offset 72 (need 24 bytes, have 12)"),
+        (_TREE_BYTES[:72],
+         "truncated while reading leaf atom ids at offset 72 (need 24 bytes, have 0)"),
+        (_patched(52, struct.pack("<I", 2)),
+         "truncated while reading leaf atom ids at offset 72 (need 32 bytes, have 24)"),
+        (_patched(36, struct.pack("<I", 2**32 - 1)),
+         "truncated while reading depth 1 child counts at offset 48 "
+         "(need 17179869180 bytes, have 48)"),
+        (_patched(20, struct.pack("<Q", 2**40)),
+         "truncated while reading depth 0 centroids at offset 40 "
+         "(need 4398046511104 bytes, have 56)"),
+        (_TREE_BYTES + b"\0\0", "2 unexpected trailing bytes at offset 96"),
+        # a bad value is named before a fault in a later section, but a section the
+        # file cannot hold is named at its start, before a bad value inside it
+        (_patched(52, struct.pack("<I", 0)) + b"\0",
+         "internal node 1 at depth 1 has no children at offset 52"),
+        (_patched(48, struct.pack("<I", 0))[:90],
+         "internal node 0 at depth 1 has no children at offset 48"),
+        (_patched(48, struct.pack("<I", 0))[:54],
+         "truncated while reading depth 1 child counts at offset 48 (need 8 bytes, have 6)"),
+        (_patched(72, struct.pack("<Q", 1 << 63))[:90],
+         "truncated while reading leaf atom ids at offset 72 (need 24 bytes, have 18)"),
     ],
     ids=[
-        "bad-tag", "shallow-leaf", "root-leaf", "internal-below-L", "bad-leaf-tag",
-        "zero-children", "run-cut-short", "run-missing", "index-overflow", "truncated-node",
+        "zero-root-children", "zero-children", "index-overflow", "overflow-before-trailing",
+        "truncated-node", "centroids-cut", "run-cut-short", "run-missing", "counts-past-file",
+        "huge-count", "huge-dimension", "trailing", "zero-before-trailing", "zero-before-cut",
+        "cut-after-zero", "cut-after-overflow",
     ],
 )
 def test_tree_load_errors_name_offset(tmp_path, data, message):
     path = tmp_path / "bad.tree"
     path.write_bytes(data)
-    with pytest.raises(FormatError, match=message):
+    with pytest.raises(FormatError, match=re.escape(message)):
         load_tree(path)
+    assert _load_outcome(oracles.load_tree_reference, path) == ("FormatError", f"{path}: {message}")
+
+
+@pytest.mark.parametrize(
+    "offsets, message",
+    [
+        ([[0, 2], [0, 2, 2]], "child offsets at depth 1 do not span the 3 nodes below"),
+        ([[0, 1], [0, 2, 3]], "child offsets at depth 0 do not span the 2 nodes below"),
+        ([[0, 2], [0, 3, 3]], "internal node 1 at depth 1 has no children"),
+        ([[0, 2], [0, 4, 3]], "internal node 1 at depth 1 has no children"),
+        ([[0, 2], [0, 2**32, 3]], "internal node 0 at depth 1 has 4294967296 children"),
+    ],
+    ids=["span-short", "root-span-short", "zero-count", "negative-count", "count-past-u32"],
+)
+def test_save_tree_refuses_a_tree_it_cannot_write(tmp_path, offsets, message):
+    """A count that would wrap in its u32 field, or child ranges that do not
+    span the depth below, would write sections of the wrong size."""
+    tree = _hand_tree()
+    tree.offsets = [np.array(b) for b in offsets]
+    path = tmp_path / "t.tree"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save_tree(tree, path)
+    assert not path.exists()
 
 
 def _load_outcome(load, path):
@@ -671,30 +721,18 @@ def _load_outcome(load, path):
             (t.atoms.dtype.str, t.atoms.tobytes()))
 
 
-def _record_fields(tree):
-    """File offsets of every node tag, child count and leaf index, in the
-    order ``save_tree`` writes them."""
+def _field_offsets(tree):
+    """File offsets of every child count and leaf atom id of ``tree``'s file."""
     at = 32 + 4 * tree.levels
-    record = 4 * tree.n + 5
-    tags, counts, indices = [], [], []
-    stack = [(0, 0)]
-    while stack:
-        depth, j = stack.pop()
-        lo, hi = (int(v) for v in tree.offsets[depth][j : j + 2])
-        tags.append(at)
-        counts.append(at + record - 4)
-        at += record
-        if depth == tree.levels:
-            tags.extend(range(at, at + 9 * (hi - lo), 9))
-            indices.extend(range(at + 1, at + 9 * (hi - lo), 9))
-            at += 9 * (hi - lo)
-        else:
-            stack.extend((depth + 1, child) for child in reversed(range(lo, hi)))
-    return tags, counts, indices
+    counts = []
+    for bounds in tree.offsets:
+        nodes = len(bounds) - 1
+        counts.extend(range(at, at + 4 * nodes, 4))
+        at += 4 * nodes * (1 + tree.n)
+    return counts, list(range(at, at + 8 * tree.atoms.size, 8))
 
 
 _FIELD_VALUES = {
-    "tag": st.sampled_from([0, 1, 2, 255]).map(lambda v: struct.pack("<B", v)),
     "count": st.one_of(st.sampled_from([0, 1, 2, 3, 2**32 - 1]),
                        st.integers(0, 2**32 - 1)).map(lambda v: struct.pack("<I", v)),
     "index": st.one_of(st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 1]),
@@ -702,7 +740,7 @@ _FIELD_VALUES = {
 }
 
 
-# a corrupted child count shifts the walk, so centroid bytes may hold signalling NaNs
+# a corrupted child count shifts the later sections, so centroid bytes may hold signalling NaNs
 @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @settings(max_examples=25, deadline=None)
 @given(
@@ -715,8 +753,8 @@ _FIELD_VALUES = {
 @example(m=7, n=2, branching=[3, 2], seed=0, data=None)
 def test_load_tree_matches_the_record_by_record_reference(tmp_path_factory, m, n, branching,
                                                          seed, data):
-    """Every truncation and random corruptions of tags, child counts and leaf
-    indices: the loader gives the reference reader's arrays or its error."""
+    """Every truncation and random corruptions of child counts and leaf ids:
+    the loader gives the reference reader's arrays or its error."""
     if m % math.prod(branching) == 0:
         m += 1  # uneven cluster sizes at every level
     tmp = tmp_path_factory.mktemp("trees")
@@ -737,7 +775,9 @@ def test_load_tree_matches_the_record_by_record_reference(tmp_path_factory, m, n
 
     if data is None:
         return
-    fields = dict(zip(("tag", "count", "index"), _record_fields(tree)))
+    fields = dict(zip(("count", "index"), _field_offsets(tree)))
+    assert ([int.from_bytes(raw[at : at + 4], "little") for at in fields["count"]]
+            == np.concatenate([np.diff(b) for b in tree.offsets]).tolist())
     assert [int.from_bytes(raw[at : at + 8], "little") for at in fields["index"]] == tree.atoms.tolist()
     for _ in range(8):
         corrupt = bytearray(raw)
@@ -753,39 +793,34 @@ def test_load_tree_matches_the_record_by_record_reference(tmp_path_factory, m, n
         assert _load_outcome(load_tree, bad) == _load_outcome(oracles.load_tree_reference, bad)
 
 
+@pytest.mark.parametrize("field", ["root", "last"])
+def test_load_tree_allocates_no_more_than_the_file_on_a_huge_count(tmp_path, field):
+    """A child count of 2^32 - 1 at the root, or one whose depth's sum runs
+    past the file, is refused at the section it cannot hold, and the load
+    allocates a few times the file's bytes at most, not the section's."""
+    d = _random_dictionary(3000, 8, seed=19)
+    tree = build_tree(d, (10, 10), seed=2)
+    path = tmp_path / "t.tree"
+    save_tree(tree, path)
+    raw = bytearray(path.read_bytes())
+    counts, ids = _field_offsets(tree)
+    at = counts[0] if field == "root" else counts[-1]
+    raw[at : at + 4] = struct.pack("<I", 2**32 - 1)
+    path.write_bytes(bytes(raw))
+    what, start = ("depth 1 child counts", counts[1]) if field == "root" else ("leaf atom ids", ids[0])
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"truncated while reading {what} at offset {start} "):
+            load_tree(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(raw)
+
+
 @pytest.mark.parametrize("atom", [-1, 12])
 def test_validate_reports_leaves_outside_the_dictionary(atom):
     d = _random_dictionary(12, 3, seed=17)
     tree = build_tree(d, (3,), seed=0)
     tree.atoms[4] = atom
     assert validate_tree(tree, d).violation == "leaves cover 12 atoms, expected all 12 exactly once"
-
-
-@pytest.mark.parametrize("leaf_fault", [b"\x00", b"\x07", b"\x01" + struct.pack("<Q", 1 << 63)])
-@pytest.mark.parametrize("later", ["cut-in-run", "zero-children", "bad-tag", "truncated", "trailing"])
-def test_load_tree_reports_a_bad_leaf_before_a_later_fault(tmp_path, leaf_fault, later):
-    """A bad leaf record comes before the fault at which the walk stops,
-    as in a record-by-record read; a run cut short counts its whole records."""
-    d = _random_dictionary(11, 2, seed=18)
-    tree = build_tree(d, (3, 2), seed=1)
-    path = tmp_path / "t.tree"
-    save_tree(tree, path)
-    raw = bytearray(path.read_bytes())
-    tags, counts, _ = _record_fields(tree)
-    leaf = next(at for at in tags if raw[at] == 1 and raw[at + 9] == 1)  # a run's first of two or more
-    raw[leaf : leaf + len(leaf_fault)] = leaf_fault
-    after = [at for at in counts if at > leaf]
-    if later == "cut-in-run":
-        raw = raw[: leaf + 9 + 4]
-    elif later == "zero-children":
-        raw[after[0] : after[0] + 4] = struct.pack("<I", 0)
-    elif later == "bad-tag":
-        raw[after[0] - 8] = 9  # the tag of the next internal record, n = 2
-    elif later == "truncated":
-        raw = raw[: after[0] + 2]
-    else:
-        raw += b"\0"
-    path.write_bytes(bytes(raw))
-    want = _load_outcome(oracles.load_tree_reference, path)
-    assert want[0] == "FormatError" and str(leaf) in want[1]
-    assert _load_outcome(load_tree, path) == want
