@@ -618,12 +618,34 @@ def test_tree_v3_bytes_pinned(tmp_path):
     assert back.atoms.tolist() == [0, 2, 1] and back.atoms.dtype == np.int64
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_tree_before_v3_is_refused_at_offset_8(tmp_path, version):
-    # v1 had the FNV-1a fingerprint and v2 preorder node records; both are rebuilt, not read
+# The same hand tree in v2, which stored preorder node records: a node
+# tag, centroid and child count for each internal node, then a tag and
+# atom id per leaf.
+_TREE_V2_BYTES = (
+    b"STMPTREE" + struct.pack("<IQQII", 2, _FINGERPRINT, 2, 1, 2)  # header, 36 bytes
+    + b"\x00" + struct.pack("<2fI", 1.0, 0.0, 2)  # root at 36
+    + b"\x00" + struct.pack("<2fI", 0.6, 0.8, 2)  # A at 49
+    + b"\x01" + struct.pack("<Q", 0) + b"\x01" + struct.pack("<Q", 2)  # A's leaf run at 62
+    + b"\x00" + struct.pack("<2fI", 0.0, 1.0, 1)  # B at 80
+    + b"\x01" + struct.pack("<Q", 1)  # B's leaf run at 93
+)
+
+
+def test_tree_v2_bytes_pinned(tmp_path):
+    # a v2 file is rebuilt, not read: its version is refused before any record
+    assert len(_TREE_V2_BYTES) == 102
+    path = tmp_path / "v2.tree"
+    path.write_bytes(_TREE_V2_BYTES)
+    message = "version 2 at offset 8; rebuild the tree with stmp build-tree"
+    with pytest.raises(UnsupportedFormatError, match=message):
+        load_tree(path)
+
+
+def test_tree_v1_is_refused_at_offset_8(tmp_path):
+    # v1 had the FNV-1a fingerprint; it is rebuilt, not read
     path = tmp_path / "old.tree"
-    path.write_bytes(_patched(8, struct.pack("<I", version)))
-    message = f"version {version} at offset 8; rebuild the tree with stmp build-tree"
+    path.write_bytes(_patched(8, struct.pack("<I", 1)))
+    message = "version 1 at offset 8; rebuild the tree with stmp build-tree"
     with pytest.raises(UnsupportedFormatError, match=message):
         load_tree(path)
 
@@ -637,8 +659,16 @@ def _patched(at, new):
 @pytest.mark.parametrize(
     "data, message",
     [
+        # root-leaf, shallow-leaf, bad-tag and bad-leaf-tag keep the names of the
+        # v2 record faults they replace: a root or A with no children, the byte 7
+        # over A's first field, and B's leaf out of range
         (_patched(36, struct.pack("<I", 0)),
          "internal node 0 at depth 0 has no children at offset 36"),
+        (_patched(48, struct.pack("<I", 0)),
+         "internal node 0 at depth 1 has no children at offset 48"),
+        (_patched(48, b"\x07"),
+         "truncated while reading leaf atom ids at offset 72 (need 64 bytes, have 24)"),
+        (_patched(88, struct.pack("<Q", 1 << 63)), "leaf atom index out of range at offset 88"),
         (_patched(52, struct.pack("<I", 0)),
          "internal node 1 at depth 1 has no children at offset 52"),
         (_patched(80, struct.pack("<Q", 1 << 63)), "leaf atom index out of range at offset 80"),
@@ -673,7 +703,7 @@ def _patched(at, new):
          "truncated while reading leaf atom ids at offset 72 (need 24 bytes, have 18)"),
     ],
     ids=[
-        "zero-root-children", "zero-children", "index-overflow", "overflow-before-trailing",
+        "root-leaf", "shallow-leaf", "bad-tag", "bad-leaf-tag", "zero-children", "index-overflow", "overflow-before-trailing",
         "truncated-node", "centroids-cut", "run-cut-short", "run-missing", "counts-past-file",
         "huge-count", "huge-dimension", "trailing", "zero-before-trailing", "zero-before-cut",
         "cut-after-zero", "cut-after-overflow",
@@ -824,3 +854,36 @@ def test_validate_reports_leaves_outside_the_dictionary(atom):
     tree = build_tree(d, (3,), seed=0)
     tree.atoms[4] = atom
     assert validate_tree(tree, d).violation == "leaves cover 12 atoms, expected all 12 exactly once"
+
+
+@pytest.mark.parametrize("leaf_fault", [b"\x00"])
+@pytest.mark.parametrize("later", ["cut-in-run", "zero-children", "bad-tag", "truncated", "trailing"])
+def test_load_tree_reports_a_bad_leaf_before_a_later_fault(tmp_path, leaf_fault, later):
+    """A bottom node's leaf run left empty, by ``leaf_fault`` written over the
+    low end of its child count, is named before any fault later in the file,
+    as in a value-by-value read: a cut in the leaf ids or in the bottom
+    centroids, a later empty run, a leaf id of 2^63 or trailing bytes."""
+    d = _random_dictionary(11, 2, seed=18)
+    tree = build_tree(d, (3, 2), seed=1)
+    path = tmp_path / "t.tree"
+    save_tree(tree, path)
+    raw = bytearray(path.read_bytes())
+    counts, ids = _field_offsets(tree)
+    bottom = counts[-(len(tree.offsets[-1]) - 1):]
+    leaf = bottom[0]
+    assert raw[leaf] > 0 and raw[leaf + 1 : leaf + 4] == b"\0\0\0"
+    raw[leaf : leaf + len(leaf_fault)] = leaf_fault
+    if later == "cut-in-run":
+        raw = raw[: ids[1] + 4]
+    elif later == "zero-children":
+        raw[bottom[1] : bottom[1] + 4] = struct.pack("<I", 0)
+    elif later == "bad-tag":  # v3 has no node tags; this is its other bad field value
+        raw[ids[-1] : ids[-1] + 8] = struct.pack("<Q", 1 << 63)
+    elif later == "truncated":
+        raw = raw[: ids[0] - 2]
+    else:
+        raw += b"\0"
+    path.write_bytes(bytes(raw))
+    want = _load_outcome(oracles.load_tree_reference, path)
+    assert want[0] == "FormatError" and f"has no children at offset {leaf}" in want[1]
+    assert _load_outcome(load_tree, path) == want
