@@ -13,21 +13,25 @@ filters its rows in blocks of its own, so the cost per row stays flat from
 
     python demos/tree_search_costs.py [--paper-scale]
 
-``--paper-scale`` instead builds a (100, 10, 10) and a (1000, 100) tree
-over a seeded Gaussian dictionary of m = 100000 atoms of dimension 64, the
-paper's regime, and prints each one's build time and the process's peak
-RSS right after it.  Then it times ``save_tree`` and ``load_tree`` (best of
-3) and prints the file's size and SHA-256 beside a SHA-256 of the loaded
-arrays (each depth's float32 centroids, the offsets, the atoms), which a
-format change that keeps the tree leaves as it is.  It answers 512
-seeded Gaussian queries through each tree at alpha 0.1 and exhaustively,
-and prints how often the picks agree and the mean ratio of the tree
-pick's |score| to the exhaustive one's.
+``--paper-scale`` instead works on a seeded Gaussian dictionary of
+m = 100000 atoms of dimension 64, the paper's regime.  It first saves the
+dictionary and, in a fresh process, loads it and prints the first
+``Dictionary.max_norm`` time and how far the peak RSS grows past the load
+through an ``ExactSelector`` set-up and one 1024-row pick.  Then it builds
+a (100, 10, 10) and a (1000, 100) tree and prints each one's build time
+and the process's peak RSS right after it.  Then it times ``save_tree``
+and ``load_tree`` (best of 3) and prints the file's size and SHA-256
+beside a SHA-256 of the loaded arrays (each depth's float32 centroids, the
+offsets, the atoms), which a format change that keeps the tree leaves as
+it is.  It answers 512 seeded Gaussian queries through each tree at alpha
+0.1 and exhaustively, and prints how often the picks agree and the mean
+ratio of the tree pick's |score| to the exhaustive one's.
 """
 
 import argparse
 import hashlib
 import math
+import multiprocessing
 from pathlib import Path
 import resource
 import tempfile
@@ -41,9 +45,11 @@ from stmp import (
     TreeSelector,
     build_tree,
     exact_select,
+    load_dictionary,
     load_tree,
     normalize_columns,
     predicted_ip_count,
+    save_dictionary,
     save_tree,
     stmp_select,
 )
@@ -116,6 +122,14 @@ def paper_scale(shapes=((100, 10, 10), (1000, 100))):
     best, best_scores = ExactSelector(d).pick(queries)
     print(f"Gaussian dictionary m={m}, n={n}, tree seed {seed}; "
           f"{len(queries)} Gaussian queries at alpha {alpha}")
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "paper.dict"
+        save_dictionary(d, path)
+        # a fresh process, so the peak this one reached building d does not hide the growth
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            max_norm_ms, growth_mb = pool.apply(_load_and_pick, (str(path),))
+    print(f"after load_dictionary: first max_norm {max_norm_ms:.2f} ms; ExactSelector set-up and "
+          f"one 1024-row pick grow the peak RSS by {growth_mb:.1f} MB")
     for branching in shapes:
         start = time.perf_counter()
         tree = build_tree(d, branching, seed=seed)
@@ -136,6 +150,28 @@ def paper_scale(shapes=((100, 10, 10), (1000, 100))):
               f"file SHA-256 {digest}, arrays SHA-256 {arrays}")
         print(f"  agreement with exhaustive {np.mean(found == best):.3f}, "
               f"mean |score| ratio {ratio:.4f}")
+
+
+def _load_and_pick(path: str):
+    """Loads a dictionary, then returns the first ``max_norm``'s time in ms
+    and the peak-RSS growth in MB of an ``ExactSelector`` set-up and one pick
+    of 1024 seeded Gaussian rows."""
+    d = load_dictionary(path)
+    queries = np.random.default_rng(8).standard_normal((1024, d.n))
+    before = _peak_rss_mb()
+    start = time.perf_counter()
+    d.max_norm
+    max_norm_ms = 1e3 * (time.perf_counter() - start)
+    ExactSelector(d).pick(queries)
+    return max_norm_ms, _peak_rss_mb() - before
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak RSS (Linux's VmHWM), which a new program starts
+    afresh; ``ru_maxrss`` would carry over the peak of the process that
+    started it."""
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
 
 
 def _arrays_sha256(tree) -> str:
@@ -168,7 +204,8 @@ def _us_per_row(call, count: int) -> float:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Tree search and build costs.", allow_abbrev=False)
     parser.add_argument("--paper-scale", action="store_true",
-                        help="time (100, 10, 10) and (1000, 100) builds over m = 100000 atoms of dimension 64")
+                        help="time a load and pick, and (100, 10, 10) and (1000, 100) builds, "
+                             "over m = 100000 atoms of dimension 64")
     # known arguments only, so a caller's own flags (a test runner's) pass by
     if parser.parse_known_args()[0].paper_scale:
         paper_scale()

@@ -513,7 +513,7 @@ def _first_violation(t: ClusterTree, d: Dictionary) -> str:
         return violation
     for depth, rows in enumerate(t.centroids):
         norms = np.sqrt(row_dots(rows, rows))
-        bad = np.flatnonzero(np.abs(norms - 1.0) > CENTROID_NORM_TOL)
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= CENTROID_NORM_TOL))  # NaN fails too
         if bad.size:
             return f"internal centroid {bad[0]} at depth {depth} has norm {norms[bad[0]]:.8f}"
     atoms = t.atoms

@@ -1,7 +1,9 @@
 """Over-complete dictionaries of unit-norm atoms: construction, scoring, I/O.
 
-Atoms are stored atom-major, one contiguous row per atom, so that scoring a
-query is a sequential scan.  The conventional mathematical object is the
+Atoms are stored atom-major, one contiguous float32 row per atom, so that
+scoring a query is a sequential scan, and no float64 copy is kept: an atom's
+canonical score against a float64 residual is one ddot of its row upcast to
+float64 (``row_dots``).  The conventional mathematical object is the
 n x m matrix D whose columns are the atoms; ``normalize_columns`` keeps that
 name even though the in-memory layout is transposed.
 
@@ -32,13 +34,14 @@ UNIT_NORM_TOL = 1e-5
 _ZERO_VARIANCE_TOL = 1e-6
 
 _VECDOT = getattr(np, "vecdot", None)  # numpy >= 2
+_NORM_BLOCK = 1024  # rows upcast to float64 at a time for their norms
 
 
 def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A[..., p, :] . B[..., p, :] for every row p, broadcast: with B = R[:, None]
     row p of R scores every row of A[p] (or of a shared table A).  numpy runs
     this as one ddot per row, the bits of ``A[p].dot(B[p])`` whatever the
-    shapes: the canonical score when A holds scoring atoms.  A gemv such as
+    shapes: the canonical score when A holds atoms.  A gemv such as
     ``A @ b`` would round differently.  numpy 2's ``vecdot`` runs the same
     ddot with less overhead than ``matmul``."""
     if _VECDOT is not None:
@@ -87,17 +90,6 @@ class Dictionary:
         return self.atoms.shape[1]
 
     @cached_property
-    def scoring_atoms(self) -> np.ndarray:
-        """float64 copy of the atoms: the canonical scores are its rows' dot
-        products.
-
-        Atom i's score against a float64 residual r is ``scoring_atoms[i].dot(r)``,
-        one ddot, whatever kernel first filtered the candidates; every pick
-        and coefficient is decided on those bits.
-        """
-        return self.atoms.astype(np.float64)
-
-    @cached_property
     def columns(self) -> np.ndarray:
         """The n x m float32 matrix D whose columns are the atoms, contiguous.
 
@@ -110,8 +102,7 @@ class Dictionary:
     @cached_property
     def max_norm(self) -> float:
         """The largest atom norm, which scales the rounding error of every score."""
-        w = self.scoring_atoms
-        return float(np.sqrt(row_dots(w, w).max()))
+        return float(np.sqrt(_squared_norms(self.atoms).max()))
 
     def payload_bytes(self) -> bytes:
         return _binio.f32_bytes(self.atoms)
@@ -144,13 +135,24 @@ class Dictionary:
             with np.errstate(over="ignore"):  # a large finite atom's r.r may overflow float32
                 fast = np.sqrt(row_dots(self.atoms, self.atoms))
             unsure = np.flatnonzero(~(np.abs(fast - 1.0) < UNIT_NORM_TOL - band))
-        w = (self.atoms if unsure is None else self.atoms.take(unsure, axis=0)).astype(np.float64)
-        norms = np.sqrt(row_dots(w, w))
+        norms = np.sqrt(_squared_norms(self.atoms if unsure is None else self.atoms.take(unsure, axis=0)))
         bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
         if bad.size:
             i = int(bad[0])
             raise ValueError(f"atom {i if unsure is None else int(unsure[i])} has norm {norms[i]:.8f}, "
                              f"expected 1 within {UNIT_NORM_TOL}")
+
+
+def _squared_norms(atoms: np.ndarray) -> np.ndarray:
+    """Each float32 row's r.r in float64, without an m x n float64 copy: the
+    rows are upcast ``_NORM_BLOCK`` at a time into one reused block."""
+    out = np.empty(atoms.shape[0])
+    block = np.empty((min(atoms.shape[0], _NORM_BLOCK), atoms.shape[1]))
+    for a in range(0, atoms.shape[0], _NORM_BLOCK):
+        w = block[:min(_NORM_BLOCK, atoms.shape[0] - a)]
+        np.copyto(w, atoms[a:a + _NORM_BLOCK])
+        out[a:a + _NORM_BLOCK] = row_dots(w, w)
+    return out
 
 
 def _norm_band(n: int) -> float:

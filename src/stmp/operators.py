@@ -152,7 +152,7 @@ def project_dictionary(d: Dictionary, op: ObservationOperator) -> ProjectedDicti
         raise ValueError(f"operator expects dimension {op.n_in}, dictionary atoms have {d.n}")
     if op.kind == IDENTITY or (op.kind == ROW_SELECT and op.n_out == op.n_in):
         # the measurement is the patch itself: score the base dictionary, so
-        # its fingerprint and float64 scoring copy are computed once per run
+        # its fingerprint, max norm and float32 columns are computed once per run
         return ProjectedDictionary(
             base=d,
             operator=op,

@@ -9,11 +9,12 @@ off a (P, n) batch of residuals with either selector, each row stopping on
 its own; single queries are batches of one.
 
 Canonical scores decide every choice: a centroid or atom a scores
-``a.dot(r)``, one ddot (``row_dots``), whatever the batch or block shape.
-A level keeps the children of largest |score|, ties to the lower child; the
-pick is the atom of largest |score|, ties to the lowest index, and its score
-is the coefficient.  So outputs depend on neither the batch nor the kernel
-that found the candidates, and exact duplicates always tie.
+``a.dot(r)``, one ddot (``row_dots``), whatever the batch or block shape;
+an atom's a is its float32 row, which that product upcasts exactly.  A
+level keeps the children of largest |score|, ties to the lower child; the
+pick is the atom of largest |score|, ties to the lowest index, and its
+score is the coefficient.  So outputs depend on neither the batch nor the
+kernel that found the candidates, and exact duplicates always tie.
 
 Float32 GEMMs of the unit-scaled residuals only filter.  Two ways of summing
 an n-term dot product differ by at most gamma_n * |a| * |r| (Higham,
@@ -375,7 +376,7 @@ def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: Score
             fast[~cand] = -1.0
         if leaf:  # a row's atoms are the slots of its frontier
             keys = block.take(nodes, axis=0).reshape(P, -1)
-            return _settle(*_sift(fast.reshape(P, -1), keys, band), R, d.scoring_atoms)
+            return _settle(*_sift(fast.reshape(P, -1), keys, band), R, d.atoms)
         keep = min(keeps[depth], width)
         cut = _across_max(fast) if keep == 1 else -np.partition(-fast, keep - 1, axis=1)[:, keep - 1]
         hit = fast >= (cut - band)[:, None]
@@ -421,7 +422,7 @@ def _walk(t: ClusterTree, d: Dictionary, r: np.ndarray, keeps, counter: ScoreCou
             (counter.count_atoms if leaf else counter.count_centroids)(scored)
         if leaf:  # the first maximum; on a tie, the lowest atom id among them
             keys = children.ravel()
-            scores = row_dots(d.scoring_atoms.take(keys, axis=0), r)
+            scores = row_dots(d.atoms.take(keys, axis=0), r)
             magnitudes = np.abs(scores)
             if live is not None:
                 magnitudes[~live.ravel()] = -1.0
@@ -460,7 +461,7 @@ def exact_select(d: Dictionary, r, counter: ScoreCounter | None = None) -> tuple
         floor = float(fast[best]) - _band_for(d.n, d.max_norm)
         fast[best] = -1.0
         if floor > 0.0 and fast[fast.argmax()] < floor:
-            return best, float(d.scoring_atoms[best].dot(R[0]))
+            return best, float(d.atoms[best].dot(R[0]))
     picks, scores = ExactSelector(d).pick(R)
     return int(picks[0]), float(scores[0])
 
@@ -506,7 +507,7 @@ class ExactSelector:
             block = np.matmul(q, d.columns, out=fast[:q.shape[0]])
             parts.append(_sift(np.abs(block, out=block), None, band, start))
         sifted = parts[0] if len(parts) == 1 else [np.concatenate(part) for part in zip(*parts)]
-        return _settle(*sifted, R, d.scoring_atoms)
+        return _settle(*sifted, R, d.atoms)
 
 
 class TreeSelector:
@@ -605,7 +606,6 @@ def _pursue(selector, X: np.ndarray, params: SearchParams,
             tolerance[huge] = 1e-6 * top * np.sqrt(row_dots(scaled, scaled))
     else:
         tolerance = np.full(P, float(params.residual_tolerance))
-    atoms = d.scoring_atoms
     indices = np.zeros((P, params.K), dtype=np.int64)
     coefficients = np.zeros((P, params.K))
     lengths = np.zeros(P, dtype=np.int64)
@@ -629,9 +629,7 @@ def _pursue(selector, X: np.ndarray, params: SearchParams,
         indices[rows, step] = picks
         coefficients[rows, step] = scores
         lengths[rows] = step + 1
-        peeled = np.take(atoms, picks, axis=0, out=step_atoms[:rows.size])
-        peeled *= scores[:, None]
-        r -= peeled
+        r -= np.multiply(d.atoms.take(picks, axis=0), scores[:, None], out=step_atoms[:rows.size])
     return CodeBatch(d.m, indices, coefficients, lengths, own.inner_products - start)
 
 
@@ -668,14 +666,13 @@ def reconstruct_batch(d: Dictionary, codes: CodeBatch) -> np.ndarray:
     codes.check_range(d.m)
     P = codes.indices.shape[0]
     out = np.zeros((P, d.n))
-    atoms = d.scoring_atoms
     for step in range(codes.indices.shape[1]):
         rows = (codes.lengths > step).nonzero()[0]
         if not rows.size:
             break
         if rows.size == P:  # every row still coding: no gather and scatter of out
-            out += codes.coefficients[:, step, None] * atoms[codes.indices[:, step]]
+            out += codes.coefficients[:, step, None] * d.atoms[codes.indices[:, step]]
             continue
         picks = codes.indices[rows, step]
-        out[rows] += codes.coefficients[rows, step][:, None] * atoms[picks]
+        out[rows] += codes.coefficients[rows, step][:, None] * d.atoms[picks]
     return out

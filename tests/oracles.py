@@ -148,7 +148,7 @@ def predicted_centroid_count_reference(branching, alpha):
     return total
 
 
-def _tree_walk(tree, scoring_atoms, query, alpha):
+def _tree_walk(tree, atoms, query, alpha):
     """Depth-first descent one node at a time over the tree's per-depth arrays.
 
     Each node ranks its own children and the ceil(alpha*k) strongest survive
@@ -158,7 +158,7 @@ def _tree_walk(tree, scoring_atoms, query, alpha):
     """
     r = np.asarray(query, dtype=np.float64).ravel()
     level_scores = [None] + [canonical_scores_reference(rows, r) for rows in tree.centroids[1:]]
-    atom_scores = canonical_scores_reference(scoring_atoms, r)
+    atom_scores = canonical_scores_reference(atoms, r)
     candidates = []
     centroid_ips = 0
 
@@ -166,8 +166,7 @@ def _tree_walk(tree, scoring_atoms, query, alpha):
         nonlocal centroid_ips
         lo, hi = tree.offsets[depth][node], tree.offsets[depth][node + 1]
         if depth == len(tree.branching):
-            atoms = tree.atoms[lo:hi].tolist()
-            candidates.extend((atom, atom_scores[atom]) for atom in atoms)
+            candidates.extend((atom, atom_scores[atom]) for atom in tree.atoms[lo:hi].tolist())
             return
         scores = level_scores[depth + 1][lo:hi]
         centroid_ips += hi - lo
@@ -180,11 +179,11 @@ def _tree_walk(tree, scoring_atoms, query, alpha):
     return candidates, centroid_ips
 
 
-def tree_select_reference(tree, scoring_atoms, query, alpha):
+def tree_select_reference(tree, atoms, query, alpha):
     """The tree's pick: the best atom over every surviving bottom node (ties
     to the lower atom index).  Returns (index, score, centroid inner
     products, atom inner products)."""
-    candidates, centroid_ips = _tree_walk(tree, scoring_atoms, query, alpha)
+    candidates, centroid_ips = _tree_walk(tree, atoms, query, alpha)
     best_index, best_score = candidates[0]
     for index, score in candidates[1:]:
         if abs(score) > abs(best_score) or (abs(score) == abs(best_score) and index < best_index):

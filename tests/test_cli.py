@@ -296,14 +296,17 @@ def test_run_rejects_malformed_tree(tmp_path, capsys):
 @pytest.mark.parametrize(
     "tamper, message",
     [
-        (lambda atoms: atoms.__setitem__(0, 10**6), "exactly once"),  # index out of range
-        (lambda atoms: atoms.__setitem__(1, atoms[0]), "exactly once"),  # an atom twice
+        (lambda tree: tree.atoms.__setitem__(0, 10**6), "exactly once"),  # index out of range
+        (lambda tree: tree.atoms.__setitem__(1, tree.atoms[0]), "exactly once"),  # an atom twice
+        (lambda tree: tree.centroids[1].__setitem__(0, np.nan),
+         "internal centroid 0 at depth 1 has norm nan"),
     ],
-    ids=["index-out-of-range", "duplicated-atom"],
+    ids=["index-out-of-range", "duplicated-atom", "nan-centroid"],
 )
 def test_run_rejects_tree_that_does_not_fit(tmp_path, capsys, tamper, message):
     # the file parses and its fingerprint matches, but its leaves do not cover
-    # the dictionary; the run must stop before coding with a one-line error
+    # the dictionary or a centroid is not of unit norm; the run must stop
+    # before coding with a one-line error
     img_path = tmp_path / "in.pgm"
     _write_image(img_path, 8, shape=(16, 16))
     dict_path = tmp_path / "d.dict"
@@ -312,7 +315,7 @@ def test_run_rejects_tree_that_does_not_fit(tmp_path, capsys, tamper, message):
          "--atoms", "30", "--out", str(dict_path)]
     ) == 0
     tree = build_tree(load_dictionary(dict_path), (4, 2), seed=0)
-    tamper(tree.atoms)
+    tamper(tree)
     tree_path = tmp_path / "bad.tree"
     save_tree(tree, tree_path)
     assert load_tree(tree_path).atoms.tolist() == tree.atoms.tolist()

@@ -197,7 +197,11 @@ def test_validate_detects_tampering():
     def drop_children(tree):
         tree.offsets[1][2] = tree.offsets[1][1]
 
+    def nan_centroid(tree):  # |nan - 1| > tol is False: the check must fail NaN itself
+        tree.centroids[1][0] = np.nan
+
     assert "norm" in tampered(scale_centroid)
+    assert tampered(nan_centroid) == "internal centroid 0 at depth 1 has norm nan"
     assert "unbalanced" in tampered(shift_boundary)
     assert "exactly once" in tampered(repeat_atom)
     assert "no children" in tampered(drop_children)

@@ -4,22 +4,30 @@ import re
 import threading
 import tracemalloc
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 import stmp.dictionary
 from stmp import (
     Dictionary,
+    ExactSelector,
     FormatError,
     InsufficientDataError,
     ScoreCounter,
+    SearchParams,
+    TreeSelector,
     build_from_patches,
+    build_tree,
     exact_select,
     extract_patches,
     load_dictionary,
+    matching_pursuit_batch,
     normalize_columns,
+    reconstruct_batch,
     save_dictionary,
 )
+from stmp.dictionary import row_dots
 
 
 def test_fingerprint_is_sha256_of_the_saved_payload(tmp_path):
@@ -216,6 +224,61 @@ def test_load_dictionary_holds_the_payload_once(tmp_path):
         tracemalloc.stop()
     assert peak < 1.5 * size
     d.atoms[0, 0] = 0.5  # writable
+
+
+def test_atoms_are_held_once_in_float32(tmp_path):
+    # max_norm upcasts a few rows at a time, and no selector, pursuit or
+    # reconstruction leaves a float64 table of the atoms on the dictionary
+    path = tmp_path / "d.dict"
+    m = 16 * stmp.dictionary._NORM_BLOCK
+    save_dictionary(normalize_columns(np.random.default_rng(14).standard_normal((m, 32))), path)
+    d = load_dictionary(path)
+    tracemalloc.start()
+    try:
+        d.max_norm
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < d.atoms.nbytes / 4
+    Q = np.random.default_rng(15).standard_normal((20, 32))
+    ExactSelector(d).pick(Q)
+    TreeSelector(build_tree(d, (4, 4), seed=16), d, 0.5).pick(Q)
+    reconstruct_batch(d, matching_pursuit_batch(ExactSelector(d), Q, SearchParams(K=2)))
+    held = [value for value in vars(d).values() if isinstance(value, np.ndarray)]
+    assert len(held) > 1  # the atoms and the columns at least
+    assert all(value.dtype != np.float64 for value in held)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 130),
+    k=st.integers(1, 5),
+    scale=st.sampled_from([1.0, 1e-30, 1e-40, 1e30, 1e36]),
+    residual_scale=st.sampled_from([1.0, 1e-300, 1e-160, 1e160, 1e300]),
+    seed=st.integers(0, 2**16),
+)
+def test_float32_rows_score_as_their_float64_upcast(n, k, scale, residual_scale, seed):
+    # Canonical scores are taken on the float32 atoms: numpy's mixed-dtype
+    # dot and vecdot must give the bytes of the upcast rows' ddot in every
+    # shape the package scores, near underflow and overflow too (1e-40 rows
+    # are float32 subnormals).
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        A = (rng.standard_normal((k, k + 1, n)) * scale).astype(np.float32)
+        W = A.astype(np.float64)
+        R = rng.standard_normal((k, n)) * residual_scale
+        r = R[0]
+        pairs = [
+            (A[0, 0].dot(r), W[0, 0].dot(r)),  # one row
+            (row_dots(A[0, 0], r), row_dots(W[0, 0], r)),
+            (row_dots(A[0], r), row_dots(W[0], r)),  # a (k, n) block against one residual
+            (row_dots(A[:, 0], R), row_dots(W[:, 0], R)),  # row p against residual p
+            (row_dots(A[0], R[:, None]), row_dots(W[0], R[:, None])),  # a shared table
+            (row_dots(A, R[:, None]), row_dots(W, R[:, None])),  # (P, W, n) against R[:, None]
+        ]
+    for got, want in pairs:
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 def test_load_dictionary_reads_a_pipe(tmp_path):

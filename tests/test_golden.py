@@ -3,15 +3,15 @@
 The SHA-256 of each restored tensor and its report row (without the
 ``seconds`` field) were recorded on this package's reference platform
 (CPython 3.11, numpy 2.4, OpenBLAS 0.3.31).  Every pick and coefficient is a
-canonical score, one ddot of a ``Dictionary.scoring_atoms`` row with the
-residual, so neither the batch, the chunking nor the kernel that filters
-the candidates can move a bit; a change to the canonical score, to the
-order of accumulation or to the aggregation fails here.  The digests date
-from per-row gemv scoring: the move to canonical scores changed
-coefficients in their last bits, but no pick and none of these four
-float32 outputs.  Both trees divide their dictionaries exactly.  The two
-``stmp`` digests date from warm-started balanced rounds, which changed
-every tree ``build_tree`` builds.
+canonical score, one ddot of a float32 ``Dictionary.atoms`` row, upcast to
+float64, with the residual, so neither the batch, the chunking nor the
+kernel that filters the candidates can move a bit; a change to the
+canonical score, to the order of accumulation or to the aggregation fails
+here.  The digests date from per-row gemv scoring: the move to canonical
+scores changed coefficients in their last bits, but no pick and none of
+these four float32 outputs.  Both trees divide their dictionaries
+exactly.  The two ``stmp`` digests date from warm-started balanced rounds,
+which changed every tree ``build_tree`` builds.
 """
 
 import hashlib

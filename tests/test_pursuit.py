@@ -181,7 +181,7 @@ def test_stmp_select_matches_per_node_reference(m, n, branching, distinct, alpha
         counter = ScoreCounter()
         index, score = stmp_select(tree, d, q, alpha, counter)
         ref_index, ref_score, ref_centroids, ref_atoms = tree_select_reference(
-            tree, d.scoring_atoms, q, alpha
+            tree, d.atoms, q, alpha
         )
         assert index == ref_index
         assert np.float64(score).tobytes() == np.float64(ref_score).tobytes()
@@ -206,7 +206,7 @@ def _pursuit_reference(select, atoms, x, K, tol):
             stop = "zero score"
             break
         entries.append((index, score))
-        r = r - score * atoms[index]
+        r = r - score * atoms[index].astype(np.float64)
     return entries, ips, stop
 
 
@@ -266,7 +266,7 @@ def test_batched_pursuit_matches_per_patch_references(
 
     def tree_ref(r):
         index, score, centroid_ips, atom_ips = tree_select_reference(
-            tree, d.scoring_atoms, r, alpha
+            tree, d.atoms, r, alpha
         )
         return index, score, centroid_ips + atom_ips
 
@@ -286,7 +286,7 @@ def test_batched_pursuit_matches_per_patch_references(
         batches[name] = codes
         total = 0
         for p, x in enumerate(X):
-            entries, ips, stop = _pursuit_reference(ref, d.scoring_atoms, x, K, tolerance)
+            entries, ips, stop = _pursuit_reference(ref, d.atoms, x, K, tolerance)
             _check_codes(codes, p, entries)
             stops.add(stop)
             total += ips
@@ -334,7 +334,7 @@ def test_batch_helpers_match_single_code_forms():
 
 @pytest.mark.parametrize("n", [16, 64])
 def test_coefficients_have_the_canonical_ddot_bits(n):
-    # Every coefficient is the canonical score d.scoring_atoms[pick].dot(q), in
+    # Every coefficient is the canonical score d.atoms[pick].dot(q), in
     # a batch or alone, for the scan and for the descent.  At these n a gemv
     # row's bits depend on its block's length, so any other kernel would move
     # some of them.  997 atoms make every level uneven.  Each bottom node's
@@ -350,7 +350,7 @@ def test_coefficients_have_the_canonical_ddot_bits(n):
         ]:
             codes = matching_pursuit_batch(selector, Q, SearchParams(K=1))
             for q, pick, score in zip(Q, codes.indices[:, 0], codes.coefficients[:, 0]):
-                want = d.scoring_atoms[pick].dot(q)
+                want = d.atoms[pick].astype(np.float64).dot(q)
                 assert score.tobytes() == want.tobytes()
                 assert select(q) == (pick, want)
 
@@ -386,7 +386,7 @@ def test_duplicated_atoms_tie_to_the_lowest_index(m, n, copies, branching, seed)
         atoms[close] = normalize_columns(rng.standard_normal((close.size, n))).atoms
     d = Dictionary(atoms)
     tree = build_tree(d, branching, seed=seed)
-    a = d.scoring_atoms[source]
+    a = d.atoms[source].astype(np.float64)
     queries = np.array([a, -a, a + 1e-3 * rng.standard_normal(n), 1e-30 * a])
     picks, scores = ExactSelector(d).pick(queries)
     found, tree_scores = TreeSelector(tree, d, 1.0).pick(queries)
@@ -408,7 +408,7 @@ def test_duplicated_atom_at_n16_ties_to_the_lower_index():
     atoms = normalize_columns(rng.standard_normal((6, 16))).atoms.copy()
     atoms[5] = atoms[1]
     d = Dictionary(atoms)
-    Q = d.scoring_atoms[1] + 0.05 * rng.standard_normal((500, 16))
+    Q = d.atoms[1] + 0.05 * rng.standard_normal((500, 16))
     assert {exact_select(d, q)[0] for q in Q} == {1}
     picks, _ = ExactSelector(d).pick(Q)
     assert set(picks.tolist()) == {1}
@@ -440,7 +440,7 @@ def test_scan_filter_agrees_with_the_canonical_reference(m, n, near, scale, seed
         atoms[j, :n] = np.nextafter(atoms[winner, :n], away)
     d = Dictionary(atoms)
     tree = build_tree(d, (3, 2), seed=seed)
-    Q = np.vstack([q, d.scoring_atoms[winner], np.eye(full)[n]]) * scale
+    Q = np.vstack([q, d.atoms[winner], np.eye(full)[n]]) * scale
     picks, scores = ExactSelector(d).pick(Q)
     found, tree_scores = TreeSelector(tree, d, 1.0).pick(Q)
     assert found.tolist() == picks.tolist() and tree_scores.tobytes() == scores.tobytes()
@@ -470,9 +470,9 @@ def test_exact_pick_does_not_depend_on_the_scan_block():
     Q = np.zeros((1024, n + 1))
     Q[:, :n] = rng.standard_normal((1024, n))
     special = {
-        70: d.scoring_atoms[17], 130: d.scoring_atoms[40], 131: d.scoring_atoms[250],
+        70: d.atoms[17], 130: d.atoms[40], 131: d.atoms[250],
         200: Q[200] * 1e200, 640: Q[640] * 1e-160, 700: np.eye(n + 1)[n], 1000: np.zeros(n + 1),
-        1001: d.scoring_atoms[200] + 1e-3 * Q[1001],
+        1001: d.atoms[200] + 1e-3 * Q[1001],
     }
     for p, row in special.items():
         Q[p] = row
@@ -572,9 +572,9 @@ def test_descent_decides_every_level_on_canonical_scores(m, n, branching, alpha,
                 twin = np.nextafter(twin, (rng.choice([-1.0, 1.0], size=n) * np.inf).astype(np.float32))
             rows[lo + 1] = twin
             near.append(rows[lo])
-    Q = np.vstack([rng.standard_normal((6, n)), d.scoring_atoms[rng.integers(0, m, size=3)]]
+    Q = np.vstack([rng.standard_normal((6, n)), d.atoms[rng.integers(0, m, size=3)]]
                   + [np.asarray(near).reshape(-1, n)[:6]])
-    want = [tree_select_reference(tree, d.scoring_atoms, q, alpha) for q in Q]
+    want = [tree_select_reference(tree, d.atoms, q, alpha) for q in Q]
     for q, (index, score, centroids, atoms) in zip(Q, want):
         counter = ScoreCounter()
         assert stmp_select(tree, d, q, alpha, counter) == (index, score)
@@ -613,7 +613,7 @@ def test_descent_over_float64_centroids_matches_the_reference():
         assert (rows.astype(np.float32) != rows).any()
     Q = np.vstack([rng.standard_normal((8, 12)), tree.centroids[1][:4], tree.centroids[2][:8]])
     for alpha in (0.1, 0.35, 1.0):
-        want = [tree_select_reference(tree, d.scoring_atoms, q, alpha) for q in Q]
+        want = [tree_select_reference(tree, d.atoms, q, alpha) for q in Q]
         selector = TreeSelector(tree, d, alpha)
         for size in (1, len(Q)):
             for start in range(0, len(Q), size):
@@ -645,10 +645,10 @@ def test_batched_descent_fills_short_parents_with_dead_slots(m, n, branching, al
     rng = np.random.default_rng(seed)
     d = _random_dictionary(m, n, seed)
     tree = build_tree(d, branching, seed=seed)
-    Q = np.vstack([rng.standard_normal((120, n)), d.scoring_atoms[rng.integers(0, m, size=20)]])
+    Q = np.vstack([rng.standard_normal((120, n)), d.atoms[rng.integers(0, m, size=20)]])
     Q[rng.integers(0, len(Q), size=12)] *= 1e200
     Q[rng.integers(0, len(Q), size=12)] *= 1e-160
-    want = [tree_select_reference(tree, d.scoring_atoms, q, alpha) for q in Q]
+    want = [tree_select_reference(tree, d.atoms, q, alpha) for q in Q]
     selector = TreeSelector(tree, d, alpha)
     for size in (2, 7, 130):  # 140 rows: no batch of one, which would walk the tree
         counter = ScoreCounter()
