@@ -20,12 +20,13 @@ dictionary and, in a fresh process, loads it and prints the first
 through an ``ExactSelector`` set-up and one 1024-row pick.  Then it builds
 a (100, 10, 10) and a (1000, 100) tree and prints each one's build time
 and the process's peak RSS right after it.  Then it times ``save_tree``
-and ``load_tree`` (best of 3) and prints the file's size and SHA-256
-beside a SHA-256 of the loaded arrays (each depth's float32 centroids, the
-offsets, the atoms), which a format change that keeps the tree leaves as
-it is.  It answers 512 seeded Gaussian queries through each tree at alpha
-0.1 and exhaustively, and prints how often the picks agree and the mean
-ratio of the tree pick's |score| to the exhaustive one's.
+and ``load_tree`` (best of 3) and prints the file's size, the traced
+(``tracemalloc``) peak of one ``load_tree`` beside it, and the file's
+SHA-256 beside a SHA-256 of the loaded arrays (each depth's float32
+centroids, the offsets, the atoms), which a format change that keeps the
+tree leaves as it is.  It answers 512 seeded Gaussian queries through each
+tree at alpha 0.1 and exhaustively, and prints how often the picks agree
+and the mean ratio of the tree pick's |score| to the exhaustive one's.
 """
 
 import argparse
@@ -36,6 +37,7 @@ from pathlib import Path
 import resource
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -141,13 +143,20 @@ def paper_scale(shapes=((100, 10, 10), (1000, 100))):
             load_ms = _us_per_row(lambda: load_tree(path), 1) / 1e3
             size = path.stat().st_size
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            arrays = _arrays_sha256(load_tree(path))
+            tracemalloc.start()
+            try:
+                loaded = load_tree(path)
+                load_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            arrays = _arrays_sha256(loaded)
         found, scores = TreeSelector(tree, d, alpha).pick(queries)
         ratio = np.mean(np.abs(scores) / np.abs(best_scores))
         print(f"branching {branching}: build_tree {build_s:.2f} s, "
               f"process peak RSS so far {peak_mb:.1f} MB")
         print(f"  save_tree {save_ms:.2f} ms, load_tree {load_ms:.2f} ms, {size} bytes, "
-              f"file SHA-256 {digest}, arrays SHA-256 {arrays}")
+              f"load_tree traced peak {load_peak} bytes ({load_peak / size:.2f}x the file)")
+        print(f"  file SHA-256 {digest}, arrays SHA-256 {arrays}")
         print(f"  agreement with exhaustive {np.mean(found == best):.3f}, "
               f"mean |score| ratio {ratio:.4f}")
 

@@ -19,19 +19,26 @@ def truncated(source: str, what: str, offset: int, count: int, size: int) -> For
 class Reader:
     """Sequential reader over a byte buffer that reports offsets on failure."""
 
-    def __init__(self, data: bytes | bytearray, source: str = "<bytes>"):
+    def __init__(self, data: bytes | bytearray | memoryview, source: str = "<bytes>"):
         self.data = data
         self.source = source
         self.offset = 0
 
     @classmethod
-    def of_file(cls, path) -> "Reader":
+    def of_file(cls, path, align_end: int = 1) -> "Reader":
         """A reader over the whole file, read into a bytearray, so that
-        ``array`` gives writable views of it rather than copies."""
+        ``array`` gives writable views of it rather than copies.  The bytes
+        end on an ``align_end``-byte boundary: a ``.tree`` closes with 8-byte
+        leaf ids, and numpy copies an unaligned array whole before each
+        ``take`` from it."""
         with open(path, "rb") as fh:
-            data = bytearray(os.fstat(fh.fileno()).st_size)
-            del data[fh.readinto(data):]
-            data += fh.read()  # a pipe reports no size
+            size = os.fstat(fh.fileno()).st_size
+            room = bytearray(size + align_end - 1)
+            start = -(np.frombuffer(room, np.uint8).ctypes.data + size) % align_end
+            data = memoryview(room)[start:start + size]
+            data = data[:fh.readinto(data)]
+            if rest := fh.read():  # a pipe reports no size
+                data = bytearray(data) + rest
         return cls(data, source=str(path))
 
     def _advance(self, count: int, what: str) -> int:

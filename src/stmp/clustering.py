@@ -38,8 +38,8 @@ clustering serve an inner-product-based search.
 
 In memory (``ClusterTree``) nodes are numbered per depth, root first, and
 each node's children form one contiguous range of the depth below.
-``centroids[d]`` holds the centroids of the internal nodes at depth
-d = 0..L as float64 rows with float32 values.  Node j at depth d owns rows
+``centroids[d]`` holds the float32 centroids of the internal nodes at
+depth d = 0..L, as the file does.  Node j at depth d owns rows
 ``offsets[d][j]:offsets[d][j+1]`` (int64 arrays, so a whole frontier's
 child ranges are one fancy index) of depth d+1, or of ``atoms``, the
 leaves' atom indices in preorder, when d = L.
@@ -56,10 +56,10 @@ is their cumulative sum from 0.  Leaf centroids are not stored; they are the
 dictionary atoms themselves.  The fingerprint is
 ``Dictionary.fingerprint()``: the first 8 bytes of the SHA-256 of the
 dictionary's float32 atom payload.  Loading reads each section as one view
-of the file bytes, once the file is known to hold all of it, so no array is
-larger than the file.  Versions 1 (a 64-bit FNV-1a fingerprint) and 2
-(preorder node records) are not read; ``stmp build-tree`` rebuilds such a
-tree.
+of the file bytes, once the file is known to hold all of it, and the tree
+keeps those views: it holds the file's bytes once, plus its int64 offsets.
+Versions 1 (a 64-bit FNV-1a fingerprint) and 2 (preorder node records) are
+not read; ``stmp build-tree`` rebuilds such a tree.
 """
 
 from dataclasses import dataclass
@@ -69,7 +69,7 @@ import itertools
 import numpy as np
 
 from . import _binio
-from .dictionary import Dictionary, row_dots
+from .dictionary import Dictionary, _squared_norms, row_dots
 from .errors import FormatError, StaleTreeError, UnsupportedFormatError
 
 _TREE_MAGIC = b"STMPTREE"
@@ -393,6 +393,7 @@ class ClusterTree:
     atoms: np.ndarray
 
     def __post_init__(self):
+        self.centroids = [np.ascontiguousarray(rows, dtype=np.float32) for rows in self.centroids]
         self.offsets = [np.asarray(b, dtype=np.int64) for b in self.offsets]
 
     @property
@@ -407,8 +408,8 @@ class ClusterTree:
         count.  Where every node has that many, the block is a view of
         ``centroids[d+1]`` (or ``atoms``) and counts is None; otherwise it is
         a zero-padded copy and counts holds each node's child count.  Both
-        tree searches read their children from here; ``TreeSelector`` keeps
-        the blocks' float32 image for its filter."""
+        tree searches read their children from here, and ``TreeSelector``'s
+        filter reads the centroid blocks themselves."""
         return [_child_block(rows, bounds)
                 for rows, bounds in zip(self.centroids[1:] + [self.atoms], self.offsets)]
 
@@ -482,14 +483,7 @@ def build_tree(d: Dictionary, branching, seed) -> ClusterTree:
         if depth + 1 < len(branching):
             paths = [path + (cid,) for path, count in zip(paths, counts.tolist()) for cid in range(count)]
     offsets.append(_csr(sizes.tolist()))
-    return ClusterTree(
-        branching=branching,
-        dictionary_fingerprint=d.fingerprint(),
-        n=d.n,
-        centroids=[rows.astype(np.float64) for rows in centroids],
-        offsets=offsets,
-        atoms=members,
-    )
+    return ClusterTree(branching, d.fingerprint(), d.n, centroids, offsets, members)
 
 
 def validate_tree(t: ClusterTree, d: Dictionary) -> TreeReport:
@@ -512,7 +506,7 @@ def _first_violation(t: ClusterTree, d: Dictionary) -> str:
     if violation:
         return violation
     for depth, rows in enumerate(t.centroids):
-        norms = np.sqrt(row_dots(rows, rows))
+        norms = np.sqrt(_squared_norms(rows))
         bad = np.flatnonzero(~(np.abs(norms - 1.0) <= CENTROID_NORM_TOL))  # NaN fails too
         if bad.size:
             return f"internal centroid {bad[0]} at depth {depth} has norm {norms[bad[0]]:.8f}"
@@ -603,7 +597,7 @@ def load_tree(path) -> ClusterTree:
     one vectorized pass, and the first zero child count or leaf id of 2^63
     or more is named at its own offset.
     """
-    reader = _binio.Reader.of_file(path)
+    reader = _binio.Reader.of_file(path, align_end=8)  # the leaf ids close the file
     reader.magic(_TREE_MAGIC)
     version = reader.u32("version")
     if version != _TREE_VERSION:
@@ -634,8 +628,7 @@ def load_tree(path) -> ClusterTree:
                 f"{path}: internal node {j} at depth {depth} has no children at offset {at + 4 * j}"
             )
         offsets.append(np.concatenate(([0], np.cumsum(counts, dtype=np.int64))))
-        rows = reader.array("<f4", nodes * n, f"depth {depth} centroids")
-        centroids.append(rows.reshape(nodes, n).astype(np.float64))
+        centroids.append(reader.array("<f4", nodes * n, f"depth {depth} centroids").reshape(nodes, n))
         nodes = int(offsets[-1][-1])
     at = reader.offset
     atoms = reader.array("<i8", nodes, "leaf atom ids")
@@ -645,11 +638,4 @@ def load_tree(path) -> ClusterTree:
             f"{path}: leaf atom index out of range at offset {at + 8 * int(wrapped[0])}"
         )
     reader.expect_end()
-    return ClusterTree(
-        branching=branching,
-        dictionary_fingerprint=fingerprint,
-        n=n,
-        centroids=centroids,
-        offsets=offsets,
-        atoms=atoms.astype(np.int64),
-    )
+    return ClusterTree(branching, fingerprint, n, centroids, offsets, atoms)

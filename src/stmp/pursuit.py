@@ -45,7 +45,8 @@ Both tree searches read a node's children from its row of the depth's
 ``ClusterTree.child_blocks``: the (width, n) centroids below it, or at the
 leaf its atom ids, zero-padded to the depth's largest child count where
 nodes differ.  ``TreeSelector`` descends a batch node-major, as an IVF
-index does: it keeps the float32 image of every block, groups a level's
+index does: it filters on the float32 centroid blocks themselves, keeps
+only the leaf's image (the atoms gathered in leaf order), groups a level's
 (row, node) pairs by node, and scores each visited node's block against
 all the rows that kept it in one ``np.dot`` into a contiguous block.  Above
 the leaf, the filter's per-group steps run across groups, since numpy
@@ -67,7 +68,7 @@ import math
 import numpy as np
 
 from .clustering import ClusterTree, check_fingerprint
-from .dictionary import Dictionary, ScoreCounter, row_dots
+from .dictionary import Dictionary, ScoreCounter, _squared_norms, row_dots
 
 # Nudge before the ceiling so products like 0.1 * 100, which land just above
 # an integer in binary, do not inflate the retained-branch count.
@@ -351,9 +352,9 @@ def _descend(t: ClusterTree, d: Dictionary, R: np.ndarray, keeps, counter: Score
     row of the depth's ``t.child_blocks``; parents with fewer children than
     the depth's widest leave empty slots, and frontier entries past a
     parent's children are dead, which ``live`` masks.  A node-major GEMM
-    against ``TreeSelector``'s ``tables``, the float32 image of the blocks,
-    filters each level.  Above the leaf, the filter's per-group steps run
-    across groups, not along their short rows; the leaf kernel, ``_sift``
+    against ``TreeSelector``'s ``tables``, the centroid blocks and the leaf
+    image, filters each level.  Above the leaf, the filter's per-group steps
+    run across groups, not along their short rows; the leaf kernel, ``_sift``
     and ``_settle`` on one block, picks among the leaf slots of each row's
     frontier.
     """
@@ -519,11 +520,11 @@ class TreeSelector:
         self.tree = tree
         self.dictionary = dictionary
         self._keeps = _keeps(self.alpha, tree.branching)
-        # the filter's float32 image of the tree's child blocks, padded slots and all (at the
-        # leaf they read atom 0); the band covers rounding float64 centroids to float32
+        # the filter reads the tree's float32 centroid blocks themselves, and at the leaf the
+        # atoms gathered in leaf order, padded slots and all (they read atom 0)
         blocks = [block for block, _ in tree.child_blocks]
-        images = [b.astype(np.float32) for b in blocks[:-1]] + [dictionary.atoms.take(blocks[-1], axis=0)]
-        norms = [np.sqrt(row_dots(c, c).max()) for c in tree.centroids[1:]] + [dictionary.max_norm]
+        images = blocks[:-1] + [dictionary.atoms.take(blocks[-1], axis=0)]
+        norms = [np.sqrt(_squared_norms(c).max()) for c in tree.centroids[1:]] + [dictionary.max_norm]
         self._tables = [(image, np.float32(_band_for(tree.n, a))) for image, a in zip(images, norms)]
         # a row's leaf slots: its frontier's widest child blocks, as many as the levels keep
         widths = [block.shape[1] for block in blocks]

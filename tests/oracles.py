@@ -392,7 +392,7 @@ def build_tree(d: Dictionary, branching, seed) -> ClusterTree:
         branching=branching,
         dictionary_fingerprint=d.fingerprint(),
         n=d.n,
-        centroids=[rows.astype(np.float64) for rows in centroids],
+        centroids=centroids,
         offsets=offsets,
         atoms=np.concatenate(members),
     )
@@ -457,7 +457,7 @@ def load_tree_reference(path) -> ClusterTree:
         branching=branching,
         dictionary_fingerprint=fingerprint,
         n=n,
-        centroids=[np.array(level).astype(np.float64) for level in rows],
+        centroids=[np.array(level) for level in rows],
         offsets=[_csr(level) for level in counts],
         atoms=np.array(atoms, dtype=np.int64),
     )

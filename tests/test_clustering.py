@@ -12,11 +12,13 @@ from stmp import (
     ClusterTree,
     FormatError,
     StaleTreeError,
+    TreeSelector,
     UnsupportedFormatError,
     build_tree,
     load_tree,
     normalize_columns,
     save_tree,
+    stmp_select,
     validate_tree,
 )
 from stmp import clustering
@@ -214,9 +216,7 @@ def test_build_tree_deterministic():
     assert [c.tobytes() for c in t1.centroids] == [c.tobytes() for c in t2.centroids]
     assert [b.tolist() for b in t1.offsets] == [b.tolist() for b in t2.offsets]
     assert t1.atoms.tobytes() == t2.atoms.tobytes()
-    assert [c.dtype for c in t1.centroids] == [np.dtype(np.float64)] * 3
-    for rows in t1.centroids:  # float64 rows that hold float32 values
-        np.testing.assert_array_equal(rows, rows.astype(np.float32))
+    assert [c.dtype for c in t1.centroids] == [np.dtype(np.float32)] * 3
 
 
 def test_tree_round_trip(tmp_path):
@@ -774,8 +774,6 @@ _FIELD_VALUES = {
 }
 
 
-# a corrupted child count shifts the later sections, so centroid bytes may hold signalling NaNs
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @settings(max_examples=25, deadline=None)
 @given(
     m=st.integers(3, 40),
@@ -850,6 +848,87 @@ def test_load_tree_allocates_no_more_than_the_file_on_a_huge_count(tmp_path, fie
     finally:
         tracemalloc.stop()
     assert peak < 4 * len(raw)
+
+
+def _arrays(value):
+    """Every array held in ``value``, through lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [a for item in value for a in _arrays(item)]
+    return []
+
+
+def _buffer(array):
+    """The object whose memory an array views, through array bases and memoryviews."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    base = array.base
+    return base.obj if isinstance(base, memoryview) else array if base is None else base
+
+
+def test_loaded_tree_holds_the_file_once(tmp_path):
+    """A loaded tree keeps each section as its view of the file's bytes: the
+    load allocates the file once, plus the int64 offsets.  TreeSelector
+    filters on the tree's own centroid blocks, and no pick leaves a float64
+    array on the tree."""
+    d = _random_dictionary(4003, 64, seed=20)
+    path = tmp_path / "t.tree"
+    save_tree(build_tree(d, (30, 30, 3), seed=3), path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        tree = load_tree(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * size + sum(b.nbytes for b in tree.offsets)
+    owners = {id(_buffer(rows)): _buffer(rows) for rows in tree.centroids + [tree.atoms]}
+    assert len(owners) == 1
+    whole = np.frombuffer(*owners.values(), np.uint8)
+    assert whole.size < size + 8
+    assert all(np.shares_memory(rows, whole) for rows in tree.centroids + [tree.atoms])
+    selector = TreeSelector(tree, d, 0.4)
+    blocks = tree.child_blocks
+    assert [counts is None for _, counts in blocks] == [True, False, False, False]  # padded copies
+    for (table, _), (block, _) in zip(selector._tables[:-1], blocks[:-1]):
+        assert np.shares_memory(table, block)
+    Q = np.random.default_rng(21).standard_normal((40, 64))
+    selector.pick(Q)
+    selector.pick(Q[:1])
+    stmp_select(tree, d, Q[0], 0.4)
+    held = _arrays(list(vars(tree).values()))
+    assert len(held) > 2 * len(blocks)  # the centroids, offsets, atoms and child blocks
+    assert all(a.dtype != np.float64 for a in held)
+
+
+@pytest.mark.parametrize("n", [4, 64, 100])
+def test_validate_tree_decides_centroid_norms_at_the_tolerance_in_float64(n):
+    # centroids scaled to just inside and just outside 1 +- tol: held in
+    # float32, their norms are taken in float64, so each accept or reject, and
+    # the first rejected centroid's message, is the one float64 norms give
+    rng = np.random.default_rng(n)
+    base = rng.standard_normal((2001, n))
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    edge = clustering.CENTROID_NORM_TOL + np.linspace(-3e-7, 3e-7, 2001)
+    root = np.eye(1, n, dtype=np.float32)
+    pair = Dictionary(np.eye(2, n, dtype=np.float32))
+    wide = Dictionary(base.astype(np.float32))
+    for sign in (1.0, -1.0):
+        rows = (base * (1.0 + sign * edge)[:, None]).astype(np.float32)
+        norms = np.sqrt(np.array([row.dot(row) for row in rows.astype(np.float64)]))
+        outside = np.abs(norms - 1.0) > clustering.CENTROID_NORM_TOL
+        assert 0 < np.count_nonzero(outside) < outside.size
+        for row, norm, out in zip(rows, norms, outside):
+            tree = ClusterTree((2,), pair.fingerprint(), n, [root, np.vstack([row, root])],
+                               [[0, 2], [0, 1, 2]], np.arange(2))
+            want = f"internal centroid 0 at depth 1 has norm {norm:.8f}" if out else ""
+            assert validate_tree(tree, pair).violation == want
+        tree = ClusterTree((rows.shape[0],), wide.fingerprint(), n, [root, rows],
+                           [[0, rows.shape[0]], np.arange(rows.shape[0] + 1)], np.arange(rows.shape[0]))
+        first = int(np.flatnonzero(outside)[0])
+        assert validate_tree(tree, wide).violation == (
+            f"internal centroid {first} at depth 1 has norm {norms[first]:.8f}")
 
 
 @pytest.mark.parametrize("atom", [-1, 12])

@@ -272,6 +272,7 @@ def test_float32_rows_score_as_their_float64_upcast(n, k, scale, residual_scale,
             (A[0, 0].dot(r), W[0, 0].dot(r)),  # one row
             (row_dots(A[0, 0], r), row_dots(W[0, 0], r)),
             (row_dots(A[0], r), row_dots(W[0], r)),  # a (k, n) block against one residual
+            (row_dots(A, r), row_dots(W, r)),  # (F, W, n) child blocks against one residual
             (row_dots(A[:, 0], R), row_dots(W[:, 0], R)),  # row p against residual p
             (row_dots(A[0], R[:, None]), row_dots(W[0], R[:, None])),  # a shared table
             (row_dots(A, R[:, None]), row_dots(W, R[:, None])),  # (P, W, n) against R[:, None]

@@ -7,6 +7,7 @@ import pytest
 import stmp.pipelines
 
 from stmp import (
+    ClusterTree,
     CodeBatch,
     Dictionary,
     ExactSelector,
@@ -18,6 +19,7 @@ from stmp import (
     build_tree,
     exact_select,
     lift_codes,
+    load_tree,
     matching_pursuit,
     matching_pursuit_batch,
     normalize_columns,
@@ -26,8 +28,10 @@ from stmp import (
     reconstruct_batch,
     retained_count,
     row_select_operator,
+    save_tree,
     stmp_select,
 )
+from stmp.dictionary import row_dots
 from oracles import (
     canonical_scores_reference,
     matching_pursuit_reference,
@@ -599,31 +603,54 @@ def test_descent_decides_every_level_on_canonical_scores(m, n, branching, alpha,
     assert all(run == runs[0] for run in runs)
 
 
-def test_descent_over_float64_centroids_matches_the_reference():
-    # A hand-made ClusterTree may hold centroids float32 cannot represent;
-    # the filter rounds them to float32, and its band must cover that.  Each
-    # odd child copies its elder sibling up to 1e-13, below a float32 ulp,
-    # so the two look equal to the filter and only canonical scores rank them.
+def test_descent_over_float64_centroids_matches_the_reference(tmp_path):
+    # A hand-made ClusterTree may be handed centroids float32 cannot
+    # represent; it holds them rounded to float32, the dtype a .tree file
+    # stores, so it searches as it does after a save and load.  Each odd
+    # child is its elder sibling one float32 ulp away in one coordinate: the
+    # two look equal to the filter, and only canonical scores rank them.
     rng = np.random.default_rng(52)
     d = _random_dictionary(150, 12, seed=52)
-    tree = build_tree(d, (6, 5), seed=53)
-    for rows in tree.centroids[1:]:
+    built = build_tree(d, (6, 5), seed=53)
+    held, twins = [built.centroids[0]], []
+    for depth in (1, 2):
+        rows = built.centroids[depth].copy()
         rows += rng.standard_normal(rows.shape) * 1e-3
-        rows[1::2] = rows[0:-1:2] + rng.standard_normal(rows[1::2].shape) * 1e-13
+        bounds = built.offsets[depth - 1].tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            for j in range(lo + 1, hi, 2):
+                rows[j] = rows[j - 1]
+                at = rng.integers(12)
+                rows[j, at] = np.nextafter(rows[j, at], np.float32(rng.choice([-1.0, 1.0]) * np.inf))
+                twins.append((rows[j - 1], rows[j]))
+        held.append(rows)
+    wide = [rows.astype(np.float64) for rows in held]
+    for rows in wide[1:]:  # float64 values that round back to the float32 rows
+        rows += np.spacing(np.abs(rows).astype(np.float32)) * rng.uniform(-0.2, 0.2, rows.shape)
         assert (rows.astype(np.float32) != rows).any()
-    Q = np.vstack([rng.standard_normal((8, 12)), tree.centroids[1][:4], tree.centroids[2][:8]])
+    tree = ClusterTree(built.branching, built.dictionary_fingerprint, built.n, wide,
+                       built.offsets, built.atoms)
+    assert [c.dtype for c in tree.centroids] == [np.dtype(np.float32)] * 3
+    assert [c.tobytes() for c in tree.centroids] == [c.tobytes() for c in held]
+    save_tree(tree, tmp_path / "t.tree")
+    loaded = load_tree(tmp_path / "t.tree")
+    Q = np.vstack([rng.standard_normal((8, 12)), held[1][:4], held[2][:8]])
+    elder, younger = (np.array(rows) for rows in zip(*twins))
+    assert (row_dots(elder[None], Q[:, None]) != row_dots(younger[None], Q[:, None])).all()
     for alpha in (0.1, 0.35, 1.0):
         want = [tree_select_reference(tree, d.atoms, q, alpha) for q in Q]
-        selector = TreeSelector(tree, d, alpha)
-        for size in (1, len(Q)):
-            for start in range(0, len(Q), size):
-                counter = ScoreCounter()
-                picks, scores = selector.pick(Q[start:start + size], counter)
-                part = want[start:start + size]
-                assert picks.tolist() == [w[0] for w in part]
-                assert scores.tobytes() == np.array([w[1] for w in part]).tobytes()
-                assert counter.centroid_inner_products == sum(w[2] for w in part)
-        assert [stmp_select(tree, d, q, alpha) for q in Q] == [w[:2] for w in want]
+        for t in (tree, loaded):
+            selector = TreeSelector(t, d, alpha)
+            for size in (1, len(Q)):
+                for start in range(0, len(Q), size):
+                    counter = ScoreCounter()
+                    picks, scores = selector.pick(Q[start:start + size], counter)
+                    part = want[start:start + size]
+                    assert picks.tolist() == [w[0] for w in part]
+                    assert scores.tobytes() == np.array([w[1] for w in part]).tobytes()
+                    assert counter.centroid_inner_products == sum(w[2] for w in part)
+                    assert counter.inner_products == sum(w[2] + w[3] for w in part)
+            assert [stmp_select(t, d, q, alpha) for q in Q] == [w[:2] for w in want]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
